@@ -280,7 +280,7 @@ mod tests {
     }
 
     #[test]
-    fn per_iteration_comm_inventory() {
+    fn per_iteration_pattern_calls() {
         let ctx = ctx();
         let p = Params {
             iters: 1,

@@ -21,7 +21,9 @@
 //! (bad flags, unknown benchmark, missing variant, unknown quarantine
 //! name, bad campaign spec, corrupt journal/artifact, lint findings);
 //! 130 = interrupted (SIGINT/SIGTERM drained a partial run — for
-//! campaigns the journal is kept, so `--resume` completes it).
+//! campaigns the journal is kept, so `--resume` completes it). A reader
+//! that closes stdout early (`dpf list | head -1`) is not an error: the
+//! command exits quietly with its own code.
 //!
 //! options:
 //!   --size small|medium|large|S|W|A|B|C
@@ -51,6 +53,8 @@
 //!   --kill-rate RATE             per-benchmark kill probability (dpf soak)
 //! ```
 
+use std::fmt::Write as _;
+use std::io::{self, Write as _};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -162,7 +166,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 o.procs = it
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .ok_or("bad --procs")?;
+                    .filter(|&n| n > 0)
+                    .ok_or("bad --procs (want a positive count)")?;
             }
             "--backend" => {
                 o.backend = it
@@ -291,7 +296,7 @@ fn usage() -> ExitCode {
 /// finished artifacts are byte-identical to an uninterrupted run's.
 /// Exit 1 when any row failed, 2 on spec/journal/IO errors, 130 when a
 /// SIGINT/SIGTERM drained the run part-way (journal kept for --resume).
-fn run_campaign_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn run_campaign_cmd(args: &[String], out: &mut String) -> Result<ExitCode, String> {
     let mut spec_path: Option<&str> = None;
     let mut serial = false;
     let mut format_json = false;
@@ -365,9 +370,9 @@ fn run_campaign_cmd(args: &[String]) -> Result<ExitCode, String> {
         // Partial run: the journal stays for --resume, and no artifact
         // is written — artifacts only ever hold a complete campaign.
         if format_json {
-            print!("{}", report.render_json());
+            out.push_str(&report.render_json());
         } else {
-            print!("{}", report.summary());
+            out.push_str(&report.summary());
         }
         return Ok(ExitCode::from(EXIT_INTERRUPTED));
     }
@@ -381,9 +386,9 @@ fn run_campaign_cmd(args: &[String]) -> Result<ExitCode, String> {
         }
     }
     if format_json {
-        print!("{}", report.render_json());
+        out.push_str(&report.render_json());
     } else {
-        print!("{}", report.summary());
+        out.push_str(&report.summary());
     }
     Ok(if report.failed() > 0 {
         ExitCode::FAILURE
@@ -396,7 +401,7 @@ fn run_campaign_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// artifact (`--campaign FILE`), or — without one — from a fresh serial
 /// class-S run of the whole registry. Markdown goes to stdout; `--out`
 /// also writes `tables.md` + `tables.json`.
-fn run_tables_cmd(args: &[String]) -> Result<ExitCode, String> {
+fn run_tables_cmd(args: &[String], out: &mut String) -> Result<ExitCode, String> {
     let mut campaign_file: Option<&str> = None;
     let mut out_dir: Option<std::path::PathBuf> = None;
     let mut it = args.iter();
@@ -451,7 +456,7 @@ fn run_tables_cmd(args: &[String]) -> Result<ExitCode, String> {
             dpf_suite::write_atomic(&dir.join(file), &content).map_err(|e| e.to_string())?;
         }
     }
-    print!("{}", report_tables::render_markdown(&report));
+    out.push_str(&report_tables::render_markdown(&report));
     Ok(ExitCode::SUCCESS)
 }
 
@@ -459,7 +464,7 @@ fn run_tables_cmd(args: &[String]) -> Result<ExitCode, String> {
 /// `crates/*/src/**.rs` file. Findings go to stdout (text or JSON);
 /// exit 2 on errors (or on any finding under `--deny warnings`), the
 /// configuration-error exit class.
-fn run_lint(args: &[String]) -> Result<ExitCode, String> {
+fn run_lint(args: &[String], out: &mut String) -> Result<ExitCode, String> {
     let mut format = LintFormat::Text;
     let mut deny_warnings = false;
     let mut root: Option<std::path::PathBuf> = None;
@@ -498,9 +503,11 @@ fn run_lint(args: &[String]) -> Result<ExitCode, String> {
     };
     let diags = dpf_lint::lint_tree(&root).map_err(|e| e.to_string())?;
     match format {
-        LintFormat::Json => print!("{}", dpf_lint::render_json(&diags)),
-        LintFormat::Sarif => println!("{}", render_sarif(&diags).render()),
-        LintFormat::Text => print!("{}", dpf_lint::render_text(&diags)),
+        LintFormat::Json => out.push_str(&dpf_lint::render_json(&diags)),
+        LintFormat::Sarif => {
+            let _ = writeln!(out, "{}", render_sarif(&diags).render());
+        }
+        LintFormat::Text => out.push_str(&dpf_lint::render_text(&diags)),
     }
     if dpf_lint::is_failing(&diags, deny_warnings) {
         Ok(ExitCode::from(2))
@@ -519,8 +526,8 @@ enum LintFormat {
 
 /// Render lint diagnostics as a minimal SARIF 2.1.0 log, the format
 /// GitHub code scanning ingests for inline PR annotations. The rule
-/// catalog lists every per-file rule plus any rule id that only shows
-/// up in tree-wide or pragma meta-diagnostics.
+/// catalog lists every per-file rule plus the pragma meta-diagnostics
+/// (`bad-pragma`, `unused-pragma`) that occur in this run.
 fn render_sarif(diags: &[dpf_lint::Diagnostic]) -> Json {
     let mut rule_ids: Vec<&str> = dpf_lint::rules::FILE_RULES.iter().map(|r| r.id).collect();
     let mut summaries: Vec<(&str, &str)> = dpf_lint::rules::FILE_RULES
@@ -530,7 +537,7 @@ fn render_sarif(diags: &[dpf_lint::Diagnostic]) -> Json {
     for d in diags {
         if !rule_ids.contains(&d.rule) {
             rule_ids.push(d.rule);
-            summaries.push((d.rule, "tree-wide or pragma meta-diagnostic"));
+            summaries.push((d.rule, "pragma meta-diagnostic"));
         }
     }
     let rules: Vec<Json> = summaries
@@ -573,12 +580,7 @@ fn render_sarif(diags: &[dpf_lint::Diagnostic]) -> Json {
                             ),
                             (
                                 "region".into(),
-                                // SARIF regions are 1-based; line 0 marks
-                                // whole-file findings in dpf-lint.
-                                Json::Obj(vec![(
-                                    "startLine".into(),
-                                    Json::U64(u64::from(d.line.max(1))),
-                                )]),
+                                Json::Obj(vec![("startLine".into(), Json::U64(u64::from(d.line)))]),
                             ),
                         ]),
                     )])]),
@@ -613,15 +615,39 @@ fn render_sarif(diags: &[dpf_lint::Diagnostic]) -> Json {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    let mut out = String::new();
+    let code = dispatch(&args, &mut out);
+    match write_stdout(&out) {
+        Ok(()) => code,
+        // The reader hung up early (`dpf list | head -1`): it took what
+        // it wanted, so the command's own outcome stands, with no error.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => code,
+        Err(e) => {
+            eprintln!("dpf: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn write_stdout(text: &str) -> io::Result<()> {
+    let mut stdout = io::stdout().lock();
+    stdout.write_all(text.as_bytes())?;
+    stdout.flush()
+}
+
+/// Run one subcommand. Its report is appended to `out`, which `main`
+/// writes to stdout once the command has finished.
+fn dispatch(args: &[String], out: &mut String) -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
     match cmd.as_str() {
         "list" => {
-            println!("{:<20} {:<15} paper versions", "name", "group");
+            let _ = writeln!(out, "{:<20} {:<15} paper versions", "name", "group");
             for e in registry() {
                 let versions: Vec<&str> = e.paper_versions.iter().map(|v| v.name()).collect();
-                println!(
+                let _ = writeln!(
+                    out,
                     "{:<20} {:<15} {}",
                     e.name,
                     e.group.to_string(),
@@ -655,14 +681,20 @@ fn main() -> ExitCode {
             let cfg = opts.suite_config();
             let guarded = dpf_suite::run_guarded(&entry, opts.version, &cfg);
             if let Some(res) = &guarded.result {
-                print!("{}", res.report);
-                println!("  FLOPs per point           : {:.2}", res.flops_per_point());
-                println!(
+                let _ = write!(out, "{}", res.report);
+                let _ = writeln!(
+                    out,
+                    "  FLOPs per point           : {:.2}",
+                    res.flops_per_point()
+                );
+                let _ = writeln!(
+                    out,
                     "  Comm calls per iteration  : {:.2}",
                     res.comm_per_iteration()
                 );
             }
-            println!(
+            let _ = writeln!(
+                out,
                 "outcome: {} ({} attempt(s), {} fault(s) injected)",
                 guarded.outcome, guarded.attempts, guarded.faults_injected
             );
@@ -685,9 +717,9 @@ fn main() -> ExitCode {
             cfg.cancel = CancelToken::watching(shutdown::flag());
             let report = dpf_suite::run_suite(&cfg);
             if opts.format_json {
-                print!("{}", report.render_json());
+                out.push_str(&report.render_json());
             } else {
-                print!("{}", report.summary());
+                out.push_str(&report.summary());
             }
             // The interrupt code dominates (the sweep is partial, so
             // pass/fail is not decided); then runtime failures (exit 1)
@@ -726,7 +758,7 @@ fn main() -> ExitCode {
                 seed: opts.fault_seed,
             };
             let report = dpf_suite::run_soak(&soak_cfg);
-            print!("{}", report.summary());
+            out.push_str(&report.summary());
             if report.interrupted() > 0 {
                 ExitCode::from(EXIT_INTERRUPTED)
             } else if report.failures() > 0 {
@@ -735,21 +767,21 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
         }
-        "campaign" => match run_campaign_cmd(&args[1..]) {
+        "campaign" => match run_campaign_cmd(&args[1..], out) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("{e}");
                 ExitCode::from(2)
             }
         },
-        "tables" => match run_tables_cmd(&args[1..]) {
+        "tables" => match run_tables_cmd(&args[1..], out) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("{e}");
                 ExitCode::from(2)
             }
         },
-        "lint" => match run_lint(&args[1..]) {
+        "lint" => match run_lint(&args[1..], out) {
             Ok(code) => code,
             Err(e) => {
                 eprintln!("{e}");
@@ -786,9 +818,89 @@ fn main() -> ExitCode {
                     return usage();
                 }
             };
-            print!("{text}");
+            out.push_str(&text);
             ExitCode::SUCCESS
         }
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every flag `parse_options` accepts. A second copy of its match
+    /// arms: a flag added there must be added here too, or it is never
+    /// fuzzed.
+    const FLAGS: &[&str] = &[
+        "--size",
+        "--version",
+        "--procs",
+        "--backend",
+        "--faults",
+        "--fault-seed",
+        "--link-faults",
+        "--max-retransmits",
+        "--kill-worker",
+        "--recover",
+        "--format",
+        "--iterations",
+        "--kill-rate",
+        "--timeout-secs",
+        "--retries",
+        "--checkpoint-every",
+        "--quarantine",
+    ];
+
+    /// Values some flag accepts, then hostile ones.
+    const VALUES: &[&str] = &[
+        "small",
+        "S",
+        "C",
+        "basic",
+        "cmssl",
+        "spmd",
+        "in-run",
+        "json",
+        "1",
+        "32",
+        "0.5",
+        "1:3",
+        "fft,lu",
+        "0",
+        "-1",
+        "abc",
+        "1e99",
+        "NaN",
+        "inf",
+        "",
+        ":",
+        "18446744073709551616",
+    ];
+
+    /// Seeded argv fuzzing of the option parser: no argv panics it, and
+    /// every accepted argv builds a suite config. A flag drawn last, or
+    /// followed by another flag, has its value missing.
+    #[test]
+    fn parse_options_never_panics_on_hostile_argv() {
+        let mut draws = (0u64..).map(|k| dpf_core::derive_seed(7, "argv", k));
+        let mut accepted = 0;
+        for _ in 0..20_000 {
+            let len = draws.next().unwrap() % 7;
+            let argv: Vec<String> = (0..len)
+                .map(|_| {
+                    let r = draws.next().unwrap();
+                    let pool = if r % 2 == 0 { FLAGS } else { VALUES };
+                    pool[(r / 2 % pool.len() as u64) as usize].to_string()
+                })
+                .collect();
+            let parsed =
+                std::panic::catch_unwind(|| parse_options(&argv).map(|o| o.suite_config()).is_ok());
+            match parsed {
+                Ok(ok) => accepted += usize::from(ok && !argv.is_empty()),
+                Err(_) => panic!("argv {argv:?} panicked"),
+            }
+        }
+        assert!(accepted > 0, "no non-empty argv was accepted");
     }
 }

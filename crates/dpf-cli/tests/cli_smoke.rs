@@ -1,7 +1,8 @@
-//! End-to-end smoke tests for the `dpf` binary's crash-consistency
-//! surface: the hidden `--crash-after-rows` SIGKILL hook, `--resume`
-//! byte-identity, the interrupt exit code, and the typed (exit 2)
-//! handling of corrupt artifacts and journals.
+//! End-to-end smoke tests for the `dpf` binary's exit-code surface: the
+//! hidden `--crash-after-rows` SIGKILL hook, `--resume` byte-identity,
+//! the interrupt exit code, the typed (exit 2) handling of corrupt
+//! artifacts, journals and bad options, and a quiet exit with the
+//! command's own code when the reader of stdout has gone away.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -62,6 +63,44 @@ fn corrupt_campaign_artifact_is_a_typed_exit_2() {
     let err = stderr_of(&out);
     assert!(err.contains("campaign.json"), "names the file: {err}");
     assert!(err.contains("at byte"), "names the byte offset: {err}");
+}
+
+#[test]
+fn zero_procs_is_a_usage_error_for_every_subcommand() {
+    for args in [
+        &["run", "fft", "--procs", "0"][..],
+        &["all", "--procs", "0"],
+        &["table", "3", "--procs", "0"],
+    ] {
+        let out = dpf().args(args).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("bad --procs"), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn closed_stdout_is_quiet_and_keeps_the_exit_code() {
+    // The lint fixtures' mini tree has an error-level finding, so `lint`
+    // fails (exit 2) after printing its report.
+    let tree = Path::new(env!("CARGO_MANIFEST_DIR")).join("../dpf-lint/tests/fixtures/tree");
+    for (args, code) in [
+        (vec!["list"], 0),
+        (vec!["lint", "--root", tree.to_str().unwrap()], 2),
+    ] {
+        // The reader end is gone before the child starts, so its first
+        // write to stdout fails with EPIPE every time.
+        let (reader, writer) = std::io::pipe().unwrap();
+        drop(reader);
+        let out = dpf().args(&args).stdout(writer).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(
+            (out.status.code(), err.as_str()),
+            (Some(code), ""),
+            "{args:?}"
+        );
+    }
 }
 
 #[cfg(unix)]

@@ -61,22 +61,6 @@ mod tests {
     use crate::DType;
 
     #[test]
-    fn weights_match_paper() {
-        assert_eq!(ADD + SUB + MUL, 3);
-        assert_eq!(DIV, 4);
-        assert_eq!(SQRT, 4);
-        assert_eq!(LOG, 8);
-        assert_eq!(TRIG, 8);
-    }
-
-    #[test]
-    fn reduction_counts_sequential_flops() {
-        assert_eq!(reduction(0), 0);
-        assert_eq!(reduction(1), 0);
-        assert_eq!(reduction(100), 99);
-    }
-
-    #[test]
     fn complex_madd_is_four_times_real() {
         assert_eq!(madd_pairs(DType::F64, 10), 20);
         assert_eq!(madd_pairs(DType::C64, 10), 80);

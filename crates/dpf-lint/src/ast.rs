@@ -528,7 +528,7 @@ mod tests {
                 Tok::Ident(s) => s.clone(),
                 Tok::Punct(c) => c.to_string(),
                 Tok::Int(s) | Tok::Float(s) => s.clone(),
-                Tok::Str(_) => "\"\"".into(),
+                Tok::Str => "\"\"".into(),
                 Tok::Char => "' '".into(),
                 Tok::Lifetime => "'_".into(),
             })

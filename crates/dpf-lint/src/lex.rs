@@ -1,9 +1,7 @@
 //! A hand-rolled Rust lexer — just enough of the language to drive the
 //! lint rules: identifiers, punctuation, numeric literals and comments,
 //! with string/char/lifetime literals recognised as single opaque tokens
-//! so that rule patterns never fire inside literal text. String literals
-//! carry their raw text (the registry-coverage rule reads `name: "..."`
-//! field values); rules must never pattern-match *inside* it.
+//! so that rule patterns never fire inside literal text.
 //!
 //! The vendor set has no `syn`, and the rules only need token streams
 //! with line numbers plus the comment channel (for `// dpf-lint:`
@@ -21,8 +19,8 @@ pub enum Tok {
     Int(String),
     /// Floating literal, verbatim text (`0.0`, `1e-6`, `2.0f64`).
     Float(String),
-    /// String literal, raw contents (escapes left verbatim).
-    Str(String),
+    /// String literal (contents dropped).
+    Str,
     /// Char literal (contents dropped).
     Char,
     /// Lifetime (`'a`).
@@ -100,35 +98,18 @@ pub fn lex(src: &str) -> (Vec<Token>, Vec<Comment>) {
                 i = j;
             }
             '"' => {
-                let at = line;
-                let j = skip_string(&b, i, &mut line);
-                let inner: String = b[i + 1..j.saturating_sub(1).max(i + 1)].iter().collect();
                 toks.push(Token {
-                    line: at,
-                    tok: Tok::Str(inner),
+                    line,
+                    tok: Tok::Str,
                 });
-                i = j;
+                i = skip_string(&b, i, &mut line);
             }
             'r' | 'b' if starts_raw_or_byte_string(&b, i) => {
-                let at = line;
-                // Content starts after the opening quote and ends before
-                // the closing quote + hashes.
-                let mut q = i;
-                let mut hashes = 0usize;
-                while q < b.len() && b[q] != '"' {
-                    if b[q] == '#' {
-                        hashes += 1;
-                    }
-                    q += 1;
-                }
-                let j = skip_raw_or_byte_string(&b, i, &mut line);
-                let end = j.saturating_sub(hashes + 1).max(q + 1);
-                let inner: String = b[q + 1..end.min(b.len())].iter().collect();
                 toks.push(Token {
-                    line: at,
-                    tok: Tok::Str(inner),
+                    line,
+                    tok: Tok::Str,
                 });
-                i = j;
+                i = skip_raw_or_byte_string(&b, i, &mut line);
             }
             '\'' => {
                 // Lifetime (`'a`) vs char literal (`'a'`, `'\n'`).
@@ -381,17 +362,11 @@ let r = r#"Instant::now()"#; /* Vec::new() */
     }
 
     #[test]
-    fn string_tokens_carry_contents() {
-        let (toks, _) =
-            lex(r###"let n = "fft"; let r = r#"raw "inner" text"#; let b = b"bytes";"###);
-        let strs: Vec<&str> = toks
-            .iter()
-            .filter_map(|t| match &t.tok {
-                Tok::Str(s) => Some(s.as_str()),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(strs, vec!["fft", "raw \"inner\" text", "bytes"]);
+    fn each_string_form_is_one_token() {
+        let src = r###"let n = "fft"; let r = r#"raw "inner" text"#; let b = b"bytes";"###;
+        let (toks, _) = lex(src);
+        assert_eq!(toks.iter().filter(|t| t.tok == Tok::Str).count(), 3);
+        assert_eq!(idents(src), ["let", "n", "let", "r", "let", "b"]);
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! The rule catalog. Every rule is a pure function over one lexed
-//! [`SourceFile`] (plus one tree-wide pass for `try-parity`'s cross-file
-//! direction), so rules compose and test in isolation.
+//! [`SourceFile`], so rules compose and test in isolation. Facts that
+//! live as Rust values (the §1.5 FLOP weights, the per-benchmark
+//! pattern inventory, the Table 1 version matrix, the `try_*` twins)
+//! are checked by the compiler or a `#[test]` over the value instead.
 //!
 //! | rule | severity | invariant |
 //! |------|----------|-----------|
@@ -8,16 +10,12 @@
 //! | `untimed-clock`    | warning | `Instant::now()` only in the sanctioned metrics/harness modules (§1.5 busy/elapsed stays centralized) |
 //! | `hot-path-alloc`   | warning | no `Vec::new`/`vec![`/`.collect()`/`.to_vec()` inside `*_into`/`*_exec` hot paths (PR 1 buffer-reuse discipline) |
 //! | `hot-path-clone`   | warning | no `.clone()` of a `DistArray` parameter inside `*_into`/`*_exec` hot paths (a clone is a whole-block copy) |
-//! | `try-parity`       | error   | every `try_*` primitive keeps its exported panicking twin, and the known comm/linalg pairs stay complete |
 //! | `metered-send`     | error   | raw channel sends in `spmd.rs` only inside the LinkMeter/envelope path (`Router::send` → `transmit`/`send_ctl`/`send_recovery`) |
-//! | `flop-conventions` | error   | the §1.5 FLOP-weight constants match the paper's table (add/mul 1, div/sqrt 4, log/trig 8) |
-//! | `comm-inventory`   | error   | registry `patterns` fields agree with the §1.5 `COMM_INVENTORY` in dpf-suite's tables.rs (tree-wide) |
 //! | `unsafe-forbid`    | error   | the repo is `unsafe`-free; any new `unsafe` needs a `// SAFETY:` comment *and* an allow pragma |
 //! | `atomic-artifact`  | warning | no direct `fs::write`/`File::create` outside the atomic artifact writer (torn files break `--resume` and `dpf tables --campaign`) |
 //! | `collective-parity`| error   | a collective (barrier, `*_exec`, recovery rendezvous) under a rank-dependent branch needs a matching call on every sibling path (static SPMD deadlock) |
 //! | `lock-order`       | error   | every lock pair is acquired in one consistent order across a file's functions (guard lifetimes per edition 2021) |
 //! | `determinism-taint`| error   | hash iteration / wall clock / thread id / unordered FP reduce must not flow into Verify, instrumentation or serialized artifacts |
-//! | `registry-coverage`| error   | every `paper_versions` entry in the benchmark registry has a runnable variant or a pragma documenting the gap |
 
 use crate::lex::Tok;
 use crate::{Diagnostic, Severity, SourceFile};
@@ -56,19 +54,9 @@ pub const FILE_RULES: &[Rule] = &[
         check: hot_path_clone,
     },
     Rule {
-        id: "try-parity",
-        summary: "every try_* primitive keeps its exported panicking twin",
-        check: try_parity_in_file,
-    },
-    Rule {
         id: "metered-send",
         summary: "spmd.rs channel sends go through the LinkMeter/envelope path",
         check: metered_send,
-    },
-    Rule {
-        id: "flop-conventions",
-        summary: "FLOP-weight constants match the paper's table",
-        check: flop_conventions,
     },
     Rule {
         id: "unsafe-forbid",
@@ -94,11 +82,6 @@ pub const FILE_RULES: &[Rule] = &[
         id: "determinism-taint",
         summary: "nondeterminism sources must not flow into Verify/meter/artifact state",
         check: crate::taint::check_determinism_taint,
-    },
-    Rule {
-        id: "registry-coverage",
-        summary: "every registry paper_versions entry has a runnable variant or a documented gap",
-        check: registry_coverage,
     },
 ];
 
@@ -409,113 +392,6 @@ fn hot_path_clone(f: &SourceFile) -> Vec<Diagnostic> {
     out
 }
 
-// ----------------------------------------------------------- try-parity
-
-/// All `pub fn` names in a file, with the line each is declared on.
-/// (`pub(crate)` and friends count: the parity contract is about the
-/// crate keeping both spellings callable, not about visibility width.)
-pub fn public_fns(f: &SourceFile) -> Vec<(String, u32)> {
-    let mut out = Vec::new();
-    for i in 0..f.tokens.len() {
-        if !ident(f.tokens.get(i), "pub") {
-            continue;
-        }
-        let mut j = i + 1;
-        // Skip a visibility scope like `(crate)` / `(super)`.
-        if punct(f.tokens.get(j), '(') {
-            while j < f.tokens.len() && !punct(f.tokens.get(j), ')') {
-                j += 1;
-            }
-            j += 1;
-        }
-        if ident(f.tokens.get(j), "fn") {
-            if let Some(Tok::Ident(name)) = f.tokens.get(j + 1).map(|t| &t.tok) {
-                out.push((name.clone(), f.tokens[j + 1].line));
-            }
-        }
-    }
-    out
-}
-
-fn try_parity_in_file(f: &SourceFile) -> Vec<Diagnostic> {
-    let fns = public_fns(f);
-    let names: std::collections::BTreeSet<&str> = fns.iter().map(|(n, _)| n.as_str()).collect();
-    let mut out = Vec::new();
-    for (name, line) in &fns {
-        if let Some(base) = name.strip_prefix("try_") {
-            if !names.contains(base) {
-                out.push(Diagnostic::new(
-                    &f.path,
-                    *line,
-                    "try-parity",
-                    Severity::Error,
-                    format!("`{name}` has no exported panicking twin `{base}` in this file"),
-                    format!("keep `pub fn {base}` next to `pub fn {name}` (PR 2 parity contract)"),
-                ));
-            }
-        }
-    }
-    out
-}
-
-/// The comm/linalg/fft primitives that PR 2 gave fallible twins. Both
-/// spellings must stay exported somewhere in the tree.
-pub const REQUIRED_TWINS: &[&str] = &[
-    "gather",
-    "gather_nd",
-    "scatter",
-    "scatter_combine",
-    "scatter_nd_combine",
-    "transpose",
-    "fft",
-    "fft_row",
-    "fft_axis",
-    "fft_axis_as",
-    "lu_factor",
-    "lu_factor_blocked",
-    "gauss_jordan_solve",
-];
-
-/// Tree-wide direction of `try-parity`: given every `pub fn` in the
-/// tree (name → declaration sites), check the required twin pairs are
-/// both present.
-pub fn check_required_twins(pub_fns: &BTreeMap<String, Vec<(String, u32)>>) -> Vec<Diagnostic> {
-    let mut out = Vec::new();
-    for base in REQUIRED_TWINS {
-        let try_name = format!("try_{base}");
-        let base_at = pub_fns.get(*base).and_then(|v| v.first());
-        let try_at = pub_fns.get(&try_name).and_then(|v| v.first());
-        match (base_at, try_at) {
-            (Some(_), Some(_)) => {}
-            (Some((file, line)), None) => out.push(Diagnostic::new(
-                file,
-                *line,
-                "try-parity",
-                Severity::Error,
-                format!("panicking primitive `{base}` lost its fallible twin `{try_name}`"),
-                format!("restore `pub fn {try_name}` (PR 2 parity contract)"),
-            )),
-            (None, Some((file, line))) => out.push(Diagnostic::new(
-                file,
-                *line,
-                "try-parity",
-                Severity::Error,
-                format!("fallible `{try_name}` lost its panicking twin `{base}`"),
-                format!("restore `pub fn {base}` (PR 2 parity contract)"),
-            )),
-            (None, None) => out.push(Diagnostic::new(
-                "(tree)",
-                0,
-                "try-parity",
-                Severity::Error,
-                format!("required primitive pair `{base}`/`{try_name}` is missing from the tree"),
-                "restore both exports or update rules::REQUIRED_TWINS with the rename".into(),
-            )),
-        }
-    }
-    out
-}
-
 // --------------------------------------------------------- metered-send
 
 /// Functions inside the transport that *are* the envelope path: the
@@ -562,86 +438,6 @@ fn metered_send(f: &SourceFile) -> Vec<Diagnostic> {
                     .into(),
             ));
         }
-    }
-    out
-}
-
-// ----------------------------------------------------- flop-conventions
-
-/// Paper §1.5 operation weights (Hennessy & Patterson, the paper's
-/// reference [6]).
-const FLOP_WEIGHTS: &[(&str, u64)] = &[
-    ("ADD", 1),
-    ("SUB", 1),
-    ("MUL", 1),
-    ("DIV", 4),
-    ("SQRT", 4),
-    ("LOG", 8),
-    ("TRIG", 8),
-    ("EXP", 8),
-];
-
-fn flop_conventions(f: &SourceFile) -> Vec<Diagnostic> {
-    if !f.path.ends_with("flops.rs") {
-        return Vec::new();
-    }
-    let mut seen: BTreeMap<&str, (u64, u32)> = BTreeMap::new();
-    for i in 0..f.tokens.len() {
-        // `pub const NAME: u64 = <int>;`
-        if !(ident(f.tokens.get(i), "pub") && ident(f.tokens.get(i + 1), "const")) {
-            continue;
-        }
-        let Some(Tok::Ident(name)) = f.tokens.get(i + 2).map(|t| &t.tok) else {
-            continue;
-        };
-        let Some(entry) = FLOP_WEIGHTS.iter().find(|(n, _)| n == name) else {
-            continue;
-        };
-        // Scan to the `=` and read the integer literal after it.
-        let mut j = i + 3;
-        while j < f.tokens.len() && !punct(f.tokens.get(j), '=') && !punct(f.tokens.get(j), ';') {
-            j += 1;
-        }
-        if let Some(Tok::Int(text)) = f.tokens.get(j + 1).map(|t| &t.tok) {
-            let digits: String = text.chars().take_while(|c| c.is_ascii_digit()).collect();
-            if let Ok(v) = digits.parse::<u64>() {
-                seen.insert(entry.0, (v, f.tokens[i + 2].line));
-            }
-        }
-    }
-    let mut out = Vec::new();
-    for (name, expect) in FLOP_WEIGHTS {
-        match seen.get(name) {
-            Some(&(v, _)) if v == *expect => {}
-            Some(&(v, line)) => out.push(Diagnostic::new(
-                &f.path,
-                line,
-                "flop-conventions",
-                Severity::Error,
-                format!(
-                    "FLOP weight {name} = {v} contradicts the paper's table (§1.5 says {expect})"
-                ),
-                format!("restore `pub const {name}: u64 = {expect};`"),
-            )),
-            None => out.push(Diagnostic::new(
-                &f.path,
-                1,
-                "flop-conventions",
-                Severity::Error,
-                format!("FLOP weight constant {name} is missing from the conventions table"),
-                format!("declare `pub const {name}: u64 = {expect};`"),
-            )),
-        }
-    }
-    if !f.fns.iter().any(|s| s.name == "reduction") {
-        out.push(Diagnostic::new(
-            &f.path,
-            1,
-            "flop-conventions",
-            Severity::Error,
-            "the N-1 reduction FLOP helper `reduction` is missing".into(),
-            "restore `pub const fn reduction(n: u64) -> u64`".into(),
-        ));
     }
     out
 }
@@ -714,371 +510,6 @@ fn atomic_artifact(f: &SourceFile) -> Vec<Diagnostic> {
             "write through dpf_suite::artifact::write_atomic (temp + fsync + rename)".into(),
         ));
     }
-    out
-}
-
-// ------------------------------------------------------ comm-inventory
-
-/// The 17 `CommPattern` variants (dpf-core/src/instrument.rs): any
-/// other name in a `patterns:` field or inventory entry is a typo.
-pub const KNOWN_PATTERNS: &[&str] = &[
-    "Stencil",
-    "Gather",
-    "GatherCombine",
-    "Scatter",
-    "ScatterCombine",
-    "Reduction",
-    "Broadcast",
-    "Spread",
-    "Aabc",
-    "Aapc",
-    "Butterfly",
-    "Scan",
-    "Cshift",
-    "Eoshift",
-    "Send",
-    "Get",
-    "Sort",
-];
-
-/// Pull every `Xxx` out of `Path::Xxx` occurrences in a snippet. Both
-/// spellings of the inventory (`P::Cshift` in the registry,
-/// `CommPattern::Cshift` in the tables) reduce to the variant name.
-fn path_variants(text: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while let Some(k) = text[i..].find("::") {
-        let start = i + k + 2;
-        let mut end = start;
-        while end < bytes.len() && (bytes[end].is_ascii_alphanumeric() || bytes[end] == b'_') {
-            end += 1;
-        }
-        if end > start {
-            out.push(text[start..end].to_string());
-        }
-        i = end.max(i + k + 2);
-    }
-    out
-}
-
-/// Textual parse of the registry: each benchmark's `name: "..."` and
-/// the variant names in its `patterns: &[...]` field (which may span
-/// lines). Returns `(name, patterns, line-of-patterns-field)`.
-pub fn registry_patterns(src: &str) -> Vec<(String, Vec<String>, u32)> {
-    let mut out = Vec::new();
-    let mut name: Option<String> = None;
-    let mut acc: Option<(String, u32)> = None;
-    for (k, line) in src.lines().enumerate() {
-        let lno = k as u32 + 1;
-        let t = line.trim();
-        if let Some((buf, at)) = acc.as_mut() {
-            buf.push_str(t);
-            if t.contains(']') {
-                let (n, b, a) = (name.clone(), buf.clone(), *at);
-                acc = None;
-                if let Some(n) = n {
-                    out.push((n, path_variants(&b), a));
-                }
-            }
-            continue;
-        }
-        if let Some(rest) = t.strip_prefix("name:") {
-            name = rest
-                .split('"')
-                .nth(1)
-                .map(str::to_string)
-                .or_else(|| name.clone());
-        } else if let Some(rest) = t.strip_prefix("patterns:") {
-            if rest.contains(']') {
-                if let Some(n) = name.clone() {
-                    out.push((n, path_variants(rest), lno));
-                }
-            } else {
-                acc = Some((rest.to_string(), lno));
-            }
-        }
-    }
-    out
-}
-
-/// Textual parse of the `COMM_INVENTORY` static in tables.rs: each
-/// `("name", &[CommPattern::X, ...])` entry (which may span lines).
-/// Returns `None` when the file has no `COMM_INVENTORY` at all.
-pub fn inventory_entries(src: &str) -> Option<Vec<(String, Vec<String>, u32)>> {
-    let mut lines = src.lines().enumerate();
-    lines.find(|(_, l)| l.contains("COMM_INVENTORY"))?;
-    let mut out = Vec::new();
-    let mut entry: Option<(String, u32, i32)> = None;
-    for (k, line) in lines {
-        let lno = k as u32 + 1;
-        let t = line.trim();
-        if entry.is_none() && t == "];" {
-            break;
-        }
-        let (buf, at, depth) = match entry.as_mut() {
-            Some(e) => e,
-            None => {
-                if !t.starts_with('(') {
-                    continue;
-                }
-                entry = Some((String::new(), lno, 0));
-                entry.as_mut().unwrap()
-            }
-        };
-        buf.push_str(t);
-        *depth += t.chars().filter(|&c| c == '(').count() as i32;
-        *depth -= t.chars().filter(|&c| c == ')').count() as i32;
-        if *depth <= 0 {
-            let name = buf.split('"').nth(1).unwrap_or("").to_string();
-            out.push((name, path_variants(buf), *at));
-            entry = None;
-        }
-    }
-    Some(out)
-}
-
-/// Tree-wide `comm-inventory` rule: the registry's per-benchmark
-/// `patterns` fields and the §1.5 `COMM_INVENTORY` in tables.rs are two
-/// spellings of the same paper fact (Tables 3/7); they must list the
-/// same benchmarks with the same pattern sets, and only real
-/// `CommPattern` variant names. Silent when the tree has no registry
-/// (fixture mini-trees); a registry without any inventory is an error.
-pub fn check_comm_inventory(
-    registry: Option<(&str, &str)>,
-    tables: Option<(&str, &str)>,
-) -> Vec<Diagnostic> {
-    let Some((reg_path, reg_src)) = registry else {
-        return Vec::new();
-    };
-    let reg = registry_patterns(reg_src);
-    let inv = tables.and_then(|(_, src)| inventory_entries(src));
-    let mut out = Vec::new();
-    let Some(inv) = inv else {
-        out.push(Diagnostic::new(
-            reg_path,
-            0,
-            "comm-inventory",
-            Severity::Error,
-            "registry has benchmark pattern fields but no COMM_INVENTORY declares the §1.5 tables"
-                .into(),
-            "declare `pub const COMM_INVENTORY` in dpf-suite's tables.rs (one entry per benchmark)"
-                .into(),
-        ));
-        return out;
-    };
-    let tab_path = tables.map(|(p, _)| p).unwrap_or("(tree)");
-    let check_names = |path: &str, name: &str, pats: &[String], line: u32, out: &mut Vec<_>| {
-        for p in pats {
-            if !KNOWN_PATTERNS.contains(&p.as_str()) {
-                out.push(Diagnostic::new(
-                    path,
-                    line,
-                    "comm-inventory",
-                    Severity::Error,
-                    format!("`{name}` names unknown communication pattern `{p}`"),
-                    "use one of the 17 CommPattern variants (see dpf-core instrument.rs)".into(),
-                ));
-            }
-        }
-    };
-    for (name, pats, line) in &reg {
-        check_names(reg_path, name, pats, *line, &mut out);
-        match inv.iter().find(|(n, _, _)| n == name) {
-            None => out.push(Diagnostic::new(
-                reg_path,
-                *line,
-                "comm-inventory",
-                Severity::Error,
-                format!("benchmark `{name}` has no §1.5 COMM_INVENTORY entry"),
-                format!("add (\"{name}\", &[...]) to COMM_INVENTORY in tables.rs"),
-            )),
-            Some((_, declared, _)) => {
-                let mut a = pats.clone();
-                let mut b = declared.clone();
-                a.sort();
-                b.sort();
-                if a != b {
-                    out.push(Diagnostic::new(
-                        reg_path,
-                        *line,
-                        "comm-inventory",
-                        Severity::Error,
-                        format!(
-                            "`{name}` declares patterns [{}] but the §1.5 inventory says [{}]",
-                            pats.join(", "),
-                            declared.join(", ")
-                        ),
-                        "fix whichever side drifted from the paper's Tables 3/7".into(),
-                    ));
-                }
-            }
-        }
-    }
-    let mut seen: Vec<&str> = Vec::new();
-    for (name, pats, line) in &inv {
-        check_names(tab_path, name, pats, *line, &mut out);
-        if seen.contains(&name.as_str()) {
-            out.push(Diagnostic::new(
-                tab_path,
-                *line,
-                "comm-inventory",
-                Severity::Error,
-                format!("COMM_INVENTORY lists `{name}` twice"),
-                "keep one entry per benchmark".into(),
-            ));
-        }
-        seen.push(name);
-        if !reg.iter().any(|(n, _, _)| n == name) {
-            out.push(Diagnostic::new(
-                tab_path,
-                *line,
-                "comm-inventory",
-                Severity::Error,
-                format!("COMM_INVENTORY lists `{name}`, which is not in the registry"),
-                "remove the stale entry or restore the benchmark".into(),
-            ));
-        }
-    }
-    out
-}
-
-// --------------------------------------------------- registry-coverage
-
-/// The paper's five implementation versions (Table 2).
-pub const KNOWN_VERSIONS: &[&str] = &["Basic", "Optimized", "Library", "Cmssl", "CDpeac"];
-
-/// `registry-coverage` (the ROADMAP carry-over): every version a
-/// registry entry *claims* from the paper (`paper_versions`) must have
-/// a runnable variant in its `variants` field — otherwise the golden
-/// tables advertise measurements the suite cannot produce. A genuine
-/// gap (e.g. CMSSL's library internals are unpublished) is documented
-/// with an `allow(registry-coverage, ...)` pragma directly above the
-/// `paper_versions:` field, which keeps the gap visible in the source
-/// instead of silently implied. Runs per-file (so pragmas apply),
-/// scoped to the real registry path.
-fn registry_coverage(f: &SourceFile) -> Vec<Diagnostic> {
-    if !f.path.ends_with("dpf-suite/src/registry.rs") {
-        return Vec::new();
-    }
-    // Per entry: (name, paper_versions line, claimed, runnable).
-    type EntryState = (String, Option<(u32, Vec<String>)>, Vec<String>);
-    let toks = &f.tokens;
-    let mut out = Vec::new();
-    let mut cur: Option<EntryState> = None;
-    let flush = |cur: &mut Option<EntryState>, out: &mut Vec<Diagnostic>| {
-        let Some((name, pv, variants)) = cur.take() else {
-            return;
-        };
-        let Some((line, claimed)) = pv else { return };
-        for v in &claimed {
-            if !KNOWN_VERSIONS.contains(&v.as_str()) && v != "Version" {
-                out.push(Diagnostic::new(
-                    &f.path,
-                    line,
-                    "registry-coverage",
-                    Severity::Error,
-                    format!("registry entry `{name}` claims unknown paper version `{v}`"),
-                    format!("use one of {KNOWN_VERSIONS:?} (paper Table 2)"),
-                ));
-            }
-        }
-        let missing: Vec<&String> = claimed
-            .iter()
-            .filter(|v| KNOWN_VERSIONS.contains(&v.as_str()) && !variants.contains(v))
-            .collect();
-        if !missing.is_empty() {
-            let list = missing
-                .iter()
-                .map(|s| s.as_str())
-                .collect::<Vec<_>>()
-                .join(", ");
-            out.push(Diagnostic::new(
-                &f.path,
-                line,
-                "registry-coverage",
-                Severity::Error,
-                format!(
-                    "registry entry `{name}` claims paper version(s) [{list}] with no \
-                     runnable variant: the golden tables advertise measurements the \
-                     suite cannot produce"
-                ),
-                "add the variant(s), or document the gap with a pragma directly above \
-                 `paper_versions:` stating why the version cannot be reproduced"
-                    .into(),
-            ));
-        }
-    };
-    let mut i = 0usize;
-    while i < toks.len() {
-        match &toks[i].tok {
-            Tok::Ident(k) if k == "name" && punct(toks.get(i + 1), ':') => {
-                if let Some(Tok::Str(s)) = toks.get(i + 2).map(|t| &t.tok) {
-                    flush(&mut cur, &mut out);
-                    cur = Some((s.clone(), None, Vec::new()));
-                    i += 3;
-                    continue;
-                }
-            }
-            Tok::Ident(k) if k == "paper_versions" && punct(toks.get(i + 1), ':') => {
-                let line = toks[i].line;
-                let mut claimed = Vec::new();
-                let mut j = i + 2;
-                while j < toks.len() && !punct(toks.get(j), ']') {
-                    if let Tok::Ident(v) = &toks[j].tok {
-                        if v != "Version" {
-                            claimed.push(v.clone());
-                        }
-                    }
-                    j += 1;
-                }
-                if let Some((_, pv, _)) = cur.as_mut() {
-                    *pv = Some((line, claimed));
-                }
-                i = j + 1;
-                continue;
-            }
-            Tok::Ident(k) if k == "variants" && punct(toks.get(i + 1), ':') => {
-                // Collect version idents in the field value (macro form
-                // `variants!(Basic => path, ...)` or a literal slice)
-                // up to the field's `,` at delimiter depth zero.
-                let mut j = i + 2;
-                let mut depth = 0i32;
-                let mut found = Vec::new();
-                while j < toks.len() {
-                    match &toks[j].tok {
-                        Tok::Punct('(') | Tok::Punct('[') | Tok::Punct('{') => depth += 1,
-                        Tok::Punct(')') | Tok::Punct(']') => {
-                            depth -= 1;
-                            if depth < 0 {
-                                break;
-                            }
-                        }
-                        Tok::Punct('}') => {
-                            depth -= 1;
-                            if depth < 0 {
-                                break;
-                            }
-                        }
-                        Tok::Punct(',') if depth == 0 => break,
-                        Tok::Ident(v) if KNOWN_VERSIONS.contains(&v.as_str()) => {
-                            found.push(v.clone());
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                if let Some((_, _, vs)) = cur.as_mut() {
-                    vs.extend(found);
-                }
-                i = j;
-                continue;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    flush(&mut cur, &mut out);
     out
 }
 
@@ -1177,14 +608,6 @@ pub fn scale_into(plan: &Plan, out: &mut DistArray<f64>) {
     }
 
     #[test]
-    fn try_parity_wants_the_twin_in_file() {
-        let src = "pub fn try_gather() {}";
-        assert!(rules_hit(src, "a.rs").iter().any(|h| h.0 == "try-parity"));
-        let src2 = "pub fn try_gather() {}\npub fn gather() {}";
-        assert!(!rules_hit(src2, "a.rs").iter().any(|h| h.0 == "try-parity"));
-    }
-
-    #[test]
     fn metered_send_flags_raw_channel_sends_in_spmd() {
         let src = "
 fn leak(tx: &Sender<u8>) { tx.send(1).unwrap(); }
@@ -1200,22 +623,6 @@ fn ok(router: &mut Router) { router.send(1, 8, msg); }
         assert!(hits.contains(&("metered-send", 2)));
         // Same source outside spmd.rs: no rule.
         assert!(rules_hit(src, "crates/dpf-core/src/other.rs").is_empty());
-    }
-
-    #[test]
-    fn flop_conventions_checks_the_table() {
-        let good = "
-pub const ADD: u64 = 1; pub const SUB: u64 = 1; pub const MUL: u64 = 1;
-pub const DIV: u64 = 4; pub const SQRT: u64 = 4;
-pub const LOG: u64 = 8; pub const TRIG: u64 = 8; pub const EXP: u64 = 8;
-pub const fn reduction(n: u64) -> u64 { n.saturating_sub(1) }
-";
-        assert!(rules_hit(good, "crates/dpf-core/src/flops.rs").is_empty());
-        let drifted = good.replace("DIV: u64 = 4", "DIV: u64 = 2");
-        let hits = rules_hit(&drifted, "crates/dpf-core/src/flops.rs");
-        assert!(hits.iter().any(|h| h.0 == "flop-conventions"), "{hits:?}");
-        // The table is only enforced in flops.rs.
-        assert!(rules_hit(&drifted, "crates/dpf-core/src/cost.rs").is_empty());
     }
 
     #[test]
@@ -1239,52 +646,6 @@ fn save(dir: &Path) {
         assert!(!rules_hit(src, "crates/dpf-suite/src/journal.rs")
             .iter()
             .any(|h| h.0 == "atomic-artifact"));
-    }
-
-    #[test]
-    fn registry_coverage_flags_unrunnable_paper_versions() {
-        let src = r#"
-pub fn registry() -> Vec<BenchEntry> {
-    vec![
-        BenchEntry {
-            name: "fft",
-            paper_versions: &[Basic, Library, Cmssl],
-            variants: variants!(Basic => r::fft),
-        },
-        BenchEntry {
-            name: "pcr",
-            paper_versions: &[Basic, Optimized],
-            variants: variants!(Basic => r::pcr, Optimized => r::pcr_opt, Library => r::pcr_lib),
-        },
-        BenchEntry {
-            name: "typo",
-            paper_versions: &[Basix],
-            variants: variants!(Basic => r::typo),
-        },
-    ]
-}
-"#;
-        let hits = rules_hit(src, "crates/dpf-suite/src/registry.rs");
-        let cov: Vec<_> = hits.iter().filter(|h| h.0 == "registry-coverage").collect();
-        // fft misses Library+Cmssl (one diagnostic), typo has an
-        // unknown version; pcr's extra runnable variant is fine.
-        assert_eq!(cov.len(), 2, "{hits:?}");
-        // Any other path is out of scope.
-        assert!(rules_hit(src, "crates/dpf-suite/src/other.rs")
-            .iter()
-            .all(|h| h.0 != "registry-coverage"));
-        // A pragma above paper_versions documents the gap.
-        let excused = src.replace(
-            "            paper_versions: &[Basic, Library, Cmssl],",
-            "            // dpf-lint: allow(registry-coverage, reason = \"CMSSL internals unpublished\")\n            paper_versions: &[Basic, Library, Cmssl],",
-        );
-        let diags = lint_source("crates/dpf-suite/src/registry.rs", &excused);
-        assert!(
-            !diags
-                .iter()
-                .any(|d| d.rule == "registry-coverage" && d.message.contains("fft")),
-            "{diags:?}"
-        );
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! suppressed) source snippet; `tests/fixtures/<name>.expected` holds
 //! the exact `render_text` output the engine must produce for it. A
 //! fixture's first line may carry a `// lint-path: <repo-relative
-//! path>` directive so path-scoped rules (metered-send, untimed-clock,
-//! flop-conventions) see the path they key on.
+//! path>` directive so path-scoped rules (metered-send, untimed-clock)
+//! see the path they key on.
 //!
 //! Regenerate expectations after an intentional rule change with
 //! `UPDATE_GOLDEN=1 cargo test -p dpf-lint --test golden` and review
@@ -117,93 +117,9 @@ fn diagnostics_name_file_and_line() {
 // ---------------------------------------------------- tree-level tests
 
 /// A miniature repo checkout under tests/fixtures/tree: exercises the
-/// directory walk, cross-file try-parity, and output determinism.
+/// directory walk, the output sort and output determinism.
 fn tree_root() -> PathBuf {
     fixture_dir().join("tree")
-}
-
-#[test]
-fn tree_walk_finds_cross_file_parity_breaks() {
-    let diags = dpf_lint::lint_tree(&tree_root()).unwrap();
-    // The in-file direction: alpha exports try_solve with no solve.
-    assert!(
-        diags
-            .iter()
-            .any(|d| d.rule == "try-parity" && d.message.contains("try_solve")),
-        "{}",
-        dpf_lint::render_text(&diags)
-    );
-    // The tree-wide direction: the mini tree has none of the required
-    // comm/linalg twin pairs, so every pair is reported missing.
-    let missing = diags
-        .iter()
-        .filter(|d| d.file == "(tree)" && d.rule == "try-parity")
-        .count();
-    assert_eq!(missing, dpf_lint::rules::REQUIRED_TWINS.len());
-}
-
-/// A second mini tree holding only a registry/tables pair with every
-/// deliberate `comm-inventory` defect: drifted pattern set, unknown
-/// pattern name, missing inventory entry, duplicate entry, stale
-/// benchmark. The golden file pins the exact rendered diagnostics.
-#[test]
-fn comm_inventory_tree_matches_golden() {
-    let root = fixture_dir().join("tree_inventory");
-    let diags: Vec<_> = dpf_lint::lint_tree(&root)
-        .unwrap()
-        .into_iter()
-        .filter(|d| d.rule == "comm-inventory")
-        .collect();
-    let rendered = dpf_lint::render_text(&diags);
-    let expected_path = fixture_dir().join("tree_inventory.expected");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        fs::write(&expected_path, &rendered).unwrap();
-        return;
-    }
-    let expected = fs::read_to_string(&expected_path).unwrap_or_else(|_| {
-        panic!(
-            "{} is missing; run UPDATE_GOLDEN=1 cargo test -p dpf-lint --test golden",
-            expected_path.display()
-        )
-    });
-    assert_eq!(rendered, expected, "comm-inventory diagnostics drifted");
-    // Spot-check the defect classes so the golden cannot silently go
-    // empty: drift, unknown pattern, missing entry, duplicate, stale.
-    for needle in [
-        "inventory says",
-        "unknown communication pattern `Warp`",
-        "no §1.5 COMM_INVENTORY entry",
-        "twice",
-        "not in the registry",
-    ] {
-        assert!(
-            diags.iter().any(|d| d.message.contains(needle)),
-            "no diagnostic matching {needle:?} in:\n{rendered}"
-        );
-    }
-    assert!(dpf_lint::is_failing(&diags, false));
-}
-
-/// A registry with no `COMM_INVENTORY` anywhere is itself a finding —
-/// the inventory cannot silently disappear. (The alpha/beta mini tree
-/// has neither file, so it stays silent: rule scoped to real trees.)
-#[test]
-fn registry_without_inventory_is_reported_and_no_registry_is_silent() {
-    let src =
-        fs::read_to_string(fixture_dir().join("tree_inventory/crates/dpf-suite/src/registry.rs"))
-            .unwrap();
-    let diags = dpf_lint::rules::check_comm_inventory(
-        Some(("crates/dpf-suite/src/registry.rs", src.as_str())),
-        None,
-    );
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("no COMM_INVENTORY"));
-    assert!(dpf_lint::rules::check_comm_inventory(None, None).is_empty());
-    let tree_diags = dpf_lint::lint_tree(&tree_root()).unwrap();
-    assert!(
-        !tree_diags.iter().any(|d| d.rule == "comm-inventory"),
-        "mini tree without a registry must stay silent"
-    );
 }
 
 #[test]
@@ -223,6 +139,14 @@ fn tree_output_is_sorted_and_deterministic() {
         .iter()
         .map(|d| (d.file.clone(), d.line, d.rule))
         .collect();
+    // The file emits its fold finding before the clock read above it,
+    // so only the tree walk's sort puts these in line order.
+    assert_eq!(
+        first.iter().map(|d| d.rule).collect::<Vec<_>>(),
+        ["untimed-clock", "nan-unsafe-fold"],
+        "{}",
+        dpf_lint::render_text(&first)
+    );
     let mut sorted = keys.clone();
     sorted.sort();
     assert_eq!(

@@ -5,6 +5,8 @@
 //! extraction; the `paper_versions` fields are a documented
 //! reconstruction (EXPERIMENTS.md, "Table 1") based on which codes the
 //! paper names as having optimized/library/CMSSL/C-DPEAC counterparts.
+//! A claimed version with no runnable variant is explained at its entry
+//! and pinned by `tests/paper_facts.rs`.
 
 use dpf_core::CommPattern as P;
 use dpf_core::LocalAccess as L;
@@ -104,7 +106,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "fem-3D",
             group: Group::Application,
-            // dpf-lint: allow(registry-coverage, reason = "CMSSL partitioned gather is unpublished CM-5 library code; no faithful port exists (ROADMAP: scenario diversity)")
+            // No Cmssl variant: the CMSSL partitioned gather is unpublished CM-5
+            // library code, and no faithful port exists.
             paper_versions: &[Basic, Cmssl],
             layouts: &["x(:serial,:,:)", "x(:serial,:serial,:)"],
             local_access: L::Direct,
@@ -134,7 +137,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "fft",
             group: Group::LinearAlgebra,
-            // dpf-lint: allow(registry-coverage, reason = "Library/Cmssl versions wrap CMSSL FFTs whose twiddle schedules are unpublished; Basic butterfly is the reproducible variant")
+            // No Library/Cmssl variants: both wrap CMSSL FFTs whose twiddle
+            // schedules are unpublished; the Basic butterfly is the reproducible one.
             paper_versions: &[Basic, Library, Cmssl],
             layouts: &["1-D: X(:)", "2-D: X(:)", "3-D: X(:)"],
             local_access: L::NA,
@@ -174,7 +178,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "gmo",
             group: Group::Application,
-            // dpf-lint: allow(registry-coverage, reason = "CDPEAC version is hand-written CM-5 vector-unit assembly; the paper gives no source and the port has no VU analogue")
+            // No CDpeac variant: it is hand-written CM-5 vector-unit assembly; the
+            // paper gives no source and the port has no VU analogue.
             paper_versions: &[Basic, CDpeac],
             layouts: &["x(:)", "x(:serial,:)"],
             local_access: L::Indirect,
@@ -201,7 +206,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "ks-spectral",
             group: Group::Application,
-            // dpf-lint: allow(registry-coverage, reason = "Library version calls CMSSL spectral transforms (unpublished); Basic pseudo-spectral loop is the reproducible variant")
+            // No Library variant: it calls CMSSL spectral transforms (unpublished);
+            // the Basic pseudo-spectral loop is the reproducible one.
             paper_versions: &[Basic, Library],
             layouts: &["x(:,:)"],
             local_access: L::NA,
@@ -228,7 +234,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "matrix-vector",
             group: Group::LinearAlgebra,
-            // dpf-lint: allow(registry-coverage, reason = "Optimized layout-directive variant and Cmssl matvec are not yet ported; Library maps to the spread/reduce variant below (ROADMAP: scenario diversity)")
+            // No Optimized/Cmssl variants: the layout-directive variant and the
+            // CMSSL matvec are not ported. Library is the spread/reduce variant.
             paper_versions: &[Basic, Optimized, Library, Cmssl],
             layouts: &[
                 "(1) X(:), X(:,:)",
@@ -342,7 +349,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "qcd-kernel",
             group: Group::Application,
-            // dpf-lint: allow(registry-coverage, reason = "CDPEAC version is CM-5 vector-unit assembly with no published source; SU(3) multiply is reproduced in the Basic variant only")
+            // No CDpeac variant: it is CM-5 vector-unit assembly with no published
+            // source; the SU(3) multiply is reproduced in Basic only.
             paper_versions: &[Basic, CDpeac],
             layouts: &["x(:serial,:,:,:,:,:)", "x(:serial,:serial,:,:,:,:,:)"],
             local_access: L::Direct,
@@ -390,7 +398,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "qr",
             group: Group::LinearAlgebra,
-            // dpf-lint: allow(registry-coverage, reason = "CMSSL QR factorization internals (blocked Householder schedule) are unpublished; Basic Householder is the reproducible variant")
+            // No Cmssl variant: the CMSSL QR internals (blocked Householder
+            // schedule) are unpublished; Basic Householder is the reproducible one.
             paper_versions: &[Basic, Cmssl],
             layouts: &["X(:,:)"],
             local_access: L::NA,
@@ -456,7 +465,8 @@ pub fn registry() -> Vec<BenchEntry> {
         BenchEntry {
             name: "transpose",
             group: Group::Communication,
-            // dpf-lint: allow(registry-coverage, reason = "Optimized version depends on CM Fortran layout directives the port does not model; all-to-all schedule is covered by Basic (ROADMAP: scenario diversity)")
+            // No Optimized variant: it depends on CM Fortran layout directives the
+            // port does not model; Basic covers the all-to-all schedule.
             paper_versions: &[Basic, Optimized],
             layouts: &["x(:,:)"],
             local_access: L::NA,

@@ -17,116 +17,6 @@ use crate::benchmark::{Group, Size, Version};
 use crate::harness;
 use crate::registry::registry;
 
-/// The §1.5 communication inventory: which patterns each benchmark's
-/// tables row declares (the union of its Tables 3/7 appearances). This
-/// is the lintable ground truth the `comm-inventory` rule in `dpf-lint`
-/// cross-checks the registry's `patterns` fields against — the two
-/// spellings of the same paper fact must never drift apart. Keep the
-/// entries in Table 1's alphabetical order, one per benchmark.
-pub const COMM_INVENTORY: &[(&str, &[CommPattern])] = &[
-    ("boson", &[CommPattern::Cshift]),
-    ("conj-grad", &[CommPattern::Cshift, CommPattern::Reduction]),
-    ("diff-1D", &[CommPattern::Stencil, CommPattern::Cshift]),
-    ("diff-2D", &[CommPattern::Stencil, CommPattern::Aapc]),
-    ("diff-3D", &[CommPattern::Stencil]),
-    ("ellip-2D", &[CommPattern::Cshift, CommPattern::Reduction]),
-    (
-        "fem-3D",
-        &[CommPattern::Gather, CommPattern::ScatterCombine],
-    ),
-    ("fermion", &[]),
-    ("fft", &[CommPattern::Cshift, CommPattern::Aapc]),
-    ("gather", &[CommPattern::Gather]),
-    (
-        "gauss-jordan",
-        &[
-            CommPattern::Reduction,
-            CommPattern::Send,
-            CommPattern::Get,
-            CommPattern::Broadcast,
-        ],
-    ),
-    ("gmo", &[]),
-    (
-        "jacobi",
-        &[
-            CommPattern::Cshift,
-            CommPattern::Send,
-            CommPattern::Broadcast,
-        ],
-    ),
-    ("ks-spectral", &[CommPattern::Butterfly]),
-    ("lu", &[CommPattern::Reduction, CommPattern::Broadcast]),
-    (
-        "matrix-vector",
-        &[CommPattern::Broadcast, CommPattern::Reduction],
-    ),
-    (
-        "md",
-        &[
-            CommPattern::Spread,
-            CommPattern::Reduction,
-            CommPattern::Send,
-            CommPattern::Aabc,
-        ],
-    ),
-    ("mdcell", &[CommPattern::Cshift, CommPattern::Scatter]),
-    ("n-body", &[CommPattern::Broadcast, CommPattern::Aabc]),
-    ("pcr", &[CommPattern::Cshift]),
-    (
-        "pic-gather-scatter",
-        &[
-            CommPattern::Sort,
-            CommPattern::Scan,
-            CommPattern::Scatter,
-            CommPattern::Gather,
-        ],
-    ),
-    (
-        "pic-simple",
-        &[
-            CommPattern::GatherCombine,
-            CommPattern::Butterfly,
-            CommPattern::Gather,
-        ],
-    ),
-    ("qcd-kernel", &[CommPattern::Cshift, CommPattern::Reduction]),
-    (
-        "qmc",
-        &[CommPattern::Scan, CommPattern::Send, CommPattern::Reduction],
-    ),
-    (
-        "qptransport",
-        &[
-            CommPattern::Sort,
-            CommPattern::Scan,
-            CommPattern::Cshift,
-            CommPattern::Eoshift,
-            CommPattern::ScatterCombine,
-            CommPattern::Gather,
-            CommPattern::Reduction,
-        ],
-    ),
-    ("qr", &[CommPattern::Reduction, CommPattern::Broadcast]),
-    ("reduction", &[CommPattern::Reduction]),
-    ("rp", &[CommPattern::Cshift, CommPattern::Reduction]),
-    (
-        "scatter",
-        &[CommPattern::Scatter, CommPattern::ScatterCombine],
-    ),
-    ("step4", &[CommPattern::Cshift]),
-    ("transpose", &[CommPattern::Aapc]),
-    ("wave-1D", &[CommPattern::Cshift, CommPattern::Butterfly]),
-];
-
-/// The inventory entry for one benchmark, if declared.
-pub fn comm_inventory(name: &str) -> Option<&'static [CommPattern]> {
-    COMM_INVENTORY
-        .iter()
-        .find(|(n, _)| *n == name)
-        .map(|&(_, pats)| pats)
-}
-
 /// Table 1 — benchmark suite code versions.
 pub fn table1() -> String {
     let mut s = String::new();
@@ -466,31 +356,6 @@ pub fn efficiency_table(machine: &Machine, size: Size) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn comm_inventory_matches_registry_exactly() {
-        let reg = registry();
-        assert_eq!(
-            COMM_INVENTORY.len(),
-            reg.len(),
-            "one inventory entry per benchmark"
-        );
-        for e in &reg {
-            let declared = comm_inventory(e.name)
-                .unwrap_or_else(|| panic!("{} missing from COMM_INVENTORY", e.name));
-            assert_eq!(
-                declared, e.patterns,
-                "{}: §1.5 inventory and registry patterns drifted apart",
-                e.name
-            );
-        }
-        for (name, _) in COMM_INVENTORY {
-            assert!(
-                reg.iter().any(|e| e.name == *name),
-                "inventory lists unknown benchmark {name}"
-            );
-        }
-    }
 
     #[test]
     fn table1_lists_all_benchmarks_with_basic() {

@@ -199,3 +199,39 @@ fn full_sweep_under_faults_is_clean_and_deterministic() {
     let b = sweep(&cfg);
     assert_eq!(a, b, "outcome table must be deterministic");
 }
+
+// ------------------------------------------------------------ try_* twins
+
+/// Every fallible `try_*` primitive keeps its exported panicking twin.
+/// Naming both halves of each pair as fn items makes deleting either
+/// one a build error. These 13 pairs are the tree's whole `try_*`
+/// surface; a new `try_*` primitive joins the list by hand.
+#[test]
+fn every_try_primitive_keeps_its_panicking_twin() {
+    use dpf::linalg::{gauss_jordan, lu};
+    use dpf::{comm, fft};
+    let _pairs = (
+        (comm::gather::<f64>, comm::try_gather::<f64>),
+        (comm::gather_nd::<f64>, comm::try_gather_nd::<f64>),
+        (comm::scatter::<f64>, comm::try_scatter::<f64>),
+        (
+            comm::scatter_combine::<f64>,
+            comm::try_scatter_combine::<f64>,
+        ),
+        (
+            comm::scatter_nd_combine::<f64>,
+            comm::try_scatter_nd_combine::<f64>,
+        ),
+        (comm::transpose::<f64>, comm::try_transpose::<f64>),
+        (fft::fft, fft::try_fft),
+        (fft::fft_row, fft::try_fft_row),
+        (fft::fft_axis, fft::try_fft_axis),
+        (fft::fft_axis_as, fft::try_fft_axis_as),
+        (lu::lu_factor, lu::try_lu_factor),
+        (lu::lu_factor_blocked, lu::try_lu_factor_blocked),
+        (
+            gauss_jordan::gauss_jordan_solve,
+            gauss_jordan::try_gauss_jordan_solve,
+        ),
+    );
+}

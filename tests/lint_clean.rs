@@ -1,14 +1,13 @@
 //! Tier-1 gate: the shipped tree is clean under the project's own
 //! static-analysis pass (`crates/dpf-lint`). Any NaN-unsafe fold, raw
-//! clock read, hot-path allocation, broken `try_*` twin, unmetered
-//! transport send, drifted §1.5 FLOP weight, unexcused `unsafe`,
-//! rank-gated collective, lock-order inversion, nondeterminism flow
-//! into verified state, or unrunnable registry paper version anywhere
-//! in `crates/*/src` fails this test with the offending `file:line` in
-//! the message — same contract as the CI lint job, but enforced by
-//! `cargo test` alone. The regression tests below pin the acceptance
-//! scenarios: reintroducing each class of SPMD-protocol bug must keep
-//! failing the lint with the right rule, file, and line.
+//! clock read, hot-path allocation or clone, unmetered transport send,
+//! unexcused `unsafe`, direct artifact write, rank-gated collective,
+//! lock-order inversion, or nondeterminism flow into verified state
+//! anywhere in `crates/*/src` fails this test with the offending
+//! `file:line` in the message — same contract as the CI lint job, but
+//! enforced by `cargo test` alone. The regression tests below pin the
+//! acceptance scenarios: reintroducing each class of SPMD-protocol bug
+//! must keep failing the lint with the right rule, file, and line.
 
 use std::path::Path;
 
@@ -18,7 +17,7 @@ fn live_tree_is_lint_clean() {
     let diags = dpf_lint::lint_tree(root).expect("walk crates/*/src");
     assert!(
         diags.is_empty(),
-        "dpf-lint findings in the live tree (run `cargo run -p dpf-lint` for details):\n{}",
+        "dpf-lint findings in the live tree (run `cargo run -p dpf-cli -- lint` for details):\n{}",
         dpf_lint::render_text(&diags)
     );
 }
