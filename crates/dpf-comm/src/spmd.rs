@@ -1,11 +1,12 @@
 //! Shared machinery for the SPMD backend of the communication primitives.
 //!
-//! Under [`Backend::Spmd`](dpf_core::Backend) each collective spawns one
-//! worker thread per virtual processor
-//! ([`run_workers`](dpf_core::run_workers)). A worker sees only its own
-//! block of every distributed array — the [`Segs`]/[`SegsMut`] views built
-//! here from [`Layout::for_each_owner_segment`] — and obtains every remote
-//! element through a typed channel, so the run's
+//! Under [`Backend::Spmd`](dpf_core::Backend) each collective runs one
+//! worker per virtual processor ([`run_workers`](dpf_core::run_workers)):
+//! the last on the calling thread, the others on threads that stay parked
+//! between collectives. A worker sees only its own block of every
+//! distributed array — the [`Segs`]/[`SegsMut`] views built here from
+//! [`Layout::for_each_owner_segment`] — and obtains every remote element
+//! through a typed channel, so the run's
 //! [`LinkMeter`](dpf_core::LinkMeter) counts bytes that actually crossed
 //! between workers.
 //!
@@ -32,7 +33,10 @@
 //! fold/pipeline chains are linear), so the per-sender FIFO order the
 //! router guarantees makes deadlock impossible by construction — and the
 //! router's timeouts turn any future protocol bug into a diagnosed panic
-//! rather than a hang.
+//! rather than a hang. Every protocol also receives every message it
+//! sends: on the reliable transport a worker whose part is done leaves
+//! as soon as its own frames are acked, so a message nobody receives
+//! could still owe a repair to a worker that has left.
 //!
 //! The value traffic is metered; index/request traffic is sent with zero
 //! payload size, since the analytic `Instr` model the tables are built

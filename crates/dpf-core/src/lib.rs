@@ -23,6 +23,7 @@ pub mod complex;
 pub mod cost;
 pub mod ctx;
 pub mod dtype;
+mod executor;
 pub mod fault;
 pub mod flops;
 pub mod instr;

@@ -14,7 +14,7 @@
 //! and 7 tabulate — on a laptop.
 //!
 //! The same machine description also drives the SPMD backend
-//! ([`crate::spmd::Backend::Spmd`]), which spawns one worker thread per
+//! ([`crate::spmd::Backend::Spmd`]), which runs one worker thread per
 //! virtual processor and exchanges block data over typed channels instead
 //! of modeling the traffic analytically; both backends share the layouts
 //! and the accounting, so switching backends changes how the bytes move,

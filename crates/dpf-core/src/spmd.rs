@@ -3,11 +3,14 @@
 //!
 //! The default [`Backend::Virtual`] computes every collective on the host
 //! (rayon pool) and *models* the off-processor traffic analytically. Under
-//! [`Backend::Spmd`] each collective in `dpf-comm` instead spawns one
-//! worker thread per virtual processor, hands each worker only its own
-//! block of every distributed array (per the [`Layout`] block extents) and
-//! moves data between blocks over typed `mpsc` channels — so the bytes a
-//! run reports are bytes that actually crossed a channel.
+//! [`Backend::Spmd`] each collective in `dpf-comm` instead runs one worker
+//! per virtual processor, hands each worker only its own block of every
+//! distributed array (per the [`Layout`] block extents) and moves data
+//! between blocks over typed `mpsc` channels — so the bytes a run reports
+//! are bytes that actually crossed a channel. The worker threads are
+//! parked between collectives in a process-wide cache (the `executor`
+//! module): a collective checks out p − 1 of them, spawning only a
+//! shortfall, and runs its last worker on the calling thread.
 //!
 //! This module is the machinery shared by every SPMD collective:
 //!
@@ -25,10 +28,12 @@
 //! * [`Router`] — a worker's mailbox: senders to every peer plus a
 //!   receiver with per-sender pending queues, so per-pair FIFO order
 //!   holds even when rounds interleave on the shared channel.
-//! * [`run_workers`] — spawns the worker set on scoped threads, supervises
-//!   them (a panicked worker is recorded and its peers are released with a
-//!   typed [`DpfError::WorkerDied`]), joins them, and re-raises the most
-//!   informative failure on the caller.
+//! * [`run_workers`] — runs the worker set on parked executor threads
+//!   and the calling thread, each worker building its own [`Router`] over
+//!   one shared sender table and borrowing its own work item; supervises
+//!   them (a panicked worker is recorded and its peers are released with
+//!   a typed [`DpfError::WorkerDied`]), waits for all of them, and
+//!   re-raises the most informative failure on the caller.
 //!
 //! # Reliable delivery over unreliable links
 //!
@@ -50,6 +55,13 @@
 //! A frame whose budget is exhausted raises a typed
 //! [`DpfError::LinkFailure`] that the suite harness turns into a
 //! retry/quarantine decision rather than a hung run.
+//!
+//! A worker whose body has returned *lingers* only until none of its own
+//! frames is unacked or held, then leaves. Nothing else can need it: acks
+//! are lossless, and a peer's frame that still owes a repair was never
+//! delivered, so its receiver cannot have finished its body. Only when a
+//! death is recorded does a finished worker wait for the whole set to
+//! retire.
 //!
 //! # Deadlock diagnostics
 //!
@@ -110,12 +122,13 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Condvar, Mutex, Once, OnceLock};
 use std::time::{Duration, Instant};
 
 use parking_lot::Mutex as PlMutex;
 
+use crate::executor;
 use crate::fault::{splitmix64, DpfError, FaultPlan, LinkFaultKind, RecoverMode};
 
 /// Backstop timeout for a single blocking receive or barrier wait; stall
@@ -625,6 +638,11 @@ struct Envelope<M> {
 /// as logical messages and are never themselves subjected to link faults.
 enum Frame<M> {
     Data(Envelope<M>),
+    /// A data frame the simulated wire duplicated: the receiver accepts
+    /// it twice. The two copies travel as one channel item, so the copy
+    /// cannot arrive after a receiver that took the first one has left,
+    /// and every injected duplicate is discarded exactly once.
+    Twice(Envelope<M>),
     Ack {
         upto: u64,
     },
@@ -938,9 +956,13 @@ impl SpmdBarrier {
 /// Incoming frames are tagged with the sender rank, verified, deduped and
 /// reassembled into per-sender pending queues, preserving exactly-once
 /// per-pair FIFO order even under injected link faults.
+///
+/// The sender table is borrowed from [`run_workers`], which outlives every
+/// Router of the collective, so a receive never sees a disconnected
+/// channel; a send fails only once its receiver's Router has been dropped.
 pub struct Router<'a, M> {
     rank: usize,
-    txs: Vec<Sender<(usize, Frame<M>)>>,
+    txs: &'a [Sender<(usize, Frame<M>)>],
     rx: Receiver<(usize, Frame<M>)>,
     pending: Vec<VecDeque<M>>,
     tx_links: Vec<TxLink<M>>,
@@ -985,12 +1007,12 @@ impl<M: Send + Clone> Router<'_, M> {
             self.tx_links[to].next_seq += 1;
             self.transmit(
                 to,
-                Envelope {
+                Frame::Data(Envelope {
                     seq,
                     payload_bytes,
                     crc: 0,
                     msg,
-                },
+                }),
             );
             return;
         }
@@ -1022,7 +1044,7 @@ impl<M: Send + Clone> Router<'_, M> {
         };
         match link_decide(self.cfg, self.rank, to, seq, 0) {
             None => {
-                self.transmit(to, env);
+                self.transmit(to, Frame::Data(env));
                 self.flush_held(to);
             }
             Some(LinkFaultKind::Drop) => {
@@ -1034,18 +1056,17 @@ impl<M: Send + Clone> Router<'_, M> {
                 self.meter.note_fault(LinkFaultKind::Corrupt);
                 self.transmit(
                     to,
-                    Envelope {
+                    Frame::Data(Envelope {
                         crc: env.crc ^ CRC_MANGLE,
                         ..env
-                    },
+                    }),
                 );
                 self.flush_held(to);
                 self.owe_repair(to, idx, 0);
             }
             Some(LinkFaultKind::Duplicate) => {
                 self.meter.note_fault(LinkFaultKind::Duplicate);
-                self.transmit(to, env.clone());
-                self.transmit(to, env);
+                self.transmit(to, Frame::Twice(env));
                 self.flush_held(to);
             }
             Some(LinkFaultKind::Reorder) => {
@@ -1180,10 +1201,11 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    /// Put a frame on the wire. A send error means the peer's receiver is
-    /// gone: diagnose it as a death if one is recorded, else panic.
-    fn transmit(&self, to: usize, env: Envelope<M>) {
-        if self.txs[to].send((self.rank, Frame::Data(env))).is_err() {
+    /// Put a data frame on the wire. A send error means the peer's
+    /// receiver is gone: diagnose it as a death if one is recorded, else
+    /// panic.
+    fn transmit(&self, to: usize, frame: Frame<M>) {
+        if self.txs[to].send((self.rank, frame)).is_err() {
             self.check_deaths();
             panic!("spmd worker {}: peer worker {to} hung up", self.rank);
         }
@@ -1197,7 +1219,7 @@ impl<M: Send + Clone> Router<'_, M> {
 
     fn flush_held(&mut self, to: usize) {
         if let Some(env) = self.tx_links[to].held.take() {
-            self.transmit(to, env);
+            self.transmit(to, Frame::Data(env));
         }
     }
 
@@ -1245,12 +1267,12 @@ impl<M: Send + Clone> Router<'_, M> {
                 self.meter.note_fault(LinkFaultKind::Corrupt);
                 self.transmit(
                     to,
-                    Envelope {
+                    Frame::Data(Envelope {
                         seq,
                         payload_bytes,
                         crc: header_crc(self.rank, to, seq, payload_bytes) ^ CRC_MANGLE,
                         msg,
-                    },
+                    }),
                 );
                 self.owe_repair(to, idx, attempt);
             }
@@ -1258,12 +1280,12 @@ impl<M: Send + Clone> Router<'_, M> {
                 self.tx_links[to].unacked[idx].victim = false;
                 self.transmit(
                     to,
-                    Envelope {
+                    Frame::Data(Envelope {
                         seq,
                         payload_bytes,
                         crc: header_crc(self.rank, to, seq, payload_bytes),
                         msg,
-                    },
+                    }),
                 );
             }
         }
@@ -1294,35 +1316,26 @@ impl<M: Send + Clone> Router<'_, M> {
     /// more frame if the drain came up empty.
     fn service(&mut self, block: Option<Duration>) {
         let mut got_any = false;
-        loop {
-            match self.rx.try_recv() {
-                Ok(item) => {
-                    got_any = true;
-                    self.dispatch(item);
-                }
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => self.channel_down(),
-            }
+        while let Ok(item) = self.rx.try_recv() {
+            got_any = true;
+            self.dispatch(item);
         }
         if !got_any {
             if let Some(timeout) = block {
-                match self.rx.recv_timeout(timeout) {
-                    Ok(item) => self.dispatch(item),
-                    Err(RecvTimeoutError::Timeout) => {}
-                    Err(RecvTimeoutError::Disconnected) => self.channel_down(),
+                if let Ok(item) = self.rx.recv_timeout(timeout) {
+                    self.dispatch(item);
                 }
             }
         }
-    }
-
-    fn channel_down(&self) {
-        self.check_deaths();
-        panic!("spmd worker {}: all peers hung up", self.rank);
     }
 
     fn dispatch(&mut self, (sender, frame): (usize, Frame<M>)) {
         match frame {
             Frame::Data(env) => self.accept(sender, env),
+            Frame::Twice(env) => {
+                self.accept(sender, env.clone());
+                self.accept(sender, env);
+            }
             Frame::Ack { upto } => {
                 let link = &mut self.tx_links[sender];
                 while link.unacked.front().is_some_and(|e| e.seq <= upto) {
@@ -1545,24 +1558,34 @@ impl<M: Send + Clone> Router<'_, M> {
     }
 
     /// Teardown drain: after a worker's collective body returns it keeps
-    /// servicing acks, nacks and retransmission timers until every worker
-    /// has retired, so a fault on a final frame is still repaired. Clean
-    /// transports (no faults, no deaths) skip this entirely.
+    /// servicing acks, nacks and retransmission timers until none of its
+    /// own frames is unacked or held, so a fault on a final frame is
+    /// still repaired (see the module docs for why nothing else needs
+    /// it). Once a death is recorded it instead stays until every worker
+    /// has retired. Clean transports without deaths return at once.
     fn linger(&mut self) {
         self.clear_wait();
         self.flush_all_held();
-        if !self.cfg.reliable() && self.sup.dead.load(Ordering::Acquire) == 0 {
-            return;
-        }
-        let deadline = Instant::now() + self.cfg.hard_timeout;
-        while self.sup.retired.load(Ordering::Acquire) < self.txs.len() {
-            self.service(Some(Duration::from_millis(5)));
-            self.run_sender_timers();
+        let mut deadline = None;
+        loop {
+            let settled = if self.sup.dead.load(Ordering::Acquire) > 0 {
+                self.sup.retired.load(Ordering::Acquire) >= self.txs.len()
+            } else {
+                self.tx_links
+                    .iter()
+                    .all(|l| l.unacked.is_empty() && l.held.is_none())
+            };
+            if settled {
+                return;
+            }
+            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.hard_timeout);
             if Instant::now() >= deadline {
                 // Teardown must never hang the suite; the stuck worker's
                 // own wait diagnostics are the authoritative failure.
                 return;
             }
+            self.service(Some(Duration::from_millis(5)));
+            self.run_sender_timers();
         }
     }
 
@@ -1643,26 +1666,17 @@ impl<M: Send + Clone> Router<'_, M> {
                     return Ok(entry.data);
                 }
             }
-            match self.rx.recv_timeout(HEAL_SLICE) {
-                Ok((
-                    _,
-                    Frame::Replica {
-                        epoch,
-                        owner,
-                        crc,
-                        data,
-                    },
-                )) => {
-                    self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
-                }
-                Ok(_) => {}
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(DpfError::ReplicaCorrupt {
-                        worker: self.rank,
-                        epoch,
-                    });
-                }
+            if let Ok((
+                _,
+                Frame::Replica {
+                    epoch,
+                    owner,
+                    crc,
+                    data,
+                },
+            )) = self.rx.recv_timeout(HEAL_SLICE)
+            {
+                self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
             }
             if self.sup.dead.load(Ordering::Acquire) > 0 || Instant::now() >= deadline {
                 return Err(DpfError::ReplicaCorrupt {
@@ -1679,21 +1693,15 @@ impl<M: Send + Clone> Router<'_, M> {
     /// starts from sequence zero on every link (which also re-rolls the
     /// deterministic link-fault decisions identically to a clean run).
     fn drain_for_heal(&mut self) {
-        loop {
-            match self.rx.try_recv() {
-                Ok((
-                    _,
-                    Frame::Replica {
-                        epoch,
-                        owner,
-                        crc,
-                        data,
-                    },
-                )) => {
-                    self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
-                }
-                Ok(_) => {}
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+        while let Ok((_, frame)) = self.rx.try_recv() {
+            if let Frame::Replica {
+                epoch,
+                owner,
+                crc,
+                data,
+            } = frame
+            {
+                self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
             }
         }
         let n = self.txs.len();
@@ -2046,12 +2054,13 @@ where
 }
 
 /// Hand the dead rank's seat to a fresh thread. The dying driver's thread
-/// blocks on the join and relays the replacement's result, so the outer
-/// `run_workers` join loop still sees exactly one result per rank. The
-/// recursion back into [`drive`] is the same monomorphized instantiation,
-/// bounded by the respawn budget.
+/// blocks on the join and relays the replacement's result, so
+/// `run_workers` still sees exactly one result per rank. The recursion
+/// back into [`drive`] is the same monomorphized instantiation, bounded
+/// by the respawn budget. Respawns are rare, so the replacement runs on a
+/// scoped thread of its own rather than a parked executor thread.
 fn respawn<M, W, R, F>(
-    w: W,
+    w: &mut W,
     router: Router<'_, M>,
     f: &F,
     collective: u64,
@@ -2097,7 +2106,7 @@ where
 /// converts this thread into a [`respawn`] relay instead of a hard abort.
 #[allow(clippy::too_many_arguments)]
 fn drive<M, W, R, F>(
-    mut w: W,
+    w: &mut W,
     mut router: Router<'_, M>,
     f: &F,
     collective: u64,
@@ -2119,7 +2128,7 @@ where
     if resume_as_victim {
         heal_round(
             &mut router,
-            &mut w,
+            w,
             &snapshot,
             HealRole::Victim,
             epoch_mark,
@@ -2140,7 +2149,7 @@ where
             fired[i] = true;
             if heal_armed && respawns_left > 0 {
                 router.sup.record_heal(rank);
-                scramble(&mut w, &snapshot);
+                scramble(w, &snapshot);
                 router.meter.note_respawn();
                 respawns_left -= 1;
                 return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
@@ -2150,7 +2159,7 @@ where
             router.sup.record_death(rank, msg.clone(), true);
             return Err(Box::new(msg));
         }
-        match catch_unwind(AssertUnwindSafe(|| f(rank, &mut w, &mut router))) {
+        match catch_unwind(AssertUnwindSafe(|| f(rank, w, &mut router))) {
             Ok(out) => {
                 let committed = if heal_armed {
                     match router.commit_wait() {
@@ -2158,7 +2167,7 @@ where
                         CommitOutcome::Heal => {
                             heal_round(
                                 &mut router,
-                                &mut w,
+                                w,
                                 &snapshot,
                                 HealRole::Peer,
                                 epoch_mark,
@@ -2193,7 +2202,7 @@ where
                 if payload.is::<HealRewind>() {
                     heal_round(
                         &mut router,
-                        &mut w,
+                        w,
                         &snapshot,
                         HealRole::Peer,
                         epoch_mark,
@@ -2210,7 +2219,7 @@ where
                     heal_armed && respawns_left > 0 && payload.downcast_ref::<DpfError>().is_none();
                 if healable {
                     router.sup.record_heal(rank);
-                    scramble(&mut w, &snapshot);
+                    scramble(w, &snapshot);
                     router.meter.note_respawn();
                     respawns_left -= 1;
                     return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
@@ -2224,17 +2233,19 @@ where
     }
 }
 
-/// Spawn `nprocs` workers on scoped threads, one per virtual processor,
-/// each receiving its rank, its element of `work` (the worker's own array
-/// blocks and outputs) and a [`Router`] wired to every peer. Returns the
-/// workers' results in rank order.
+/// Run `nprocs` workers, one per virtual processor: the last on the
+/// calling thread, the others on parked executor threads. Each worker
+/// receives its rank, a borrow of its element of `work` (the worker's own
+/// array blocks and outputs) and a [`Router`] wired to every peer, which
+/// it builds, drives and drops on its own thread. Returns the workers'
+/// results in rank order; `work` is freed here, on the caller.
 ///
 /// Workers are supervised: a panicking worker is caught, its death is
 /// recorded so blocked peers abort with a typed [`DpfError::WorkerDied`],
-/// and after all workers join the most informative failure — the root
-/// cause, preferring any non-`WorkerDied` payload — is re-raised on the
-/// caller. Finished workers linger to service retransmissions until the
-/// whole set retires, so faults on final frames are still repaired.
+/// and after every worker has finished the most informative failure —
+/// the root cause, preferring any non-`WorkerDied` payload — is re-raised
+/// on the caller. Finished workers linger until their own frames are
+/// acked, so faults on final frames are still repaired.
 ///
 /// Under `--recover in-run` (with more than one worker) healable deaths
 /// do not abort: the collective rewinds to its start, the dead rank is
@@ -2243,7 +2254,7 @@ where
 pub fn run_workers<M, W, R, F>(
     nprocs: usize,
     transport: Transport<'_>,
-    work: Vec<W>,
+    mut work: Vec<W>,
     f: F,
 ) -> Vec<R>
 where
@@ -2263,81 +2274,75 @@ where
     let epoch_mark = (meter.messages(), meter.payload_bytes());
     let barrier = SpmdBarrier::new(nprocs);
     let sup = Supervision::new(nprocs, heal_armed);
-    let mut txs = Vec::with_capacity(nprocs);
-    let mut rxs = Vec::with_capacity(nprocs);
-    for _ in 0..nprocs {
-        let (tx, rx) = channel();
-        txs.push(tx);
-        rxs.push(rx);
-    }
-    let routers: Vec<Router<'_, M>> = rxs
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
+    let mut results: Vec<Option<Result<R, Box<dyn Any + Send>>>> =
+        (0..nprocs).map(|_| None).collect();
+    let (txs, barrier, sup, f) = (&txs[..], &barrier, &sup, &f);
+    let jobs: Vec<executor::Job<'_>> = rxs
         .into_iter()
+        .zip(work.iter_mut().zip(results.iter_mut()))
         .enumerate()
-        .map(|(rank, rx)| Router {
-            rank,
-            txs: txs.clone(),
-            rx,
-            pending: (0..nprocs).map(|_| VecDeque::new()).collect(),
-            tx_links: (0..nprocs).map(|_| TxLink::new()).collect(),
-            rx_links: (0..nprocs).map(|_| RxLink::new()).collect(),
-            ops_since_service: 0,
-            meter,
-            cfg,
-            barrier: &barrier,
-            sup: &sup,
-            replica_store: (0..nprocs).map(|_| None).collect(),
+        .map(|(rank, (rx, (w, slot)))| {
+            Box::new(move || {
+                // Built here, on the worker that drives and drops it, so
+                // its buffers come from and return to this thread's heap.
+                let router = Router {
+                    rank,
+                    txs,
+                    rx,
+                    pending: (0..nprocs).map(|_| VecDeque::new()).collect(),
+                    tx_links: (0..nprocs).map(|_| TxLink::new()).collect(),
+                    rx_links: (0..nprocs).map(|_| RxLink::new()).collect(),
+                    ops_since_service: 0,
+                    meter,
+                    cfg,
+                    barrier,
+                    sup,
+                    replica_store: (0..nprocs).map(|_| None).collect(),
+                };
+                let fired = vec![false; cfg.kill_workers.len()];
+                *slot = Some(drive(
+                    w,
+                    router,
+                    f,
+                    collective,
+                    epoch_mark,
+                    cfg.max_respawns,
+                    fired,
+                    false,
+                ));
+            }) as executor::Job<'_>
         })
         .collect();
-    drop(txs);
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = routers
-            .into_iter()
-            .zip(work)
-            .map(|(router, w)| {
-                let fired = vec![false; cfg.kill_workers.len()];
-                s.spawn(move || {
-                    drive(
-                        w,
-                        router,
-                        f,
-                        collective,
-                        epoch_mark,
-                        cfg.max_respawns,
-                        fired,
-                        false,
-                    )
-                })
-            })
-            .collect();
-        let mut oks = Vec::with_capacity(nprocs);
-        let mut root: Option<Box<dyn Any + Send>> = None;
-        let mut secondary: Option<Box<dyn Any + Send>> = None;
-        for handle in handles {
-            match handle
-                .join()
-                .expect("spmd worker thread machinery panicked")
-            {
-                Ok(r) => oks.push(r),
-                Err(payload) => {
-                    let is_secondary = payload
-                        .downcast_ref::<DpfError>()
-                        .is_some_and(|e| matches!(e, DpfError::WorkerDied { .. }));
-                    if is_secondary {
-                        if secondary.is_none() {
-                            secondary = Some(payload);
-                        }
-                    } else if root.is_none() {
-                        root = Some(payload);
+    // The calling thread runs the last worker itself, and `drive` marks
+    // its thread's panics quiet: restore the caller's own setting.
+    let quiet = QUIET_PANICS.with(Cell::get);
+    executor::run(jobs);
+    set_quiet_panics(quiet);
+    let mut oks = Vec::with_capacity(nprocs);
+    let mut root: Option<Box<dyn Any + Send>> = None;
+    let mut secondary: Option<Box<dyn Any + Send>> = None;
+    for result in results {
+        match result.expect("spmd worker thread machinery panicked") {
+            Ok(r) => oks.push(r),
+            Err(payload) => {
+                let is_secondary = payload
+                    .downcast_ref::<DpfError>()
+                    .is_some_and(|e| matches!(e, DpfError::WorkerDied { .. }));
+                if is_secondary {
+                    if secondary.is_none() {
+                        secondary = Some(payload);
                     }
+                } else if root.is_none() {
+                    root = Some(payload);
                 }
             }
         }
-        if let Some(payload) = root.or(secondary) {
-            std::panic::resume_unwind(payload);
-        }
-        oks
-    })
+    }
+    if let Some(payload) = root.or(secondary) {
+        std::panic::resume_unwind(payload);
+    }
+    oks
 }
 
 #[cfg(test)]
@@ -2579,6 +2584,48 @@ mod tests {
             )
         };
         assert_eq!(run(), run());
+    }
+
+    /// On the reliable transport a worker whose body has returned leaves
+    /// as soon as its own frames are acked: it does not wait for a peer
+    /// that is still in its body.
+    #[test]
+    fn finished_worker_leaves_once_its_frames_are_acked() {
+        let cfg = TransportCfg {
+            // Arms the reliable transport; no fault fires at this rate.
+            link_rate: f64::MIN_POSITIVE,
+            ..TransportCfg::default()
+        };
+        assert!(cfg.reliable());
+        let meter = LinkMeter::new();
+        let left = run_workers::<u64, (), bool, _>(
+            2,
+            Transport::new(&meter, &cfg),
+            vec![(); 2],
+            |rank, _w, router| {
+                if rank == 0 {
+                    router.send(1, 8, 7);
+                    return true;
+                }
+                // Accepting rank 0's only frame acks it.
+                assert_eq!(router.recv_from(0), 7);
+                // Rank 0's mailbox closes when it leaves and drops its
+                // Router. Probe it with a duplicate of the ack just sent,
+                // which changes nothing on rank 0; the deadline is only the
+                // failure backstop.
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while Instant::now() < deadline {
+                    // dpf-lint: allow(metered-send, reason = "test probe: a failed send is how rank 1 observes that rank 0 has left")
+                    if router.txs[0].send((1, Frame::Ack { upto: 0 })).is_err() {
+                        return true;
+                    }
+                    std::thread::yield_now();
+                }
+                false
+            },
+        );
+        assert_eq!(left, vec![true, true], "rank 0 waited for rank 1 to retire");
+        assert_eq!(meter.acks(), 1);
     }
 
     /// An exhausted retry budget surfaces as a typed LinkFailure carrying
