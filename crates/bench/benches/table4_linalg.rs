@@ -6,7 +6,10 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use dpf_core::{Ctx, Machine};
-use dpf_suite::{find, run_basic, runners, Size};
+use dpf_suite::{find, run_basic, runners, ProblemClass};
+
+/// The problem class every row runs at.
+const CLASS: ProblemClass = ProblemClass::A;
 
 fn bench_table4_rows(c: &mut Criterion) {
     let mut g = c.benchmark_group("table4");
@@ -24,7 +27,7 @@ fn bench_table4_rows(c: &mut Criterion) {
     ] {
         let entry = find(name).unwrap();
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_basic(&entry, &machine, Size::Medium).report.perf.flops))
+            b.iter(|| black_box(run_basic(&entry, &machine, CLASS).report.perf.flops))
         });
     }
     g.finish();
@@ -36,7 +39,7 @@ fn bench_pcr_layout_variants(c: &mut Criterion) {
     g.sample_size(10);
     let machine = Machine::cm5(32);
     #[allow(clippy::type_complexity)]
-    let variants: [(&str, fn(&Ctx, Size) -> dpf_suite::RunOutput); 3] = [
+    let variants: [(&str, fn(&Ctx, ProblemClass) -> dpf_suite::RunOutput); 3] = [
         ("1d_single", runners::pcr_1d),
         ("2d_batch", runners::pcr_2d),
         ("3d_batch", runners::pcr_3d),
@@ -45,7 +48,7 @@ fn bench_pcr_layout_variants(c: &mut Criterion) {
         g.bench_function(label, |b| {
             b.iter(|| {
                 let ctx = Ctx::new(machine.clone());
-                black_box(f(&ctx, Size::Medium).points)
+                black_box(f(&ctx, CLASS).points)
             })
         });
     }

@@ -2,7 +2,7 @@
 //! primitives — the data-motion rows behind Tables 3 and 7.
 //!
 //! Regenerates the communication benchmark group (`gather`, `scatter`,
-//! `reduction`, `transpose`) at Medium size and sweeps the primitive set
+//! `reduction`, `transpose`) at class A and sweeps the primitive set
 //! (cshift, spread, scan, sort, stencil) over the virtual machine sizes
 //! the paper's CM-5 partitions came in (32..512 nodes).
 
@@ -11,7 +11,10 @@ use std::hint::black_box;
 
 use dpf_array::{DistArray, PAR};
 use dpf_core::{Ctx, Machine};
-use dpf_suite::{find, run_basic, Size};
+use dpf_suite::{find, run_basic, ProblemClass};
+
+/// The problem class the §2 codes run at.
+const CLASS: ProblemClass = ProblemClass::A;
 
 fn bench_section2_codes(c: &mut Criterion) {
     let mut g = c.benchmark_group("section2");
@@ -20,7 +23,7 @@ fn bench_section2_codes(c: &mut Criterion) {
         let entry = find(name).unwrap();
         let machine = Machine::cm5(32);
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_basic(&entry, &machine, Size::Medium).report.perf.flops))
+            b.iter(|| black_box(run_basic(&entry, &machine, CLASS).report.perf.flops))
         });
     }
     g.finish();

@@ -12,7 +12,10 @@ use std::hint::black_box;
 
 use dpf_apps::n_body::{self, Variant};
 use dpf_core::{Ctx, Machine};
-use dpf_suite::{find, run, Size, Version};
+use dpf_suite::{find, run, ProblemClass, Version};
+
+/// The problem class every comparison runs at.
+const CLASS: ProblemClass = ProblemClass::A;
 
 fn bench_matvec_versions(c: &mut Criterion) {
     let mut g = c.benchmark_group("matvec_versions");
@@ -21,14 +24,7 @@ fn bench_matvec_versions(c: &mut Criterion) {
     let machine = Machine::cm5(32);
     for version in [Version::Basic, Version::Library] {
         g.bench_function(version.name(), |b| {
-            b.iter(|| {
-                black_box(
-                    run(&entry, version, &machine, Size::Medium)
-                        .report
-                        .perf
-                        .flops,
-                )
-            })
+            b.iter(|| black_box(run(&entry, version, &machine, CLASS).report.perf.flops))
         });
     }
     g.finish();
@@ -51,7 +47,7 @@ fn bench_version_axis(c: &mut Criterion) {
         g.bench_function(format!("{name}_basic"), |b| {
             b.iter(|| {
                 black_box(
-                    run(&entry, Version::Basic, &machine, Size::Medium)
+                    run(&entry, Version::Basic, &machine, CLASS)
                         .report
                         .perf
                         .flops,
@@ -59,7 +55,7 @@ fn bench_version_axis(c: &mut Criterion) {
             })
         });
         g.bench_function(format!("{name}_{}", alt.name().replace('/', "_")), |b| {
-            b.iter(|| black_box(run(&entry, alt, &machine, Size::Medium).report.perf.flops))
+            b.iter(|| black_box(run(&entry, alt, &machine, CLASS).report.perf.flops))
         });
     }
     g.finish();

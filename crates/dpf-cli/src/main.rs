@@ -4,7 +4,11 @@
 //! dpf list                          # all 32 benchmarks with their versions
 //! dpf run <name> [options]          # run one benchmark, print the §1.5 report
 //! dpf all [options]                 # run the whole suite, print a summary line each
-//! dpf table <1..8|perf|eff|model>   # regenerate a paper table
+//! dpf table <1..8|perf|eff|model|layouts>
+//!                                   # one paper table (1..8: section N of
+//!                                   # `dpf tables` for a one-shot campaign
+//!                                   # at --size/--procs/--backend) or a
+//!                                   # timed report
 //! dpf soak [options]                # seeded chaos sweeps: kills + faults
 //! dpf campaign <spec.toml> [--serial] [--format text|json] [--out DIR]
 //!              [--resume] [--deadline-secs N]
@@ -26,9 +30,8 @@
 //! command exits quietly with its own code.
 //!
 //! options:
-//!   --size small|medium|large|S|W|A|B|C
-//!                                problem size tier or NAS-style class
-//!                                (default medium; class S = small)
+//!   --size small|S|W|A|B|C       NAS-style problem class (default A;
+//!                                `small` is an alias of S)
 //!   --version basic|optimized|library|CMSSL|C/DPEAC
 //!   --procs N                    virtual processors (default 32, CM-5 style)
 //!   --backend virtual|spmd       execution backend (default virtual)
@@ -65,12 +68,15 @@ use dpf_suite::{
     SoakConfig, SuiteConfig, Version,
 };
 
+/// Accepted `--size` values, as the usage and error texts name them.
+const SIZES: &str = "small|S|W|A|B|C";
+
 /// The conventional "terminated by SIGINT" code: a partial run was
 /// drained gracefully rather than completed.
 const EXIT_INTERRUPTED: u8 = 130;
 
 struct Options {
-    size: Size,
+    class: ProblemClass,
     version: Version,
     procs: usize,
     backend: Backend,
@@ -92,7 +98,7 @@ struct Options {
 impl Default for Options {
     fn default() -> Self {
         Options {
-            size: Size::Medium,
+            class: ProblemClass::A,
             version: Version::Basic,
             procs: 32,
             backend: Backend::Virtual,
@@ -129,7 +135,7 @@ impl Options {
     fn suite_config(&self) -> SuiteConfig {
         SuiteConfig {
             machine: Machine::cm5(self.procs),
-            size: self.size,
+            size: Size::Class(self.class),
             faults: self.plan(),
             timeout: Duration::from_secs(self.timeout_secs),
             retries: self.retries,
@@ -147,10 +153,15 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--size" => {
-                o.size = it
-                    .next()
-                    .ok_or("bad --size (want small|medium|large or a class S|W|A|B|C)")?
-                    .parse()?;
+                // `small` is an alias of class S; any other value must
+                // be a class letter.
+                let value = it.next().map(String::as_str).unwrap_or_default();
+                o.class = match value {
+                    "small" => ProblemClass::S,
+                    class => class
+                        .parse()
+                        .map_err(|_| format!("bad --size {value:?} (want {SIZES})"))?,
+                };
             }
             "--version" => {
                 o.version = match it.next().map(String::as_str) {
@@ -271,8 +282,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: dpf <list|run <name>|all|soak|campaign <spec>|tables|table <1-8|perf|eff|model>|lint> \
-         [--size small|medium|large|S|W|A|B|C] [--version v] [--procs N] \
+        "usage: dpf <list|run <name>|all|soak|campaign <spec>|tables|table <1-8|perf|eff|model|layouts>|lint> \
+         [--size {SIZES}] [--version v] [--procs N] \
          [--backend virtual|spmd] [--faults RATE] [--fault-seed N] \
          [--link-faults RATE] [--max-retransmits N] [--kill-worker R:C]... \
          [--recover in-run|restart|off] [--timeout-secs N] [--retries N] \
@@ -397,6 +408,45 @@ fn run_campaign_cmd(args: &[String], out: &mut String) -> Result<ExitCode, Strin
     })
 }
 
+/// The one-shot campaign behind `dpf tables` and `dpf table N`: the
+/// whole registry, run serially at one class × procs × backend point.
+fn one_shot_campaign(
+    class: ProblemClass,
+    procs: usize,
+    backend: Backend,
+) -> Result<CampaignReport, String> {
+    let spec = CampaignSpec {
+        name: "tables".to_string(),
+        classes: vec![class],
+        procs: vec![procs],
+        backends: vec![backend],
+        ..CampaignSpec::default()
+    };
+    run_campaign(&spec, ExecMode::Serial).map_err(|e| e.to_string())
+}
+
+/// `dpf table N` for a paper table (1..8): section N of the Markdown
+/// `dpf tables` renders, from a one-shot campaign at `--size`,
+/// `--procs` and `--backend`. Exit 1 when a benchmark row failed (its
+/// measured rows are left out of the table), 2 when the campaign
+/// cannot run.
+fn paper_table(table: u8, opts: &Options, out: &mut String) -> ExitCode {
+    let report = match one_shot_campaign(opts.class, opts.procs, opts.backend) {
+        Ok(report) => report,
+        Err(e) => {
+            eprintln!("{e}");
+            return ExitCode::from(2);
+        }
+    };
+    let markdown = report_tables::render_markdown(&report);
+    out.push_str(report_tables::section(&markdown, table).unwrap_or_default());
+    if report.failed() > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 /// `dpf tables`: regenerate the paper tables from a recorded campaign
 /// artifact (`--campaign FILE`), or — without one — from a fresh serial
 /// class-S run of the whole registry. Markdown goes to stdout; `--out`
@@ -438,14 +488,7 @@ fn run_tables_cmd(args: &[String], out: &mut String) -> Result<ExitCode, String>
                 .to_string()
             })?
         }
-        None => {
-            let spec = CampaignSpec {
-                name: "tables".to_string(),
-                classes: vec![ProblemClass::S],
-                ..CampaignSpec::default()
-            };
-            run_campaign(&spec, ExecMode::Serial).map_err(|e| e.to_string())?
-        }
+        None => one_shot_campaign(ProblemClass::S, 4, Backend::Virtual)?,
     };
     if let Some(dir) = &out_dir {
         std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {dir:?}: {e}"))?;
@@ -801,22 +844,17 @@ fn dispatch(args: &[String], out: &mut String) -> ExitCode {
             };
             let machine = Machine::cm5(opts.procs);
             let text = match which.as_str() {
-                "1" => tables::table1(),
-                "2" => tables::table2(),
-                "3" => tables::table3(&machine),
-                "4" => tables::table4(&machine, opts.size),
-                "5" => tables::table5(),
-                "6" => tables::table6(&machine, opts.size),
-                "7" => tables::table7(&machine),
-                "8" => tables::table8(),
-                "perf" => tables::perf_report(&machine, opts.size),
-                "eff" => tables::efficiency_table(&machine, opts.size),
-                "model" => tables::scalability_table(opts.size),
+                "perf" => tables::perf_report(&machine, opts.class),
+                "eff" => tables::efficiency_table(&machine, opts.class),
+                "model" => tables::scalability_table(opts.class),
                 "layouts" => tables::matvec_layouts_table(&machine),
-                other => {
-                    eprintln!("unknown table {other}");
-                    return usage();
-                }
+                n => match n.parse().ok().filter(|n| (1..=8).contains(n)) {
+                    Some(table) => return paper_table(table, &opts, out),
+                    None => {
+                        eprintln!("unknown table {n}");
+                        return usage();
+                    }
+                },
             };
             out.push_str(&text);
             ExitCode::SUCCESS
@@ -855,6 +893,7 @@ mod tests {
     /// Values some flag accepts, then hostile ones.
     const VALUES: &[&str] = &[
         "small",
+        "medium",
         "S",
         "C",
         "basic",
@@ -877,6 +916,17 @@ mod tests {
         ":",
         "18446744073709551616",
     ];
+
+    #[test]
+    fn size_small_is_class_s_and_removed_tiers_are_rejected() {
+        let class = |v: &str| parse_options(&["--size".into(), v.into()]).map(|o| o.class);
+        assert_eq!(class("small"), Ok(ProblemClass::S));
+        assert_eq!(class("S"), Ok(ProblemClass::S));
+        assert_eq!(class("C"), Ok(ProblemClass::C));
+        for removed in ["medium", "large"] {
+            assert!(class(removed).unwrap_err().contains(SIZES), "{removed}");
+        }
+    }
 
     /// Seeded argv fuzzing of the option parser: no argv panics it, and
     /// every accepted argv builds a suite config. A flag drawn last, or

@@ -2,7 +2,9 @@
 //! hidden `--crash-after-rows` SIGKILL hook, `--resume` byte-identity,
 //! the interrupt exit code, the typed (exit 2) handling of corrupt
 //! artifacts, journals and bad options, and a quiet exit with the
-//! command's own code when the reader of stdout has gone away.
+//! command's own code when the reader of stdout has gone away. Also that
+//! `dpf table N` prints exactly section N of `dpf tables`, so each paper
+//! table has one renderer.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -38,6 +40,13 @@ fn write_spec(dir: &Path) -> PathBuf {
 
 fn stderr_of(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// Stdout of a `dpf` run that must exit 0.
+fn stdout_ok(args: &[&str]) -> String {
+    let out = dpf().args(args).output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{args:?}: {}", stderr_of(&out));
+    String::from_utf8(out.stdout).unwrap()
 }
 
 fn read_artifacts(dir: &Path) -> [String; 3] {
@@ -77,6 +86,64 @@ fn zero_procs_is_a_usage_error_for_every_subcommand() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(err.contains("bad --procs"), "{args:?}: {err}");
         assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
+fn removed_size_tiers_exit_2_and_small_is_class_s() {
+    for args in [
+        &["run", "fft", "--size", "medium"][..],
+        &["all", "--size", "large"],
+        &["table", "4", "--size", "medium"],
+    ] {
+        let out = dpf().args(args).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("small|S|W|A|B|C"), "{args:?}: {err}");
+    }
+    // Every line but the timings: the problem, FLOPs, memory, comm.
+    let untimed = |size: &str| -> Vec<String> {
+        stdout_ok(&["run", "fft", "--size", size])
+            .lines()
+            .filter(|l| !(l.contains("sec.") || l.contains("MFLOPS") || l.contains("elapsed")))
+            .map(str::to_string)
+            .collect()
+    };
+    let small = untimed("small");
+    assert!(small[0].contains("problem:"), "{small:?}");
+    assert_eq!(small, untimed("S"));
+}
+
+/// Section `n` of a `dpf tables` document: the lines from its
+/// `## Table n.` heading up to, but not including, the next `## `
+/// heading.
+fn section(markdown: &str, n: u8) -> String {
+    let mut inside = false;
+    let mut out = String::new();
+    for line in markdown.split_inclusive('\n') {
+        if line.starts_with("## ") {
+            inside = line.starts_with(&format!("## Table {n}."));
+        }
+        if inside {
+            out.push_str(line);
+        }
+    }
+    out
+}
+
+#[test]
+fn table_n_prints_section_n_of_tables_on_either_backend() {
+    let tables = stdout_ok(&["tables"]);
+    for n in 1..=8u8 {
+        let n_arg = n.to_string();
+        let args = ["table", &n_arg, "--size", "S", "--procs", "4"];
+        let table = stdout_ok(&args);
+        assert!(table.starts_with(&format!("## Table {n}.")), "{table}");
+        assert_eq!(table, section(&tables, n), "table {n}");
+        if n == 3 || n == 4 {
+            let spmd = [&args[..], &["--backend", "spmd"]].concat();
+            assert_eq!(stdout_ok(&spmd), table, "table {n} under spmd");
+        }
     }
 }
 

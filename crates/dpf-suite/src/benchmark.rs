@@ -66,57 +66,19 @@ impl std::fmt::Display for Version {
     }
 }
 
-/// Problem-size tier for the harness (each benchmark maps these to its
-/// own parameters).
+/// The problem size a [`SuiteConfig`](crate::SuiteConfig) runs at.
 ///
-/// The legacy three-tier axis (`Small`/`Medium`/`Large`) is joined by
-/// [`Size::Class`], the NAS-style parameterized axis: every runner
-/// derives its shapes from the [`ProblemClass`] descriptor's scaling
-/// rules, anchored so class S is parameter-for-parameter identical to
-/// `Small`.
+/// The size axis is the [`ProblemClass`]: every runner derives its
+/// shapes from the class descriptor's scaling rules. This wrapper has
+/// one variant only because the suite-level benchmark under
+/// `suitebench/` constructs `Size::Class(c)` and passes it to
+/// [`SuiteConfig`](crate::SuiteConfig) and [`BenchEntry::run_basic`];
+/// it goes when that benchmark next changes and names the class
+/// directly.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Size {
-    /// Seconds-scale CI runs and pattern classification.
-    Small,
-    /// The default evaluation size.
-    Medium,
-    /// Benchmark-grade.
-    Large,
-    /// Parameterized problem class (S = `Small`, then W/A/B/C scale up).
+    /// A NAS-style problem class.
     Class(ProblemClass),
-}
-
-impl Size {
-    /// Stable lower-case label (class sizes keep their letter).
-    pub fn label(self) -> &'static str {
-        match self {
-            Size::Small => "small",
-            Size::Medium => "medium",
-            Size::Large => "large",
-            Size::Class(c) => c.name(),
-        }
-    }
-}
-
-impl std::fmt::Display for Size {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-impl std::str::FromStr for Size {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "small" => Ok(Size::Small),
-            "medium" => Ok(Size::Medium),
-            "large" => Ok(Size::Large),
-            other => other.parse::<ProblemClass>().map(Size::Class).map_err(|_| {
-                format!("unknown size {s:?} (want small|medium|large or a class S|W|A|B|C)")
-            }),
-        }
-    }
 }
 
 /// What a benchmark runner reports back (the harness adds the timing and
@@ -138,7 +100,7 @@ pub struct Variant {
     /// Version label.
     pub version: Version,
     /// The runner.
-    pub run: fn(&Ctx, Size) -> RunOutput,
+    pub run: fn(&Ctx, ProblemClass) -> RunOutput,
 }
 
 /// One registry entry: static characterization (the paper's tables) plus
@@ -171,7 +133,8 @@ pub struct BenchEntry {
 impl BenchEntry {
     /// The basic-version runner.
     pub fn run_basic(&self, ctx: &Ctx, size: Size) -> RunOutput {
-        (self.variants[0].run)(ctx, size)
+        let Size::Class(class) = size;
+        (self.variants[0].run)(ctx, class)
     }
 
     /// Find a runnable variant by version.
@@ -191,17 +154,6 @@ mod tests {
             names,
             vec!["basic", "optimized", "library", "CMSSL", "C/DPEAC"]
         );
-    }
-
-    #[test]
-    fn sizes_parse_and_label_round_trip() {
-        for s in ["small", "medium", "large", "S", "W", "A", "B", "C"] {
-            let size: Size = s.parse().unwrap();
-            assert_eq!(size.label(), s, "label must round-trip");
-            assert_eq!(size.to_string(), s);
-        }
-        assert_eq!("s".parse::<Size>().unwrap(), Size::Class(ProblemClass::S));
-        assert!("huge".parse::<Size>().is_err());
     }
 
     #[test]

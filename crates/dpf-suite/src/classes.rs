@@ -15,7 +15,7 @@ pub fn classes_markdown() -> String {
          |-------|-------|------------|--------------|--------|\n",
     );
     let intents = [
-        "smoke test; identical to the legacy `small` tier",
+        "smoke test; base parameters (`--size small`)",
         "workstation-scale",
         "first benchmark-grade class",
         "benchmark-grade, one step up",
@@ -42,6 +42,6 @@ mod tests {
         for c in ProblemClass::ALL {
             assert!(md.contains(&format!("| {c} |")), "missing class {c}");
         }
-        assert!(md.contains("identical to the legacy `small` tier"));
+        assert!(md.contains("base parameters (`--size small`)"));
     }
 }

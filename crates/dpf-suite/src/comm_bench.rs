@@ -8,24 +8,15 @@
 
 use dpf_array::{DistArray, PAR};
 use dpf_comm as comm;
-use dpf_core::{Ctx, Verify};
+use dpf_core::{Ctx, ProblemClass, Verify};
 
-use crate::benchmark::{RunOutput, Size};
-
-fn n_for(size: Size) -> usize {
-    match size {
-        Size::Small => 1 << 10,
-        Size::Medium => 1 << 16,
-        Size::Large => 1 << 20,
-        Size::Class(c) => c.pow2(1 << 10),
-    }
-}
+use crate::benchmark::RunOutput;
 
 /// `gather` — many-to-one indexed reads through a random permutation plus
 /// a clustered (hot-spot) index set, the two regimes the CM router cared
 /// about.
-pub fn run_gather(ctx: &Ctx, size: Size) -> RunOutput {
-    let n = n_for(size);
+pub fn run_gather(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let n = c.pow2(1 << 10);
     let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| i[0] as f64).declare(ctx);
     // Permutation-style indices (collision-free)...
     let idx =
@@ -50,8 +41,8 @@ pub fn run_gather(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `scatter` — one-to-many indexed writes, permutation and hot-spot.
-pub fn run_scatter(ctx: &Ctx, size: Size) -> RunOutput {
-    let n = n_for(size);
+pub fn run_scatter(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let n = c.pow2(1 << 10);
     let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| i[0] as f64).declare(ctx);
     let idx =
         DistArray::<i32>::from_fn(ctx, &[n], &[PAR], move |i| ((i[0] * 7919 + 13) % n) as i32)
@@ -79,8 +70,8 @@ pub fn run_scatter(ctx: &Ctx, size: Size) -> RunOutput {
 
 /// `reduction` — global sum reductions of 1-D and 2-D arrays (the one
 /// communication benchmark with a FLOP count: `n − 1` per reduction).
-pub fn run_reduction(ctx: &Ctx, size: Size) -> RunOutput {
-    let n = n_for(size);
+pub fn run_reduction(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let n = c.pow2(1 << 10);
     let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| i[0] as f64).declare(ctx);
     let total = comm::sum_all(ctx, &a);
     let want = (n as f64 - 1.0) * n as f64 / 2.0;
@@ -106,13 +97,8 @@ pub fn run_reduction(ctx: &Ctx, size: Size) -> RunOutput {
 
 /// `transpose` — the AAPC benchmark ("may be used to confirm advertised
 /// bisection bandwidths").
-pub fn run_transpose(ctx: &Ctx, size: Size) -> RunOutput {
-    let side = match size {
-        Size::Small => 32,
-        Size::Medium => 256,
-        Size::Large => 1024,
-        Size::Class(c) => c.pow2(32),
-    };
+pub fn run_transpose(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let side = c.pow2(32);
     let a = DistArray::<f64>::from_fn(ctx, &[side, side], &[PAR, PAR], |i| {
         (i[0] * side + i[1]) as f64
     })
@@ -145,13 +131,13 @@ mod tests {
     #[test]
     fn all_four_verify_at_small_size() {
         for (name, f) in [
-            ("gather", run_gather as fn(&Ctx, Size) -> RunOutput),
+            ("gather", run_gather as fn(&Ctx, ProblemClass) -> RunOutput),
             ("scatter", run_scatter),
             ("reduction", run_reduction),
             ("transpose", run_transpose),
         ] {
             let ctx = ctx();
-            let out = f(&ctx, Size::Small);
+            let out = f(&ctx, ProblemClass::S);
             assert!(out.verify.is_pass(), "{name}: {}", out.verify);
         }
     }
@@ -159,12 +145,12 @@ mod tests {
     #[test]
     fn non_reduction_benchmarks_charge_no_flops() {
         for f in [
-            run_gather as fn(&Ctx, Size) -> RunOutput,
+            run_gather as fn(&Ctx, ProblemClass) -> RunOutput,
             run_scatter,
             run_transpose,
         ] {
             let ctx = ctx();
-            let _ = f(&ctx, Size::Small);
+            let _ = f(&ctx, ProblemClass::S);
             // scatter's combining hot-spot pass legitimately adds; the
             // plain data-motion paths must not.
             let flops = ctx.instr.flops();
@@ -175,7 +161,7 @@ mod tests {
     #[test]
     fn reduction_charges_n_minus_1() {
         let ctx = ctx();
-        let _ = run_reduction(&ctx, Size::Small);
+        let _ = run_reduction(&ctx, ProblemClass::S);
         let n = 1u64 << 10;
         let side = 32u64;
         assert_eq!(ctx.instr.flops(), (n - 1) + side * (side - 1));
@@ -184,10 +170,10 @@ mod tests {
     #[test]
     fn patterns_match_paper_section2() {
         let ctx = ctx();
-        let _ = run_gather(&ctx, Size::Small);
+        let _ = run_gather(&ctx, ProblemClass::S);
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Gather), 2);
         let ctx = Ctx::new(Machine::cm5(8));
-        let _ = run_transpose(&ctx, Size::Small);
+        let _ = run_transpose(&ctx, ProblemClass::S);
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Aapc), 2);
     }
 }

@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 
 use dpf_core::{
     derive_seed, install_quiet_panic_hook, set_quiet_panics, Backend, BenchReport, BufferPool, Ctx,
-    DpfError, FaultPlan, Machine, RecoverMode,
+    DpfError, FaultPlan, Machine, ProblemClass, RecoverMode,
 };
 
 use crate::benchmark::{BenchEntry, RunOutput, Size, Version};
@@ -46,19 +46,24 @@ impl HarnessResult {
     }
 }
 
-/// Run one version of one benchmark on the given machine and size under
-/// the default (virtual) backend.
-pub fn run(entry: &BenchEntry, version: Version, machine: &Machine, size: Size) -> HarnessResult {
-    run_on(entry, version, machine, size, Backend::Virtual)
+/// Run one version of one benchmark on the given machine and problem
+/// class under the default (virtual) backend.
+pub fn run(
+    entry: &BenchEntry,
+    version: Version,
+    machine: &Machine,
+    class: ProblemClass,
+) -> HarnessResult {
+    run_on(entry, version, machine, class, Backend::Virtual)
 }
 
-/// Run one version of one benchmark on the given machine, size and
-/// execution backend.
+/// Run one version of one benchmark on the given machine, problem class
+/// and execution backend.
 pub fn run_on(
     entry: &BenchEntry,
     version: Version,
     machine: &Machine,
-    size: Size,
+    class: ProblemClass,
     backend: Backend,
 ) -> HarnessResult {
     let variant = entry
@@ -66,7 +71,7 @@ pub fn run_on(
         .unwrap_or_else(|| panic!("{} has no {} variant", entry.name, version));
     let ctx = Ctx::with_backend(machine.clone(), backend);
     let start = Instant::now();
-    let output = (variant.run)(&ctx, size);
+    let output = (variant.run)(&ctx, class);
     let elapsed = start.elapsed();
     let report = BenchReport::from_ctx(
         entry.name,
@@ -80,8 +85,8 @@ pub fn run_on(
 }
 
 /// Run the basic version.
-pub fn run_basic(entry: &BenchEntry, machine: &Machine, size: Size) -> HarnessResult {
-    run(entry, Version::Basic, machine, size)
+pub fn run_basic(entry: &BenchEntry, machine: &Machine, class: ProblemClass) -> HarnessResult {
+    run(entry, Version::Basic, machine, class)
 }
 
 // ------------------------------------------------- fault-tolerant harness
@@ -332,7 +337,7 @@ impl CancelToken {
 pub struct SuiteConfig {
     /// Virtual machine to run on.
     pub machine: Machine,
-    /// Problem-size tier.
+    /// Problem class every run solves.
     pub size: Size,
     /// Fault-injection plan (rate 0 = no injection). The seed is the
     /// *base* seed: every benchmark and every retry attempt derives its
@@ -364,7 +369,7 @@ impl Default for SuiteConfig {
     fn default() -> Self {
         SuiteConfig {
             machine: Machine::cm5(32),
-            size: Size::Small,
+            size: Size::Class(ProblemClass::S),
             faults: FaultPlan::default(),
             timeout: Duration::from_secs(300),
             retries: 0,
@@ -430,7 +435,7 @@ fn is_worker_death(msg: &str) -> bool {
 /// nothing from the sweep.
 struct AttemptSpec {
     machine: Machine,
-    size: Size,
+    class: ProblemClass,
     plan: FaultPlan,
     timeout: Duration,
     backend: Backend,
@@ -445,7 +450,7 @@ struct AttemptSpec {
 fn run_attempt(
     name: &'static str,
     version: Version,
-    runner: fn(&Ctx, Size) -> RunOutput,
+    runner: fn(&Ctx, ProblemClass) -> RunOutput,
     spec: AttemptSpec,
 ) -> Attempt {
     install_quiet_panic_hook();
@@ -463,7 +468,7 @@ fn run_attempt(
                     None => Ctx::build(spec.machine, Some(spec.plan), spec.backend),
                 };
                 let start = Instant::now();
-                let output = runner(&ctx, spec.size);
+                let output = runner(&ctx, spec.class);
                 let elapsed = start.elapsed();
                 let injected = ctx.faults.injected() as u64;
                 let respawns = ctx.link.respawns();
@@ -559,6 +564,7 @@ pub fn run_guarded(entry: &BenchEntry, version: Version, cfg: &SuiteConfig) -> G
     };
     let name = entry.name;
     let runner = variant.run;
+    let Size::Class(class) = cfg.size;
     let mut last_failure = RunOutcome::TimedOut;
     let mut verify_failed: Option<Box<HarnessResult>> = None;
     let mut launched = 0;
@@ -590,7 +596,7 @@ pub fn run_guarded(entry: &BenchEntry, version: Version, cfg: &SuiteConfig) -> G
         }
         let spec = AttemptSpec {
             machine: cfg.machine.clone(),
-            size: cfg.size,
+            class,
             plan,
             timeout: cfg.timeout,
             backend: cfg.backend,
@@ -851,7 +857,7 @@ mod tests {
     #[test]
     fn harness_produces_complete_reports() {
         let entry = registry::find("conj-grad").unwrap();
-        let res = run_basic(&entry, &Machine::cm5(8), Size::Small);
+        let res = run_basic(&entry, &Machine::cm5(8), ProblemClass::S);
         assert!(res.report.verify.is_pass());
         assert!(res.report.perf.flops > 0);
         assert!(res.report.perf.elapsed.as_nanos() > 0);
@@ -865,7 +871,7 @@ mod tests {
     fn busy_time_is_within_elapsed() {
         for name in ["fft", "ellip-2D", "step4"] {
             let entry = registry::find(name).unwrap();
-            let res = run_basic(&entry, &Machine::cm5(4), Size::Small);
+            let res = run_basic(&entry, &Machine::cm5(4), ProblemClass::S);
             assert!(
                 res.report.perf.busy <= res.report.perf.elapsed,
                 "{name}: busy {:?} > elapsed {:?}",
@@ -879,7 +885,7 @@ mod tests {
     #[should_panic(expected = "has no")]
     fn missing_variant_panics() {
         let entry = registry::find("boson").unwrap();
-        let _ = run(&entry, Version::CDpeac, &Machine::cm5(4), Size::Small);
+        let _ = run(&entry, Version::CDpeac, &Machine::cm5(4), ProblemClass::S);
     }
 
     fn small_cfg() -> SuiteConfig {

@@ -2,10 +2,11 @@
 //!
 //! * [`registry`] — all 32 benchmarks with their paper characterization
 //!   (version matrix, layouts, patterns, formulas) and runnable variants.
-//! * [`harness`] — run a benchmark on a chosen virtual machine/size and
-//!   collect the full §1.5 metric report.
-//! * [`tables`] — regenerate every table of the paper (1–8) plus the
-//!   performance and arithmetic-efficiency reports.
+//! * [`harness`] — run a benchmark on a chosen virtual machine and
+//!   problem class and collect the full §1.5 metric report.
+//! * [`tables`] — the timed reports beside the paper's tables:
+//!   performance, arithmetic efficiency, modeled scalability and the
+//!   matrix-vector layout sweep.
 //! * [`comm_bench`] — the four §2 communication benchmarks themselves.
 //! * [`soak`] — the `dpf soak` chaos driver: seeded randomized kill/fault
 //!   schedules swept over the registry with a deterministic summary.
@@ -14,7 +15,8 @@
 //!   (class × procs × backend × fault rate) into tenant suites run
 //!   concurrently on a bounded worker pool.
 //! * [`report_tables`] — render a recorded campaign into the paper's
-//!   tables (Markdown + JSON, timing-free).
+//!   Tables 1–8 (Markdown + JSON, timing-free); the one renderer of
+//!   those tables.
 //! * [`schema`] — the shared hand-rolled JSON value model every
 //!   machine-readable artifact renders through.
 //! * [`journal`] — the durable write-ahead row journal behind

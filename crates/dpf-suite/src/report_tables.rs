@@ -1,10 +1,11 @@
 //! Render a recorded campaign into the paper's tables (1–8).
 //!
-//! Unlike [`crate::tables`], which re-runs benchmarks to measure its
-//! numbers, this module is a pure function of a [`CampaignReport`]: the
-//! campaign already recorded every §1.5 logical quantity, so the tables
-//! can be regenerated from the JSON artifact alone, any number of times,
-//! byte-for-byte.
+//! This is the one renderer of Tables 1–8: `dpf campaign --out`,
+//! `dpf tables` and `dpf table N` all print its Markdown (the last one
+//! section N of it, from a one-shot campaign). It is a pure function of
+//! a [`CampaignReport`]: the campaign already recorded every §1.5
+//! logical quantity, so the tables can be regenerated from the JSON
+//! artifact alone, any number of times, byte-for-byte.
 //!
 //! Only logical quantities appear — FLOPs, declared bytes, communication
 //! records — never wall-clock times or rates. Together with the §1.5
@@ -116,7 +117,115 @@ fn ratio_rows<'a>(
     out
 }
 
-/// Render the paper's tables from the recorded campaign as Markdown.
+/// Table 8 body: pattern → `(code, technique)` rows, from registry
+/// metadata of the benchmarks the campaign ran.
+fn techniques(entries: &[BenchEntry]) -> BTreeMap<&str, Vec<(&str, &str)>> {
+    let mut rows: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
+    for e in entries {
+        for &(pattern, technique) in e.techniques {
+            rows.entry(pattern).or_default().push((e.name, technique));
+        }
+    }
+    rows
+}
+
+/// Section headings, by table number (Table 1 first).
+const TITLES: [&str; 8] = [
+    "Table 1. Benchmark suite code versions",
+    "Table 2. Data representation and layout, linear algebra kernels",
+    "Table 3. Communication of linear algebra kernels (measured)",
+    "Table 4. Computation to communication ratio, linear algebra codes",
+    "Table 5. Data representation and layout, application codes",
+    "Table 6. Computation to communication ratio, application codes",
+    "Table 7. Communication patterns in application codes (measured)",
+    "Table 8. Implementation techniques",
+];
+
+/// The order the sections appear in the document (pinned by the golden
+/// `tables.expected.md`).
+const ORDER: [usize; 8] = [1, 2, 5, 3, 7, 4, 6, 8];
+
+/// Section `table` (1..=8): its `## Table N.` heading, a blank line and
+/// the Markdown table. Tables 1, 2, 5 and 8 come from registry metadata,
+/// 3 and 7 from the measured pattern records, 4 and 6 from the measured
+/// main-loop quantities per class.
+fn section_md(report: &CampaignReport, entries: &[BenchEntry], table: usize) -> String {
+    let mut s = format!("## {}\n\n", TITLES[table - 1]);
+    let group = if table <= 4 {
+        Group::LinearAlgebra
+    } else {
+        Group::Application
+    };
+    match table {
+        1 => {
+            s.push_str("| Benchmark | basic | optimized | library | CMSSL | C/DPEAC |\n");
+            s.push_str("|---|---|---|---|---|---|\n");
+            for e in entries {
+                let mark = |v: Version| {
+                    if e.paper_versions.contains(&v) {
+                        "x"
+                    } else {
+                        ""
+                    }
+                };
+                let _ = writeln!(
+                    s,
+                    "| {} | {} | {} | {} | {} | {} |",
+                    e.name,
+                    mark(Version::Basic),
+                    mark(Version::Optimized),
+                    mark(Version::Library),
+                    mark(Version::Cmssl),
+                    mark(Version::CDpeac)
+                );
+            }
+        }
+        2 | 5 => {
+            s.push_str("| Code | Arrays (`:serial` local, `:` parallel) |\n|---|---|\n");
+            for e in entries.iter().filter(|e| e.group == group) {
+                let _ = writeln!(s, "| {} | {} |", e.name, e.layouts.join("  "));
+            }
+        }
+        3 | 7 => {
+            s.push_str("| Communication Pattern | Codes (measured) |\n|---|---|\n");
+            for (pattern, codes) in measured_patterns(report, group) {
+                let _ = writeln!(s, "| {} | {} |", pattern, codes.join(", "));
+            }
+        }
+        4 | 6 => {
+            s.push_str(
+                "| Code | Class | FLOPs/iter | Memory (B) | comm/iter | Access \
+                 | Paper FLOPs/iter | Paper comm/iter |\n|---|---|---|---|---|---|---|---|\n",
+            );
+            for (entry, class, row) in ratio_rows(report, entries, group) {
+                let _ = writeln!(
+                    s,
+                    "| {} | {} | {} | {} | {:.1} | {} | {} | {} |",
+                    entry.name,
+                    class,
+                    flops_per_iter(row),
+                    row.memory_bytes,
+                    comm_per_iter(row),
+                    entry.local_access,
+                    entry.flops_formula,
+                    entry.comm_formula
+                );
+            }
+        }
+        _ => {
+            s.push_str("| Communication Pattern | Code | Technique |\n|---|---|---|\n");
+            for (pattern, codes) in techniques(entries) {
+                for (code, technique) in codes {
+                    let _ = writeln!(s, "| {pattern} | {code} | {technique} |");
+                }
+            }
+        }
+    }
+    s
+}
+
+/// Render the paper's tables from the recorded campaign as Markdown: a
+/// header, then the eight `## Table N.` sections in document order.
 pub fn render_markdown(report: &CampaignReport) -> String {
     let entries = entries_in(report);
     let classes: Vec<&str> = class_tenants(report)
@@ -139,124 +248,23 @@ pub fn render_markdown(report: &CampaignReport) -> String {
         entries.len(),
         registry().len()
     );
-
-    // ---- Table 1: code versions (registry metadata).
-    let _ = writeln!(s, "\n## Table 1. Benchmark suite code versions\n");
-    let _ = writeln!(
-        s,
-        "| Benchmark | basic | optimized | library | CMSSL | C/DPEAC |"
-    );
-    let _ = writeln!(s, "|---|---|---|---|---|---|");
-    for e in &entries {
-        let mark = |v: Version| {
-            if e.paper_versions.contains(&v) {
-                "x"
-            } else {
-                ""
-            }
-        };
-        let _ = writeln!(
-            s,
-            "| {} | {} | {} | {} | {} | {} |",
-            e.name,
-            mark(Version::Basic),
-            mark(Version::Optimized),
-            mark(Version::Library),
-            mark(Version::Cmssl),
-            mark(Version::CDpeac)
-        );
-    }
-
-    // ---- Tables 2 and 5: layouts (registry metadata).
-    for (group, title) in [
-        (
-            Group::LinearAlgebra,
-            "Table 2. Data representation and layout, linear algebra kernels",
-        ),
-        (
-            Group::Application,
-            "Table 5. Data representation and layout, application codes",
-        ),
-    ] {
-        let _ = writeln!(s, "\n## {title}\n");
-        let _ = writeln!(s, "| Code | Arrays (`:serial` local, `:` parallel) |");
-        let _ = writeln!(s, "|---|---|");
-        for e in entries.iter().filter(|e| e.group == group) {
-            let _ = writeln!(s, "| {} | {} |", e.name, e.layouts.join("  "));
-        }
-    }
-
-    // ---- Tables 3 and 7: measured communication patterns.
-    for (group, title) in [
-        (
-            Group::LinearAlgebra,
-            "Table 3. Communication of linear algebra kernels (measured)",
-        ),
-        (
-            Group::Application,
-            "Table 7. Communication patterns in application codes (measured)",
-        ),
-    ] {
-        let _ = writeln!(s, "\n## {title}\n");
-        let _ = writeln!(s, "| Communication Pattern | Codes (measured) |");
-        let _ = writeln!(s, "|---|---|");
-        for (pattern, codes) in measured_patterns(report, group) {
-            let _ = writeln!(s, "| {} | {} |", pattern, codes.join(", "));
-        }
-    }
-
-    // ---- Tables 4 and 6: main-loop characterization, per class.
-    for (group, title) in [
-        (
-            Group::LinearAlgebra,
-            "Table 4. Computation to communication ratio, linear algebra codes",
-        ),
-        (
-            Group::Application,
-            "Table 6. Computation to communication ratio, application codes",
-        ),
-    ] {
-        let _ = writeln!(s, "\n## {title}\n");
-        let _ = writeln!(
-            s,
-            "| Code | Class | FLOPs/iter | Memory (B) | comm/iter | Access | Paper FLOPs/iter | Paper comm/iter |"
-        );
-        let _ = writeln!(s, "|---|---|---|---|---|---|---|---|");
-        for (entry, class, row) in ratio_rows(report, &entries, group) {
-            let _ = writeln!(
-                s,
-                "| {} | {} | {} | {} | {:.1} | {} | {} | {} |",
-                entry.name,
-                class,
-                flops_per_iter(row),
-                row.memory_bytes,
-                comm_per_iter(row),
-                entry.local_access,
-                entry.flops_formula,
-                entry.comm_formula
-            );
-        }
-    }
-
-    // ---- Table 8: implementation techniques (registry metadata).
-    let _ = writeln!(s, "\n## Table 8. Implementation techniques\n");
-    let _ = writeln!(s, "| Communication Pattern | Code | Technique |");
-    let _ = writeln!(s, "|---|---|---|");
-    let mut techniques: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-    for e in &entries {
-        for &(pattern, technique) in e.techniques {
-            techniques
-                .entry(pattern)
-                .or_default()
-                .push((e.name, technique));
-        }
-    }
-    for (pattern, codes) in techniques {
-        for (code, technique) in codes {
-            let _ = writeln!(s, "| {pattern} | {code} | {technique} |");
-        }
+    for table in ORDER {
+        s.push('\n');
+        s.push_str(&section_md(report, &entries, table));
     }
     s
+}
+
+/// Section `table` of a [`render_markdown`] document: the lines from its
+/// `## Table N.` heading up to, but not including, the next `## `
+/// heading. `None` when the document has no such table.
+pub fn section(markdown: &str, table: u8) -> Option<&str> {
+    let heading = format!("\n## Table {table}.");
+    let start = markdown.find(&heading)? + 1;
+    let end = markdown[start..]
+        .find("\n## ")
+        .map_or(markdown.len(), |k| start + k + 1);
+    Some(&markdown[start..end])
 }
 
 /// The tables as a JSON tree on the shared schema (same content as
@@ -344,27 +352,18 @@ pub fn tables_json(report: &CampaignReport) -> Json {
         )
     };
 
-    let mut table8 = Vec::new();
-    {
-        let mut techniques: BTreeMap<&str, Vec<(&str, &str)>> = BTreeMap::new();
-        for e in &entries {
-            for &(pattern, technique) in e.techniques {
-                techniques
-                    .entry(pattern)
-                    .or_default()
-                    .push((e.name, technique));
-            }
-        }
-        for (pattern, codes) in techniques {
-            for (code, technique) in codes {
-                table8.push(Json::Obj(vec![
+    let table8 = techniques(&entries)
+        .into_iter()
+        .flat_map(|(pattern, codes)| {
+            codes.into_iter().map(move |(code, technique)| {
+                Json::Obj(vec![
                     ("pattern".to_string(), Json::str(pattern)),
                     ("code".to_string(), Json::str(code)),
                     ("technique".to_string(), Json::str(technique)),
-                ]));
-            }
-        }
-    }
+                ])
+            })
+        })
+        .collect();
 
     Json::Obj(vec![
         ("campaign".to_string(), Json::str(&report.name)),

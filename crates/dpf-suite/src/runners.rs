@@ -1,46 +1,63 @@
-//! Size-tiered runner functions for every benchmark (the glue between the
-//! registry and the implementation crates).
+//! Runner functions for every benchmark (the glue between the registry
+//! and the implementation crates). Each derives its problem parameters
+//! from a [`ProblemClass`] through the class's scaling rules.
 
 use dpf_array::PAR;
-use dpf_core::{Ctx, DpfError, Verify};
+use dpf_core::{Ctx, DpfError, ProblemClass, RecoveryStats, Verify};
 
-use crate::benchmark::{RunOutput, Size};
+use crate::benchmark::RunOutput;
 
 /// Restore budget for checkpoint-aware runners (per run, not per window).
 const MAX_RESTORES: usize = 32;
 
-/// A checkpoint-aware runner exhausted its restore budget (or hit an
-/// unrecoverable error): report a failing verification instead of
-/// unwinding, so the suite sweep keeps going.
-fn recovery_failed(problem: String, e: DpfError, points: u64) -> RunOutput {
-    RunOutput {
-        problem: format!("{problem}: {e}"),
-        verify: Verify::check("checkpoint recovery", f64::INFINITY, 0.0),
-        points,
-        iterations: 0,
+/// The checkpointed path of a checkpoint-aware runner, taken when the
+/// fault plan sets an interval: `run(every)` returns the verification,
+/// iteration count and recovery statistics, and the problem string gains
+/// the interval and restore count. An exhausted restore budget (or an
+/// unrecoverable error) reports a failing verification instead of
+/// unwinding, so the suite sweep keeps going. `None` when checkpointing
+/// is off.
+fn checkpointed(
+    ctx: &Ctx,
+    problem: &str,
+    points: u64,
+    run: impl FnOnce(usize) -> Result<(Verify, u64, RecoveryStats), DpfError>,
+) -> Option<RunOutput> {
+    let every = ctx.faults.checkpoint_every();
+    if every == 0 {
+        return None;
     }
+    Some(match run(every) {
+        Ok((verify, iterations, stats)) => RunOutput {
+            problem: format!("{problem} (ck={every}, restores={})", stats.restores),
+            verify,
+            points,
+            iterations,
+        },
+        Err(e) => RunOutput {
+            problem: format!("{problem}: {e}"),
+            verify: Verify::check("checkpoint recovery", f64::INFINITY, 0.0),
+            points,
+            iterations: 0,
+        },
+    })
 }
 
 // ---------------------------------------------------------------- linalg
 
 /// `matrix-vector`, basic version (`SUM(SPREAD(x) * A, dim)`).
-pub fn matvec_basic(ctx: &Ctx, size: Size) -> RunOutput {
-    matvec_impl(ctx, size, false)
+pub fn matvec_basic(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    matvec_impl(ctx, c, false)
 }
 
 /// `matrix-vector`, library version (blocked dot-product kernel).
-pub fn matvec_library(ctx: &Ctx, size: Size) -> RunOutput {
-    matvec_impl(ctx, size, true)
+pub fn matvec_library(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    matvec_impl(ctx, c, true)
 }
 
-fn matvec_impl(ctx: &Ctx, size: Size, library: bool) -> RunOutput {
+fn matvec_impl(ctx: &Ctx, c: ProblemClass, library: bool) -> RunOutput {
     use dpf_linalg::matvec;
-    let (ni, n, m) = match size {
-        Size::Small => (2, 16, 16),
-        Size::Medium => (4, 128, 128),
-        Size::Large => (4, 512, 512),
-        Size::Class(c) => (c.linear(2), c.pow2(16), c.pow2(16)),
-    };
+    let (ni, n, m) = (c.linear(2), c.pow2(16), c.pow2(16));
     let (a, x) = matvec::workload(ctx, matvec::MvLayout::Instances, ni, n, m);
     let y = if library {
         matvec::matvec_library(ctx, &a, &x)
@@ -55,15 +72,15 @@ fn matvec_impl(ctx: &Ctx, size: Size, library: bool) -> RunOutput {
     }
 }
 
+/// `lu` problem shape `(n, r)`, shared by the basic and blocked versions.
+fn lu_shape(c: ProblemClass) -> (usize, usize) {
+    (c.linear(16), c.linear(2))
+}
+
 /// `lu` — factor + solve, timed as separate phases.
-pub fn lu(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn lu(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::lu;
-    let (n, r) = match size {
-        Size::Small => (16, 2),
-        Size::Medium => (96, 4),
-        Size::Large => (256, 8),
-        Size::Class(c) => (c.linear(16), c.linear(2)),
-    };
+    let (n, r) = lu_shape(c);
     let (a, b) = lu::workload(ctx, n, r);
     let f = ctx.phase("lu:factor", || lu::lu_factor(ctx, &a));
     let x = ctx.phase("lu:solve", || lu::lu_solve(ctx, &f, &b));
@@ -76,14 +93,10 @@ pub fn lu(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `lu`, CMSSL (blocked) version.
-pub fn lu_blocked(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn lu_blocked(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::lu;
-    let (n, r, nb) = match size {
-        Size::Small => (16, 2, 4),
-        Size::Medium => (96, 4, 16),
-        Size::Large => (256, 8, 32),
-        Size::Class(c) => (c.linear(16), c.linear(2), c.linear(4)),
-    };
+    let (n, r) = lu_shape(c);
+    let nb = c.linear(4);
     let (a, b) = lu::workload(ctx, n, r);
     let f = ctx.phase("lu:factor", || lu::lu_factor_blocked(ctx, &a, nb));
     let x = ctx.phase("lu:solve", || lu::lu_solve(ctx, &f, &b));
@@ -96,14 +109,9 @@ pub fn lu_blocked(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `qr` — factor + solve phases.
-pub fn qr(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn qr(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::qr;
-    let (m, n, r) = match size {
-        Size::Small => (24, 12, 2),
-        Size::Medium => (128, 64, 4),
-        Size::Large => (384, 192, 4),
-        Size::Class(c) => (c.linear(24), c.linear(12), c.linear(2)),
-    };
+    let (m, n, r) = (c.linear(24), c.linear(12), c.linear(2));
     let (a, b, x_true) = qr::workload(ctx, m, n, r);
     let f = ctx.phase("qr:factor", || qr::qr_factor(ctx, &a));
     let x = ctx.phase("qr:solve", || qr::qr_solve(ctx, &f, &b));
@@ -116,14 +124,9 @@ pub fn qr(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `gauss-jordan`.
-pub fn gauss_jordan(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn gauss_jordan(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::gauss_jordan as gj;
-    let n = match size {
-        Size::Small => 16,
-        Size::Medium => 96,
-        Size::Large => 256,
-        Size::Class(c) => c.linear(16),
-    };
+    let n = c.linear(16);
     let (a, b) = gj::workload(ctx, n);
     let x = gj::gauss_jordan_solve(ctx, &a, &b);
     RunOutput {
@@ -135,39 +138,25 @@ pub fn gauss_jordan(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `pcr`, variant (1): a single 1-D system.
-pub fn pcr_1d(ctx: &Ctx, size: Size) -> RunOutput {
-    pcr_impl(ctx, size, 1)
+pub fn pcr_1d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    pcr_impl(ctx, vec![c.pow2(64)])
 }
 
 /// `pcr`, variant (2): batched 2-D systems.
-pub fn pcr_2d(ctx: &Ctx, size: Size) -> RunOutput {
-    pcr_impl(ctx, size, 2)
+pub fn pcr_2d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    pcr_impl(ctx, vec![c.linear(4), c.pow2(32)])
 }
 
 /// `pcr`, variant (3): batched 3-D systems.
-pub fn pcr_3d(ctx: &Ctx, size: Size) -> RunOutput {
-    pcr_impl(ctx, size, 3)
+pub fn pcr_3d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    pcr_impl(ctx, vec![c.linear(2), c.linear(4), c.pow2(16)])
 }
 
-fn pcr_impl(ctx: &Ctx, size: Size, rank: usize) -> RunOutput {
+/// Shared body of the three `pcr` variants. Their shapes keep only the
+/// solved (last) dimension a power of two; batch dimensions grow
+/// linearly to bound memory.
+fn pcr_impl(ctx: &Ctx, shape: Vec<usize>) -> RunOutput {
     use dpf_linalg::pcr;
-    let shape: Vec<usize> = match (rank, size) {
-        (1, Size::Small) => vec![64],
-        (1, Size::Medium) => vec![4096],
-        (1, Size::Large) => vec![1 << 18],
-        (2, Size::Small) => vec![4, 32],
-        (2, Size::Medium) => vec![16, 512],
-        (2, Size::Large) => vec![64, 4096],
-        (3, Size::Small) => vec![2, 4, 16],
-        (3, Size::Medium) => vec![8, 16, 64],
-        (3, Size::Large) => vec![16, 64, 256],
-        // Class axis: only the solved (last) dimension must stay a power
-        // of two; batch dimensions grow linearly to bound memory.
-        (1, Size::Class(c)) => vec![c.pow2(64)],
-        (2, Size::Class(c)) => vec![c.linear(4), c.pow2(32)],
-        (3, Size::Class(c)) => vec![c.linear(2), c.linear(4), c.pow2(16)],
-        _ => unreachable!(),
-    };
     let axes = vec![PAR; shape.len()];
     let sys = pcr::workload(ctx, &shape, &axes);
     let x = pcr::pcr_solve(ctx, &sys);
@@ -180,31 +169,27 @@ fn pcr_impl(ctx: &Ctx, size: Size, rank: usize) -> RunOutput {
     }
 }
 
+/// `conj-grad` system size, shared by the basic and fused versions.
+fn conj_grad_size(c: ProblemClass) -> usize {
+    c.pow2(128)
+}
+
 /// `conj-grad`.
-pub fn conj_grad(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn conj_grad(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::conj_grad as cg;
-    let n = match size {
-        Size::Small => 128,
-        Size::Medium => 4096,
-        Size::Large => 1 << 16,
-        Size::Class(c) => c.pow2(128),
-    };
+    let n = conj_grad_size(c);
     let sys = cg::workload(ctx, n);
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match cg::cg_solve_checkpointed(ctx, &sys, 1e-11, 10 * n, every, MAX_RESTORES) {
-            Ok((out, stats)) => RunOutput {
-                problem: format!("n={n}, d (ck={every}, restores={})", stats.restores),
-                verify: cg::verify(&sys, &out.x, 1e-8),
-                points: n as u64,
-                iterations: out.iterations as u64,
-            },
-            Err(e) => recovery_failed(format!("n={n}, d"), e, n as u64),
-        };
+    let problem = format!("n={n}, d");
+    if let Some(out) = checkpointed(ctx, &problem, n as u64, |every| {
+        let (out, stats) =
+            cg::cg_solve_checkpointed(ctx, &sys, 1e-11, 10 * n, every, MAX_RESTORES)?;
+        Ok((cg::verify(&sys, &out.x, 1e-8), out.iterations as u64, stats))
+    }) {
+        return out;
     }
     let out = cg::cg_solve(ctx, &sys, 1e-11, 10 * n);
     RunOutput {
-        problem: format!("n={n}, d"),
+        problem,
         verify: cg::verify(&sys, &out.x, 1e-8),
         points: n as u64,
         iterations: out.iterations as u64,
@@ -212,14 +197,9 @@ pub fn conj_grad(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `conj-grad`, optimized (fused-kernel) version.
-pub fn conj_grad_optimized(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn conj_grad_optimized(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::conj_grad as cg;
-    let n = match size {
-        Size::Small => 128,
-        Size::Medium => 4096,
-        Size::Large => 1 << 16,
-        Size::Class(c) => c.pow2(128),
-    };
+    let n = conj_grad_size(c);
     let sys = cg::workload(ctx, n);
     let out = cg::cg_solve_optimized(ctx, &sys, 1e-11, 10 * n);
     RunOutput {
@@ -231,30 +211,20 @@ pub fn conj_grad_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `jacobi`.
-pub fn jacobi(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn jacobi(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::jacobi as jc;
-    let n = match size {
-        Size::Small => 8,
-        Size::Medium => 24,
-        Size::Large => 48,
-        Size::Class(c) => c.linear(8),
-    };
+    let n = c.linear(8);
     let a = jc::workload(ctx, n);
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match jc::jacobi_eigen_checkpointed(ctx, &a, 1e-11, 40, every, MAX_RESTORES) {
-            Ok((out, stats)) => RunOutput {
-                problem: format!("n={n}, d (ck={every}, restores={})", stats.restores),
-                verify: jc::verify(&a, &out, 1e-7),
-                points: (n * n) as u64,
-                iterations: out.iterations as u64,
-            },
-            Err(e) => recovery_failed(format!("n={n}, d"), e, (n * n) as u64),
-        };
+    let problem = format!("n={n}, d");
+    if let Some(out) = checkpointed(ctx, &problem, (n * n) as u64, |every| {
+        let (out, stats) = jc::jacobi_eigen_checkpointed(ctx, &a, 1e-11, 40, every, MAX_RESTORES)?;
+        Ok((jc::verify(&a, &out, 1e-7), out.iterations as u64, stats))
+    }) {
+        return out;
     }
     let out = jc::jacobi_eigen(ctx, &a, 1e-11, 40);
     RunOutput {
-        problem: format!("n={n}, d"),
+        problem,
         verify: jc::verify(&a, &out, 1e-7),
         points: (n * n) as u64,
         iterations: out.iterations as u64,
@@ -262,20 +232,15 @@ pub fn jacobi(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `fft` — 1-D, 2-D and 3-D round trips (Table 4's three rows).
-pub fn fft(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn fft(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::fft_bench as fb;
-    let shapes: [Vec<usize>; 3] = match size {
-        Size::Small => [vec![256], vec![16, 16], vec![8, 8, 8]],
-        Size::Medium => [vec![1 << 16], vec![256, 256], vec![32, 32, 32]],
-        Size::Large => [vec![1 << 20], vec![1024, 1024], vec![64, 64, 64]],
-        // Scale the leading axis only: every dimension stays a power of
-        // two and the 3-D round trip grows geometrically, not cubed.
-        Size::Class(c) => [
-            vec![c.pow2(256)],
-            vec![c.pow2(16), 16],
-            vec![c.pow2(8), 8, 8],
-        ],
-    };
+    // Scale the leading axis only: every dimension stays a power of two
+    // and the 3-D round trip grows geometrically, not cubed.
+    let shapes: [Vec<usize>; 3] = [
+        vec![c.pow2(256)],
+        vec![c.pow2(16), 16],
+        vec![c.pow2(8), 8, 8],
+    ];
     let mut worst = Verify::NotApplicable;
     let mut points = 0u64;
     for shape in &shapes {
@@ -302,28 +267,13 @@ pub fn fft(ctx: &Ctx, size: Size) -> RunOutput {
 // ------------------------------------------------------------------ apps
 
 /// `boson`.
-pub fn boson(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn boson(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::boson as b;
-    let p = match size {
-        Size::Small => b::Params {
-            nt: 4,
-            nx: 8,
-            sweeps: 3,
-            ..Default::default()
-        },
-        Size::Medium => b::Params::default(),
-        Size::Large => b::Params {
-            nt: 16,
-            nx: 32,
-            sweeps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => b::Params {
-            nt: c.pow2(4),
-            nx: c.pow2(8),
-            sweeps: c.linear(3),
-            ..Default::default()
-        },
+    let p = b::Params {
+        nt: c.pow2(4),
+        nx: c.pow2(8),
+        sweeps: c.linear(3),
+        ..Default::default()
     };
     let (_, verify) = b::run(ctx, &p);
     RunOutput {
@@ -335,170 +285,89 @@ pub fn boson(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `diff-1D`.
-pub fn diff_1d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn diff_1d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::diff_1d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            nx: 64,
-            steps: 4,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            nx: 1 << 16,
-            steps: 16,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            nx: c.pow2(64),
-            steps: c.linear(4),
-            ..Default::default()
-        },
+    let p = d::Params {
+        nx: c.pow2(64),
+        steps: c.linear(4),
+        ..Default::default()
     };
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match d::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
-            Ok((_, verify, stats)) => RunOutput {
-                problem: format!(
-                    "nx={}, steps={} (ck={every}, restores={})",
-                    p.nx, p.steps, stats.restores
-                ),
-                verify,
-                points: p.nx as u64,
-                iterations: p.steps as u64,
-            },
-            Err(e) => recovery_failed(format!("nx={}, steps={}", p.nx, p.steps), e, p.nx as u64),
-        };
+    let problem = format!("nx={}, steps={}", p.nx, p.steps);
+    let points = p.nx as u64;
+    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
+        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
+        Ok((verify, p.steps as u64, stats))
+    }) {
+        return out;
     }
     let (_, verify) = d::run(ctx, &p);
     RunOutput {
-        problem: format!("nx={}, steps={}", p.nx, p.steps),
+        problem,
         verify,
-        points: p.nx as u64,
+        points,
         iterations: p.steps as u64,
     }
 }
 
 /// `diff-2D`.
-pub fn diff_2d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn diff_2d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::diff_2d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            nx: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            nx: 512,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            nx: c.linear(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
+    let p = d::Params {
+        nx: c.linear(16),
+        steps: c.linear(3),
+        ..Default::default()
     };
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match d::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
-            Ok((_, verify, stats)) => RunOutput {
-                problem: format!(
-                    "nx={}, steps={} (ck={every}, restores={})",
-                    p.nx, p.steps, stats.restores
-                ),
-                verify,
-                points: (p.nx * p.nx) as u64,
-                iterations: p.steps as u64,
-            },
-            Err(e) => recovery_failed(
-                format!("nx={}, steps={}", p.nx, p.steps),
-                e,
-                (p.nx * p.nx) as u64,
-            ),
-        };
+    let problem = format!("nx={}, steps={}", p.nx, p.steps);
+    let points = (p.nx * p.nx) as u64;
+    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
+        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
+        Ok((verify, p.steps as u64, stats))
+    }) {
+        return out;
     }
     let (_, verify) = d::run(ctx, &p);
     RunOutput {
-        problem: format!("nx={}, steps={}", p.nx, p.steps),
+        problem,
         verify,
-        points: (p.nx * p.nx) as u64,
+        points,
         iterations: p.steps as u64,
     }
 }
 
+/// `diff-3D` parameters, shared by the basic and fused versions.
+fn diff_3d_params(c: ProblemClass) -> dpf_apps::diff_3d::Params {
+    dpf_apps::diff_3d::Params {
+        n: c.linear(8),
+        steps: c.linear(3),
+        ..Default::default()
+    }
+}
+
 /// `diff-3D`.
-pub fn diff_3d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn diff_3d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::diff_3d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            n: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            n: 96,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            n: c.linear(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match d::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
-            Ok((_, verify, stats)) => RunOutput {
-                problem: format!(
-                    "n={}, steps={} (ck={every}, restores={})",
-                    p.n, p.steps, stats.restores
-                ),
-                verify,
-                points: (p.n * p.n * p.n) as u64,
-                iterations: p.steps as u64,
-            },
-            Err(e) => recovery_failed(
-                format!("n={}, steps={}", p.n, p.steps),
-                e,
-                (p.n * p.n * p.n) as u64,
-            ),
-        };
+    let p = diff_3d_params(c);
+    let problem = format!("n={}, steps={}", p.n, p.steps);
+    let points = (p.n * p.n * p.n) as u64;
+    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
+        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
+        Ok((verify, p.steps as u64, stats))
+    }) {
+        return out;
     }
     let (_, verify) = d::run(ctx, &p);
     RunOutput {
-        problem: format!("n={}, steps={}", p.n, p.steps),
+        problem,
         verify,
-        points: (p.n * p.n * p.n) as u64,
+        points,
         iterations: p.steps as u64,
     }
 }
 
 /// `diff-3D`, optimized (fused node-level kernel) version.
-pub fn diff_3d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
-    use dpf_apps::diff_3d as d;
-    let p = match size {
-        Size::Small => d::Params {
-            n: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => d::Params::default(),
-        Size::Large => d::Params {
-            n: 96,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => d::Params {
-            n: c.linear(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
-    let (_, verify) = d::run_optimized(ctx, &p);
+pub fn diff_3d_optimized(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let p = diff_3d_params(c);
+    let (_, verify) = dpf_apps::diff_3d::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={} (fused)", p.n, p.steps),
         verify,
@@ -508,23 +377,11 @@ pub fn diff_3d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `ellip-2D`.
-pub fn ellip_2d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn ellip_2d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::ellip_2d as e;
-    let p = match size {
-        Size::Small => e::Params {
-            n: 16,
-            ..Default::default()
-        },
-        Size::Medium => e::Params::default(),
-        Size::Large => e::Params {
-            n: 192,
-            max_iter: 4000,
-            ..Default::default()
-        },
-        Size::Class(c) => e::Params {
-            n: c.linear(16),
-            ..Default::default()
-        },
+    let p = e::Params {
+        n: c.linear(16),
+        ..Default::default()
     };
     let (_, iters, verify) = e::run(ctx, &p);
     RunOutput {
@@ -536,24 +393,12 @@ pub fn ellip_2d(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `fem-3D`.
-pub fn fem_3d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn fem_3d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::fem_3d as f;
-    let p = match size {
-        Size::Small => f::Params {
-            nv_side: 4,
-            ..Default::default()
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            nv_side: 14,
-            max_iter: 1500,
-            ..Default::default()
-        },
-        Size::Class(c) => f::Params {
-            nv_side: c.linear(4),
-            max_iter: c.linear(500),
-            ..Default::default()
-        },
+    let p = f::Params {
+        nv_side: c.linear(4),
+        max_iter: c.linear(500),
+        ..Default::default()
     };
     let (_, iters, verify) = f::run(ctx, &p);
     RunOutput {
@@ -564,28 +409,19 @@ pub fn fem_3d(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `fermion` parameters, shared by the basic and parallel versions.
+fn fermion_params(c: ProblemClass) -> dpf_apps::fermion::Params {
+    dpf_apps::fermion::Params {
+        sites: c.pow2(16),
+        l: c.linear(4),
+        chain: c.linear(2),
+    }
+}
+
 /// `fermion`.
-pub fn fermion(ctx: &Ctx, size: Size) -> RunOutput {
-    use dpf_apps::fermion as f;
-    let p = match size {
-        Size::Small => f::Params {
-            sites: 16,
-            l: 4,
-            chain: 2,
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            sites: 1024,
-            l: 12,
-            chain: 8,
-        },
-        Size::Class(c) => f::Params {
-            sites: c.pow2(16),
-            l: c.linear(4),
-            chain: c.linear(2),
-        },
-    };
-    let (_, verify) = f::run(ctx, &p);
+pub fn fermion(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let p = fermion_params(c);
+    let (_, verify) = dpf_apps::fermion::run(ctx, &p);
     RunOutput {
         problem: format!("sites={}, l={}, chain={}", p.sites, p.l, p.chain),
         verify,
@@ -595,27 +431,9 @@ pub fn fermion(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `fermion`, optimized (rayon + pre-resolved indirection) version.
-pub fn fermion_optimized(ctx: &Ctx, size: Size) -> RunOutput {
-    use dpf_apps::fermion as f;
-    let p = match size {
-        Size::Small => f::Params {
-            sites: 16,
-            l: 4,
-            chain: 2,
-        },
-        Size::Medium => f::Params::default(),
-        Size::Large => f::Params {
-            sites: 1024,
-            l: 12,
-            chain: 8,
-        },
-        Size::Class(c) => f::Params {
-            sites: c.pow2(16),
-            l: c.linear(4),
-            chain: c.linear(2),
-        },
-    };
-    let (_, verify) = f::run_optimized(ctx, &p);
+pub fn fermion_optimized(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    let p = fermion_params(c);
+    let (_, verify) = dpf_apps::fermion::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("sites={}, l={}, chain={} (par)", p.sites, p.l, p.chain),
         verify,
@@ -625,28 +443,13 @@ pub fn fermion_optimized(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `gmo`.
-pub fn gmo(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn gmo(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::gmo as g;
-    let p = match size {
-        Size::Small => g::Params {
-            ns: 64,
-            ntr: 16,
-            t0: 20.0,
-            ..Default::default()
-        },
-        Size::Medium => g::Params::default(),
-        Size::Large => g::Params {
-            ns: 2048,
-            ntr: 512,
-            t0: 512.0,
-            ..Default::default()
-        },
-        Size::Class(c) => g::Params {
-            ns: c.pow2(64),
-            ntr: c.pow2(16),
-            t0: c.pow2(20) as f64,
-            ..Default::default()
-        },
+    let p = g::Params {
+        ns: c.pow2(64),
+        ntr: c.pow2(16),
+        t0: c.pow2(20) as f64,
+        ..Default::default()
     };
     let (_, verify) = g::run(ctx, &p);
     RunOutput {
@@ -658,28 +461,13 @@ pub fn gmo(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `ks-spectral`.
-pub fn ks_spectral(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn ks_spectral(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::ks_spectral as k;
-    let p = match size {
-        Size::Small => k::Params {
-            ne: 2,
-            nx: 32,
-            steps: 5,
-            ..Default::default()
-        },
-        Size::Medium => k::Params::default(),
-        Size::Large => k::Params {
-            ne: 8,
-            nx: 512,
-            steps: 50,
-            ..Default::default()
-        },
-        Size::Class(c) => k::Params {
-            ne: c.linear(2),
-            nx: c.pow2(32),
-            steps: c.linear(5),
-            ..Default::default()
-        },
+    let p = k::Params {
+        ne: c.linear(2),
+        nx: c.pow2(32),
+        steps: c.linear(5),
+        ..Default::default()
     };
     let (_, verify) = k::run(ctx, &p);
     RunOutput {
@@ -691,78 +479,37 @@ pub fn ks_spectral(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `md`.
-pub fn md(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn md(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::md as m;
-    let p = match size {
-        Size::Small => m::Params {
-            side: 2,
-            steps: 5,
-            ..Default::default()
-        },
-        Size::Medium => m::Params::default(),
-        Size::Large => m::Params {
-            side: 6,
-            steps: 20,
-            ..Default::default()
-        },
-        Size::Class(c) => m::Params {
-            side: c.linear(2),
-            steps: c.linear(5),
-            ..Default::default()
-        },
+    let p = m::Params {
+        side: c.linear(2),
+        steps: c.linear(5),
+        ..Default::default()
     };
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match m::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
-            Ok((_, verify, stats)) => RunOutput {
-                problem: format!(
-                    "np={}, steps={} (ck={every}, restores={})",
-                    p.side.pow(3),
-                    p.steps,
-                    stats.restores
-                ),
-                verify,
-                points: p.side.pow(3) as u64,
-                iterations: p.steps as u64,
-            },
-            Err(e) => recovery_failed(
-                format!("np={}, steps={}", p.side.pow(3), p.steps),
-                e,
-                p.side.pow(3) as u64,
-            ),
-        };
+    let problem = format!("np={}, steps={}", p.side.pow(3), p.steps);
+    let points = p.side.pow(3) as u64;
+    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
+        let (_, verify, stats) = m::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
+        Ok((verify, p.steps as u64, stats))
+    }) {
+        return out;
     }
     let (_, verify) = m::run(ctx, &p);
     RunOutput {
-        problem: format!("np={}, steps={}", p.side.pow(3), p.steps),
+        problem,
         verify,
-        points: p.side.pow(3) as u64,
+        points,
         iterations: p.steps as u64,
     }
 }
 
 /// `mdcell`.
-pub fn mdcell(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn mdcell(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::mdcell as m;
-    let p = match size {
-        Size::Small => m::Params {
-            nc: 3,
-            steps: 2,
-            ..Default::default()
-        },
-        Size::Medium => m::Params::default(),
-        Size::Large => m::Params {
-            nc: 8,
-            cap: 8,
-            fill: 3.0,
-            steps: 8,
-            ..Default::default()
-        },
-        Size::Class(c) => m::Params {
-            nc: c.linear(3),
-            steps: c.linear(2),
-            ..Default::default()
-        },
+    let p = m::Params {
+        nc: c.linear(3),
+        steps: c.linear(2),
+        ..Default::default()
     };
     let (_, verify) = m::run(ctx, &p);
     RunOutput {
@@ -774,23 +521,18 @@ pub fn mdcell(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `n-body`, basic (broadcast) version.
-pub fn n_body_broadcast(ctx: &Ctx, size: Size) -> RunOutput {
-    n_body_impl(ctx, size, dpf_apps::n_body::Variant::Broadcast)
+pub fn n_body_broadcast(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    n_body_impl(ctx, c, dpf_apps::n_body::Variant::Broadcast)
 }
 
 /// `n-body`, optimized (cshift with symmetry) version.
-pub fn n_body_symmetry(ctx: &Ctx, size: Size) -> RunOutput {
-    n_body_impl(ctx, size, dpf_apps::n_body::Variant::CshiftSymmetry)
+pub fn n_body_symmetry(ctx: &Ctx, c: ProblemClass) -> RunOutput {
+    n_body_impl(ctx, c, dpf_apps::n_body::Variant::CshiftSymmetry)
 }
 
-fn n_body_impl(ctx: &Ctx, size: Size, variant: dpf_apps::n_body::Variant) -> RunOutput {
+fn n_body_impl(ctx: &Ctx, c: ProblemClass, variant: dpf_apps::n_body::Variant) -> RunOutput {
     use dpf_apps::n_body as nb;
-    let n = match size {
-        Size::Small => 24,
-        Size::Medium => 128,
-        Size::Large => 512,
-        Size::Class(c) => c.pow2(24),
-    };
+    let n = c.pow2(24);
     let p = nb::Params { n, eps2: 1e-2 };
     let (_, _, verify) = nb::run(ctx, &p, variant);
     RunOutput {
@@ -802,28 +544,13 @@ fn n_body_impl(ctx: &Ctx, size: Size, variant: dpf_apps::n_body::Variant) -> Run
 }
 
 /// `pic-simple`.
-pub fn pic_simple(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn pic_simple(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::pic_simple as p;
-    let pars = match size {
-        Size::Small => p::Params {
-            np: 128,
-            ng: 8,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => p::Params::default(),
-        Size::Large => p::Params {
-            np: 1 << 14,
-            ng: 128,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Class(c) => p::Params {
-            np: c.pow2(128),
-            ng: c.pow2(8),
-            steps: c.linear(3),
-            ..Default::default()
-        },
+    let pars = p::Params {
+        np: c.pow2(128),
+        ng: c.pow2(8),
+        steps: c.linear(3),
+        ..Default::default()
     };
     let (_, verify) = p::run(ctx, &pars);
     RunOutput {
@@ -835,25 +562,12 @@ pub fn pic_simple(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `pic-gather-scatter`.
-pub fn pic_gather_scatter(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn pic_gather_scatter(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::pic_gather_scatter as p;
-    let pars = match size {
-        Size::Small => p::Params {
-            np: 128,
-            ng: 4,
-            steps: 2,
-        },
-        Size::Medium => p::Params::default(),
-        Size::Large => p::Params {
-            np: 1 << 16,
-            ng: 16,
-            steps: 8,
-        },
-        Size::Class(c) => p::Params {
-            np: c.pow2(128),
-            ng: c.linear(4),
-            steps: c.linear(2),
-        },
+    let pars = p::Params {
+        np: c.pow2(128),
+        ng: c.linear(4),
+        steps: c.linear(2),
     };
     let (_, verify) = p::run(ctx, &pars);
     RunOutput {
@@ -865,24 +579,12 @@ pub fn pic_gather_scatter(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `qcd-kernel`.
-pub fn qcd_kernel(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn qcd_kernel(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::qcd_kernel as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n: 2,
-            ..Default::default()
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n: 6,
-            max_iter: 400,
-            ..Default::default()
-        },
-        Size::Class(c) => q::Params {
-            n: c.linear(2),
-            max_iter: c.linear(200),
-            ..Default::default()
-        },
+    let p = q::Params {
+        n: c.linear(2),
+        max_iter: c.linear(200),
+        ..Default::default()
     };
     let (_, iters, verify) = q::run(ctx, &p);
     RunOutput {
@@ -894,25 +596,12 @@ pub fn qcd_kernel(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `qmc`.
-pub fn qmc(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn qmc(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::qmc as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n_walkers: 512,
-            blocks: 12,
-            ..Default::default()
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n_walkers: 8192,
-            blocks: 60,
-            ..Default::default()
-        },
-        Size::Class(c) => q::Params {
-            n_walkers: c.pow2(512),
-            blocks: c.linear(12),
-            ..Default::default()
-        },
+    let p = q::Params {
+        n_walkers: c.pow2(512),
+        blocks: c.linear(12),
+        ..Default::default()
     };
     let blocks = p.blocks;
     let walkers = p.n_walkers;
@@ -926,28 +615,13 @@ pub fn qmc(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `qptransport`.
-pub fn qptransport(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn qptransport(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::qptransport as q;
-    let p = match size {
-        Size::Small => q::Params {
-            n_src: 8,
-            n_dst: 6,
-            n_edges: 64,
-            iters: 40,
-        },
-        Size::Medium => q::Params::default(),
-        Size::Large => q::Params {
-            n_src: 128,
-            n_dst: 96,
-            n_edges: 1 << 14,
-            iters: 120,
-        },
-        Size::Class(c) => q::Params {
-            n_src: c.linear(8),
-            n_dst: c.linear(6),
-            n_edges: c.pow2(64),
-            iters: c.linear(40),
-        },
+    let p = q::Params {
+        n_src: c.linear(8),
+        n_dst: c.linear(6),
+        n_edges: c.pow2(64),
+        iters: c.linear(40),
     };
     let iters = p.iters;
     let edges = p.n_edges;
@@ -961,25 +635,12 @@ pub fn qptransport(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `rp`.
-pub fn rp(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn rp(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::rp as r;
-    let p = match size {
-        Size::Small => r::Params {
-            n: 6,
-            max_iter: 200,
-            ..Default::default()
-        },
-        Size::Medium => r::Params::default(),
-        Size::Large => r::Params {
-            n: 32,
-            max_iter: 1500,
-            ..Default::default()
-        },
-        Size::Class(c) => r::Params {
-            n: c.linear(6),
-            max_iter: c.linear(200),
-            ..Default::default()
-        },
+    let p = r::Params {
+        n: c.linear(6),
+        max_iter: c.linear(200),
+        ..Default::default()
     };
     let (_, iters, verify) = r::run(ctx, &p);
     RunOutput {
@@ -990,27 +651,19 @@ pub fn rp(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `step4` parameters, shared by the basic and fused versions.
+fn step4_params(c: ProblemClass) -> dpf_apps::step4::Params {
+    dpf_apps::step4::Params {
+        n: c.pow2(16),
+        steps: c.linear(3),
+        ..Default::default()
+    }
+}
+
 /// `step4`.
-pub fn step4(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn step4(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::step4 as s;
-    let p = match size {
-        Size::Small => s::Params {
-            n: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => s::Params::default(),
-        Size::Large => s::Params {
-            n: 256,
-            steps: 30,
-            ..Default::default()
-        },
-        Size::Class(c) => s::Params {
-            n: c.pow2(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = step4_params(c);
     let (_, verify) = s::run(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={}", p.n, p.steps),
@@ -1021,26 +674,9 @@ pub fn step4(ctx: &Ctx, size: Size) -> RunOutput {
 }
 
 /// `step4`, optimized (fused C/DPEAC-style kernel) version.
-pub fn step4_optimized(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn step4_optimized(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::step4 as s4;
-    let p = match size {
-        Size::Small => s4::Params {
-            n: 16,
-            steps: 3,
-            ..Default::default()
-        },
-        Size::Medium => s4::Params::default(),
-        Size::Large => s4::Params {
-            n: 256,
-            steps: 30,
-            ..Default::default()
-        },
-        Size::Class(c) => s4::Params {
-            n: c.pow2(16),
-            steps: c.linear(3),
-            ..Default::default()
-        },
-    };
+    let p = step4_params(c);
     let (_, verify) = s4::run_optimized(ctx, &p);
     RunOutput {
         problem: format!("n={}, steps={} (fused)", p.n, p.steps),
@@ -1050,72 +686,40 @@ pub fn step4_optimized(ctx: &Ctx, size: Size) -> RunOutput {
     }
 }
 
+/// `wave-1D` parameters, shared by the basic and fused versions.
+fn wave_1d_params(c: ProblemClass) -> dpf_apps::wave_1d::Params {
+    dpf_apps::wave_1d::Params {
+        nx: c.pow2(64),
+        steps: c.linear(10),
+        ..Default::default()
+    }
+}
+
 /// `wave-1D`.
-pub fn wave_1d(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn wave_1d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::wave_1d as w;
-    let p = match size {
-        Size::Small => w::Params {
-            nx: 64,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Medium => w::Params::default(),
-        Size::Large => w::Params {
-            nx: 1 << 14,
-            steps: 100,
-            ..Default::default()
-        },
-        Size::Class(c) => w::Params {
-            nx: c.pow2(64),
-            steps: c.linear(10),
-            ..Default::default()
-        },
-    };
-    let every = ctx.faults.checkpoint_every();
-    if every > 0 {
-        return match w::run_checkpointed(ctx, &p, every, MAX_RESTORES) {
-            Ok((_, verify, stats)) => RunOutput {
-                problem: format!(
-                    "nx={}, steps={} (ck={every}, restores={})",
-                    p.nx, p.steps, stats.restores
-                ),
-                verify,
-                points: p.nx as u64,
-                iterations: p.steps as u64,
-            },
-            Err(e) => recovery_failed(format!("nx={}, steps={}", p.nx, p.steps), e, p.nx as u64),
-        };
+    let p = wave_1d_params(c);
+    let problem = format!("nx={}, steps={}", p.nx, p.steps);
+    let points = p.nx as u64;
+    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
+        let (_, verify, stats) = w::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
+        Ok((verify, p.steps as u64, stats))
+    }) {
+        return out;
     }
     let (_, verify) = w::run(ctx, &p);
     RunOutput {
-        problem: format!("nx={}, steps={}", p.nx, p.steps),
+        problem,
         verify,
-        points: p.nx as u64,
+        points,
         iterations: p.steps as u64,
     }
 }
 
 /// `wave-1D`, optimized (fused flux kernel) version.
-pub fn wave_1d_optimized(ctx: &Ctx, size: Size) -> RunOutput {
+pub fn wave_1d_optimized(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::wave_1d as w;
-    let p = match size {
-        Size::Small => w::Params {
-            nx: 64,
-            steps: 10,
-            ..Default::default()
-        },
-        Size::Medium => w::Params::default(),
-        Size::Large => w::Params {
-            nx: 1 << 14,
-            steps: 100,
-            ..Default::default()
-        },
-        Size::Class(c) => w::Params {
-            nx: c.pow2(64),
-            steps: c.linear(10),
-            ..Default::default()
-        },
-    };
+    let p = wave_1d_params(c);
     let mut st = w::workload(ctx, &p);
     for _ in 0..p.steps {
         w::step_optimized(ctx, &p, &mut st);
@@ -1152,7 +756,7 @@ mod tests {
     #[test]
     fn every_linalg_runner_verifies_small() {
         #[allow(clippy::type_complexity)]
-        let runners: [(&str, fn(&Ctx, Size) -> RunOutput); 9] = [
+        let runners: [(&str, fn(&Ctx, ProblemClass) -> RunOutput); 9] = [
             ("matvec-basic", matvec_basic),
             ("matvec-library", matvec_library),
             ("lu", lu),
@@ -1165,7 +769,7 @@ mod tests {
         ];
         for (name, f) in runners {
             let ctx = Ctx::new(Machine::cm5(8));
-            let out = f(&ctx, Size::Small);
+            let out = f(&ctx, ProblemClass::S);
             assert!(out.verify.is_pass(), "{name}: {}", out.verify);
             assert!(out.points > 0);
         }
@@ -1175,7 +779,7 @@ mod tests {
     fn pcr_variants_all_verify() {
         for f in [pcr_1d, pcr_2d, pcr_3d] {
             let ctx = Ctx::new(Machine::cm5(8));
-            assert!(f(&ctx, Size::Small).verify.is_pass());
+            assert!(f(&ctx, ProblemClass::S).verify.is_pass());
         }
     }
 
@@ -1183,7 +787,7 @@ mod tests {
     fn n_body_variants_verify() {
         for f in [n_body_broadcast, n_body_symmetry] {
             let ctx = Ctx::new(Machine::cm5(8));
-            assert!(f(&ctx, Size::Small).verify.is_pass());
+            assert!(f(&ctx, ProblemClass::S).verify.is_pass());
         }
     }
 }

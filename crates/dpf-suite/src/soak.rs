@@ -12,7 +12,7 @@
 
 use dpf_core::derive_seed;
 
-use crate::benchmark::Version;
+use crate::benchmark::{Size, Version};
 use crate::harness::{run_guarded, RunOutcome, SuiteConfig, SuiteRow};
 use crate::registry::registry;
 
@@ -39,7 +39,7 @@ fn below(state: &mut u64, n: u64) -> u64 {
 }
 
 /// Collectives eligible for a scheduled kill. Early collectives are the
-/// ones every benchmark reaches regardless of size tier, so kills drawn
+/// ones every benchmark reaches regardless of problem class, so kills drawn
 /// from this range actually fire instead of silently outliving the run.
 const KILL_COLLECTIVE_RANGE: u64 = 24;
 
@@ -133,10 +133,10 @@ impl SoakReport {
     pub fn summary(&self) -> String {
         use std::fmt::Write as _;
         let mut s = String::new();
-        let size = self.config.base.size.label();
+        let Size::Class(class) = self.config.base.size;
         let _ = writeln!(
             s,
-            "dpf soak: {} iteration(s), seed {}, kill-rate {}, backend {}, size {size}, {} benchmarks",
+            "dpf soak: {} iteration(s), seed {}, kill-rate {}, backend {}, size {class}, {} benchmarks",
             self.config.iterations,
             self.config.seed,
             self.config.kill_rate,

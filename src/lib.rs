@@ -25,11 +25,12 @@
 //!
 //! ```
 //! use dpf::core::{Ctx, Machine};
-//! use dpf::suite::{find, run_basic, Size};
+//! use dpf::suite::{find, run_basic, ProblemClass};
 //!
-//! // Run the conjugate-gradient benchmark on a 32-processor virtual CM-5.
+//! // Run the conjugate-gradient benchmark at class S on a 32-processor
+//! // virtual CM-5.
 //! let entry = find("conj-grad").unwrap();
-//! let result = run_basic(&entry, &Machine::cm5(32), Size::Small);
+//! let result = run_basic(&entry, &Machine::cm5(32), ProblemClass::S);
 //! assert!(result.report.verify.is_pass());
 //! println!("{}", result.report);
 //! # let _ = Ctx::host();
@@ -50,6 +51,6 @@ pub use dpf_core::{
 };
 pub use dpf_suite::{
     find, registry, run, run_basic, run_campaign, run_guarded, run_on, run_soak, run_suite,
-    CampaignReport, CampaignSpec, ExecMode, ProblemClass, RunOutcome, Size, SoakConfig,
-    SuiteConfig, SuiteReport, Version,
+    CampaignReport, CampaignSpec, ExecMode, ProblemClass, RunOutcome, SoakConfig, SuiteConfig,
+    SuiteReport, Version,
 };

@@ -1,6 +1,6 @@
 //! Scaling invariants for the NAS-style problem classes.
 //!
-//! Every registry entry accepts `Size::Class(c)` and scales its problem
+//! Every registry entry takes a [`ProblemClass`] and scales its problem
 //! from the class descriptor. These tests pin the properties the campaign
 //! tables rely on:
 //!
@@ -12,7 +12,7 @@
 
 use std::collections::BTreeSet;
 
-use dpf::suite::{registry, run_basic, Size};
+use dpf::suite::{registry, run_basic};
 use dpf::{Machine, ProblemClass};
 
 fn machine() -> Machine {
@@ -25,7 +25,7 @@ fn memory_grows_strictly_with_class() {
     for entry in registry() {
         let mut prev = 0u64;
         for class in [ProblemClass::S, ProblemClass::W, ProblemClass::A] {
-            let res = run_basic(&entry, &machine, Size::Class(class));
+            let res = run_basic(&entry, &machine, class);
             assert!(
                 res.report.verify.is_pass(),
                 "{} failed verification at class {class}",
@@ -52,7 +52,7 @@ fn class_s_flops_are_nonzero_where_tabulated() {
         if entry.flops_formula.starts_with("0 (") {
             continue;
         }
-        let res = run_basic(&entry, &machine, Size::Class(ProblemClass::S));
+        let res = run_basic(&entry, &machine, ProblemClass::S);
         assert!(
             res.report.perf.flops > 0,
             "{}: class S recorded zero flops but the paper tabulates {}",
@@ -67,7 +67,7 @@ fn comm_inventory_is_class_invariant() {
     let machine = machine();
     for entry in registry() {
         let keys = |class: ProblemClass| -> BTreeSet<String> {
-            run_basic(&entry, &machine, Size::Class(class))
+            run_basic(&entry, &machine, class)
                 .report
                 .comm
                 .keys()
@@ -81,24 +81,5 @@ fn comm_inventory_is_class_invariant() {
             "{}: communication inventory changed between class S and W",
             entry.name
         );
-    }
-}
-
-#[test]
-fn class_s_matches_legacy_small_exactly() {
-    // Class S is defined to be the legacy Small problem parameter for
-    // parameter; the recorded metrics must agree exactly.
-    let machine = machine();
-    for entry in registry() {
-        let small = run_basic(&entry, &machine, Size::Small);
-        let class_s = run_basic(&entry, &machine, Size::Class(ProblemClass::S));
-        assert_eq!(
-            small.report.problem, class_s.report.problem,
-            "{}: class S solves a different problem than legacy Small",
-            entry.name
-        );
-        assert_eq!(small.report.perf.flops, class_s.report.perf.flops);
-        assert_eq!(small.report.memory_bytes, class_s.report.memory_bytes);
-        assert_eq!(small.report.comm, class_s.report.comm);
     }
 }

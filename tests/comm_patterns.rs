@@ -5,13 +5,13 @@
 use std::collections::BTreeSet;
 
 use dpf::core::{CommPattern, Machine};
-use dpf::suite::{registry, run_basic, Size};
+use dpf::suite::{registry, run_basic, ProblemClass};
 
 #[test]
 fn measured_patterns_cover_the_declared_set() {
     let machine = Machine::cm5(8);
     for entry in registry() {
-        let res = run_basic(&entry, &machine, Size::Small);
+        let res = run_basic(&entry, &machine, ProblemClass::S);
         let measured: BTreeSet<CommPattern> = res.report.comm.keys().map(|k| k.pattern).collect();
         for want in entry.patterns {
             assert!(
@@ -30,7 +30,7 @@ fn embarrassingly_parallel_codes_record_no_communication() {
     let machine = Machine::cm5(8);
     for name in ["gmo", "fermion"] {
         let entry = dpf::suite::find(name).unwrap();
-        let res = run_basic(&entry, &machine, Size::Small);
+        let res = run_basic(&entry, &machine, ProblemClass::S);
         assert!(
             res.report.comm.is_empty(),
             "{name} recorded communication: {:?}",
@@ -45,7 +45,7 @@ fn stencil_codes_do_not_leak_constituent_shifts() {
     // stencil must be recorded once per step with its internal shifts
     // suppressed.
     let entry = dpf::suite::find("diff-3D").unwrap();
-    let res = run_basic(&entry, &Machine::cm5(8), Size::Small);
+    let res = run_basic(&entry, &Machine::cm5(8), ProblemClass::S);
     let stencils = res
         .report
         .comm
@@ -68,7 +68,7 @@ fn aapc_rank_classification_matches_transpose() {
     // Table 3 classifies the fft AAPC by rank; the transpose benchmark's
     // AAPC must be recorded as 2-D to 2-D.
     let entry = dpf::suite::find("transpose").unwrap();
-    let res = run_basic(&entry, &Machine::cm5(8), Size::Small);
+    let res = run_basic(&entry, &Machine::cm5(8), ProblemClass::S);
     for key in res.report.comm.keys() {
         assert_eq!(key.pattern, CommPattern::Aapc);
         assert_eq!((key.src_rank, key.dst_rank), (2, 2));
@@ -87,7 +87,7 @@ fn table6_comm_counts_for_fixed_count_codes() {
     ];
     for (name, pattern, per_iter) in cases {
         let entry = dpf::suite::find(name).unwrap();
-        let res = run_basic(&entry, &machine, Size::Small);
+        let res = run_basic(&entry, &machine, ProblemClass::S);
         let calls: u64 = res
             .report
             .comm
