@@ -15,7 +15,9 @@
 //! * [`pull_exec`] — owner-computes-output: each worker maps its output
 //!   flats to source flats, requests the off-block ones from their owners
 //!   (`Req` round) and receives the values (`Vals` round). Used by the
-//!   shifts, spread/broadcast, gather/get/gather_nd and transpose.
+//!   shifts, spread/broadcast, gather/get/gather_nd and transpose; the
+//!   stencil halo exchange shares its request/reply half
+//!   ([`pull_remote`]).
 //! * [`route_exec`] — owner-computes-source: each worker routes
 //!   `(src_flat, dst_flat, value)` triples to the destination owners; the
 //!   receiver sorts by source flat before applying, which reproduces the
@@ -28,6 +30,31 @@
 //! * [`axis_exec`] — a per-lane pipeline along one axis: lane accumulators
 //!   are carried from each axis block to its successor. Used by the scans
 //!   and `sum_axis`.
+//!
+//! # Sparse exchange
+//!
+//! The pull and route protocols are dynamic sparse data exchanges: a
+//! worker knows whom it sends to, but not who sends to it. They send a
+//! frame only when it carries something, and a worker's own block never
+//! crosses a channel. The receivers are found by one [`Handshake`] per
+//! collective: each worker sets its destination bits in a p × ⌈p/64⌉
+//! table, waits at the collective's barrier and reads its own row. This
+//! is a control-network operation — the CM-5 ran barriers and global ORs
+//! beside its data network — so no element crosses it and it is not
+//! metered as a message. A dense pattern, where every pair talks, pays
+//! the one barrier on top of its frames.
+//!
+//! Each worker of a pull first sends its non-empty requests, then does
+//! the handshake, then serves the requests its row names, then receives
+//! its replies. This cannot deadlock. Sends never block (the channels are
+//! unbounded), so every worker reaches the barrier, and
+//! [`Router::barrier`] keeps servicing the transport while it waits, so a
+//! frame the reliable transport must repair is repaired there too. A
+//! request named in a worker's row was sent before its sender reached
+//! the barrier, so the serve loop waits only on frames already sent.
+//! Serving needs nothing back from the requesters, so every worker
+//! finishes its serve loop and sends every reply a receive loop waits
+//! for. The route protocol is the pull without the reply round.
 //!
 //! Every protocol is acyclic (requests always precede replies;
 //! fold/pipeline chains are linear), so the per-sender FIFO order the
@@ -51,6 +78,7 @@
 
 use dpf_array::Layout;
 use dpf_core::{Ctx, Elem, Router, ShardState};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker's read-only view of its blocks of one array: the flat
 /// segments it owns, ascending.
@@ -178,6 +206,67 @@ pub(crate) enum Src<T> {
 /// `flat`, optionally writing results through the `(flat, value)` sink.
 pub(crate) type AxisStep<'a, T, A> = &'a (dyn Fn(&mut A, usize, &mut dyn FnMut(usize, T)) + Sync);
 
+/// The sparse-exchange handshake of one collective (module docs): row `d`
+/// of the p × ⌈p/64⌉ table holds one bit per worker that sends to worker
+/// `d`.
+///
+/// The table is never reset, not even by an in-run heal's rewind. A
+/// worker's destinations are a pure function of the layouts, the index
+/// maps (`src_of`, `dst_of`, the stencil's offsets) and read-only index
+/// arrays, so a rewound epoch re-publishes the same bits, and `fetch_or`
+/// is idempotent. The rewind already resets the barrier's arrivals, so a
+/// row is read only after all p workers of the current attempt have
+/// published.
+pub(crate) struct Handshake {
+    words: usize,
+    bits: Vec<AtomicU64>,
+}
+
+impl Handshake {
+    /// An empty table for `p` workers.
+    pub(crate) fn new(p: usize) -> Self {
+        let words = p.div_ceil(64);
+        Handshake {
+            words,
+            bits: (0..p * words).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Send this worker's `(to, payload_bytes, msg)` frames — none to
+    /// itself, none empty — then learn which peers send to it: publish
+    /// the destination bits, wait at the collective's barrier and read
+    /// this worker's row. Returns those peers ascending.
+    ///
+    /// Every worker must call this exactly once per collective, even
+    /// with nothing to send: it is a barrier. Relaxed atomics suffice,
+    /// because the barrier's mutex orders every worker's `fetch_or`
+    /// before any worker's read.
+    pub(crate) fn sparse_send<M: Send + Clone>(
+        &self,
+        router: &mut Router<'_, M>,
+        frames: impl IntoIterator<Item = (usize, u64, M)>,
+    ) -> Vec<usize> {
+        let me = router.rank();
+        let (word, bit) = (me / 64, 1u64 << (me % 64));
+        for (to, bytes, msg) in frames {
+            debug_assert_ne!(to, me, "a worker's own block never crosses a channel");
+            self.bits[to * self.words + word].fetch_or(bit, Ordering::Relaxed);
+            router.send(to, bytes, msg);
+        }
+        router.barrier();
+        let row = &self.bits[me * self.words..(me + 1) * self.words];
+        let mut senders = Vec::new();
+        for (w, cell) in row.iter().enumerate() {
+            let mut set = cell.load(Ordering::Relaxed);
+            while set != 0 {
+                senders.push(w * 64 + set.trailing_zeros() as usize);
+                set &= set - 1;
+            }
+        }
+        senders
+    }
+}
+
 /// Message type of [`pull_exec`]: a request for source flats, then the
 /// values in request order. `Clone` lets the resilient transport keep a
 /// retransmission copy of in-flight frames under link-fault injection.
@@ -189,9 +278,51 @@ pub(crate) enum PullMsg<T> {
     Vals(Vec<T>),
 }
 
+/// The request/reply half of a pull, shared by [`pull_exec`] and the
+/// stencil halo exchange: `reqs[q]` lists the source flats this worker
+/// needs from worker `q` (empty for itself and for every peer it needs
+/// nothing from). Sends the non-empty requests, runs the handshake,
+/// serves the requests its row names from `src`, and returns the values
+/// from each peer in request order (empty where nothing was asked).
+pub(crate) fn pull_remote<T: Elem>(
+    router: &mut Router<'_, PullMsg<T>>,
+    handshake: &Handshake,
+    src: &Segs<'_, T>,
+    reqs: Vec<Vec<usize>>,
+) -> Vec<Vec<T>> {
+    let esize = T::DTYPE.size() as u64;
+    let asked: Vec<bool> = reqs.iter().map(|r| !r.is_empty()).collect();
+    let frames = reqs
+        .into_iter()
+        .enumerate()
+        .filter(|(_, r)| !r.is_empty())
+        .map(|(q, r)| (q, 0, PullMsg::Req(r)));
+    for q in handshake.sparse_send(router, frames) {
+        let PullMsg::Req(r) = router.recv_from(q) else {
+            unreachable!("pull protocol: Req must precede Vals");
+        };
+        let vals: Vec<T> = r.iter().map(|&s| src.get(s)).collect();
+        router.send(q, vals.len() as u64 * esize, PullMsg::Vals(vals));
+    }
+    asked
+        .into_iter()
+        .enumerate()
+        .map(|(q, asked)| {
+            if !asked {
+                return Vec::new();
+            }
+            let PullMsg::Vals(v) = router.recv_from(q) else {
+                unreachable!("pull protocol: Req must precede Vals");
+            };
+            v
+        })
+        .collect()
+}
+
 /// Owner-computes-output pull: every worker maps each of its output flats
-/// through `src_of`, fetches off-block sources from their owners over the
-/// channels, and writes only its own blocks of `out_data`.
+/// through `src_of`, reads sources in its own block directly, fetches the
+/// off-block ones from their owners over the channels, and writes only
+/// its own blocks of `out_data`.
 pub(crate) fn pull_exec<T: Elem>(
     ctx: &Ctx,
     src_layout: &Layout,
@@ -205,12 +336,12 @@ pub(crate) fn pull_exec<T: Elem>(
         .into_iter()
         .zip(split_mut(out_layout, out_data, p))
         .collect();
-    let esize = T::DTYPE.size() as u64;
+    let handshake = Handshake::new(p);
     dpf_core::run_workers(
         p,
         ctx.transport(),
         work,
-        |_rank, (src, out), router: &mut Router<'_, PullMsg<T>>| {
+        |rank, (src, out), router: &mut Router<'_, PullMsg<T>>| {
             let p = router.nprocs();
             let mut reqs: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
             let mut places: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
@@ -220,26 +351,18 @@ pub(crate) fn pull_exec<T: Elem>(
                         Src::Fill(v) => out.set(flat, v),
                         Src::Flat(s) => {
                             let owner = src_layout.owner_id_flat(s);
-                            reqs[owner].push(s);
-                            places[owner].push(flat);
+                            if owner == rank {
+                                out.set(flat, src.get(s));
+                            } else {
+                                reqs[owner].push(s);
+                                places[owner].push(flat);
+                            }
                         }
                     }
                 }
             }
-            for (q, req) in reqs.into_iter().enumerate() {
-                router.send(q, 0, PullMsg::Req(req));
-            }
-            for q in 0..p {
-                let PullMsg::Req(r) = router.recv_from(q) else {
-                    unreachable!("pull protocol: Req must precede Vals");
-                };
-                let vals: Vec<T> = r.iter().map(|&s| src.get(s)).collect();
-                router.send(q, vals.len() as u64 * esize, PullMsg::Vals(vals));
-            }
-            for (q, flats) in places.into_iter().enumerate() {
-                let PullMsg::Vals(v) = router.recv_from(q) else {
-                    unreachable!("pull protocol: Req must precede Vals");
-                };
+            let vals = pull_remote(router, &handshake, src, reqs);
+            for (flats, v) in places.into_iter().zip(vals) {
                 for (flat, val) in flats.into_iter().zip(v) {
                     out.set(flat, val);
                 }
@@ -283,10 +406,11 @@ pub(crate) fn broadcast_scalar_exec<T: Elem>(
 }
 
 /// Owner-computes-source push: every worker walks its own source flats,
-/// routes `(src_flat, dst_flat, value)` triples to the destination owners,
-/// and each receiver applies its incoming triples sorted by source flat —
-/// reproducing the virtual backend's serial flat-source-order collision
-/// semantics (last-writer-wins for plain scatter, left-to-right combining
+/// routes `(src_flat, dst_flat, value)` triples to the destination owners
+/// (keeping those for its own block), and each receiver applies its
+/// incoming triples sorted by source flat — reproducing the virtual
+/// backend's serial flat-source-order collision semantics
+/// (last-writer-wins for plain scatter, left-to-right combining
 /// otherwise).
 pub(crate) fn route_exec<T: Elem>(
     ctx: &Ctx,
@@ -303,11 +427,12 @@ pub(crate) fn route_exec<T: Elem>(
         .zip(split_mut(dst_layout, dst_data, p))
         .collect();
     let esize = T::DTYPE.size() as u64;
+    let handshake = Handshake::new(p);
     dpf_core::run_workers(
         p,
         ctx.transport(),
         work,
-        |_rank, (src, dst), router: &mut Router<'_, Vec<(usize, usize, T)>>| {
+        |rank, (src, dst), router: &mut Router<'_, Vec<(usize, usize, T)>>| {
             let p = router.nprocs();
             let mut outgoing: Vec<Vec<(usize, usize, T)>> = (0..p).map(|_| Vec::new()).collect();
             for (start, len) in src.ranges() {
@@ -316,11 +441,13 @@ pub(crate) fn route_exec<T: Elem>(
                     outgoing[dst_layout.owner_id_flat(d)].push((k, d, src.get(k)));
                 }
             }
-            for (q, t) in outgoing.into_iter().enumerate() {
-                router.send(q, t.len() as u64 * esize, t);
-            }
-            let mut incoming: Vec<(usize, usize, T)> = Vec::new();
-            for q in 0..p {
+            let mut incoming = std::mem::take(&mut outgoing[rank]);
+            let frames = outgoing
+                .into_iter()
+                .enumerate()
+                .filter(|(_, t)| !t.is_empty())
+                .map(|(q, t)| (q, t.len() as u64 * esize, t));
+            for q in handshake.sparse_send(router, frames) {
                 incoming.extend(router.recv_from(q));
             }
             // Source flats are unique keys, so the unstable sort is

@@ -11,12 +11,13 @@
 //!
 //! Under the SPMD backend each worker collects the set of off-block
 //! source elements its outputs touch (the halo, deduplicated across
-//! stencil points), fetches it from the owners in one request/reply
-//! round, and then evaluates its own outputs in the same per-point
-//! accumulation order as the host loop — so results match bit for bit
-//! while only the halo crosses the channels.
+//! stencil points) and fetches it from the owners in one request/reply
+//! round, exchanging frames only with the neighbour blocks it reads. It
+//! then evaluates its own outputs in the same per-point accumulation
+//! order as the host loop, so results match bit for bit while only the
+//! halo crosses the channels.
 
-use crate::spmd::{split_mut, split_ref, PullMsg};
+use crate::spmd::{pull_remote, split_mut, split_ref, Handshake, PullMsg};
 use dpf_array::{DistArray, MAX_RANK, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem, Num, Router};
 use rayon::prelude::*;
@@ -140,7 +141,7 @@ pub fn stencil_into<T: Num>(
                 .zip(split_mut(&out_layout, out.as_mut_slice(), p))
                 // dpf-lint: allow(hot-path-alloc, reason = "O(p) worker-view table built once per collective, same as the spmd.rs exec drivers")
                 .collect();
-            let esize = T::DTYPE.size() as u64;
+            let handshake = Handshake::new(p);
             dpf_core::run_workers(
                 p,
                 ctx.transport(),
@@ -187,21 +188,17 @@ pub fn stencil_into<T: Num>(
                             }
                         }
                     }
-                    for (q, set) in needed.iter().enumerate() {
-                        router.send(q, 0, PullMsg::Req(set.iter().copied().collect()));
-                    }
-                    for q in 0..p {
-                        let PullMsg::Req(r) = router.recv_from(q) else {
-                            unreachable!("halo protocol: Req must precede Vals");
-                        };
-                        let vals: Vec<T> = r.iter().map(|&s| src.get(s)).collect();
-                        router.send(q, vals.len() as u64 * esize, PullMsg::Vals(vals));
-                    }
+                    // The halo exchange is a pull's request/reply half: a
+                    // request goes only to a neighbour block this worker
+                    // reads from, and the handshake tells each worker which
+                    // neighbours will ask it — one barrier, no empty frames.
+                    let reqs = needed
+                        .iter()
+                        .map(|set| set.iter().copied().collect())
+                        .collect();
+                    let vals = pull_remote(router, &handshake, src, reqs);
                     let mut halo: BTreeMap<usize, T> = BTreeMap::new();
-                    for (q, set) in needed.into_iter().enumerate() {
-                        let PullMsg::Vals(v) = router.recv_from(q) else {
-                            unreachable!("halo protocol: Req must precede Vals");
-                        };
+                    for (set, v) in needed.into_iter().zip(vals) {
                         halo.extend(set.into_iter().zip(v));
                     }
                     // Evaluate own outputs in the host loop's per-point

@@ -109,6 +109,13 @@
 //! (replica pushes, rehydration forwards, respawns, rewound epochs) is
 //! metered on dedicated [`LinkMeter`] counters, never on the logical
 //! messages/bytes the paper's model counts.
+//!
+//! A worker that finishes the epoch body waits until all p have (the
+//! *commit*): only then can no victim appear, because a victim never
+//! completes the body. The worker whose commit completes the count wakes
+//! every peer with a no-op control frame, so a clean epoch costs no
+//! polling; a waiting worker still polls in `HEAL_SLICE` steps, but only
+//! to notice a heal or a death.
 
 // The transport legitimately reads the wall clock: retransmission
 // timers (RTO backoff), heartbeat stall detection and hard-timeout
@@ -149,7 +156,9 @@ const SERVICE_SLICE: Duration = Duration::from_millis(25);
 const SEND_SERVICE_EVERY: u32 = 64;
 /// XOR mask applied to a frame's checksum to simulate payload corruption.
 const CRC_MANGLE: u32 = 0xA5A5_5A5A;
-/// Poll slice while parked at the recovery rendezvous or in commit-wait.
+/// Poll slice while parked at the recovery rendezvous, and the backstop
+/// with which a worker in commit-wait notices heals and deaths (the last
+/// committer wakes it when the epoch commits).
 const HEAL_SLICE: Duration = Duration::from_millis(2);
 /// Default per-collective respawn budget under in-run recovery; a rank
 /// that keeps dying past this budget hard-fails the collective so the
@@ -660,6 +669,10 @@ enum Frame<M> {
         crc: u32,
         data: Vec<u8>,
     },
+    /// The epoch has committed: sent under in-run recovery by the worker
+    /// whose commit completes the count, to wake peers blocked in
+    /// [`Router::commit_wait`]. Carries nothing and changes no state.
+    Committed,
 }
 
 /// A buddy-held shard snapshot, keyed by owner rank in the receiver's
@@ -1343,6 +1356,7 @@ impl<M: Send + Clone> Router<'_, M> {
                 }
             }
             Frame::Nack { seq } => self.on_nack(sender, seq),
+            Frame::Committed => {}
             Frame::Replica {
                 epoch,
                 owner,
@@ -1734,13 +1748,20 @@ impl<M: Send + Clone> Router<'_, M> {
     /// once all workers have completed it (after which no victim can
     /// appear, because a victim never completes the body). While waiting,
     /// the worker keeps servicing the transport exactly like the linger
-    /// drain, so peers' final repairs still get their acks.
+    /// drain, so peers' final repairs still get their acks. The worker
+    /// whose commit completes the count wakes every peer with a
+    /// [`Frame::Committed`]; the `HEAL_SLICE` poll remains only as the
+    /// backstop that notices heals and deaths.
     fn commit_wait(&mut self) -> CommitOutcome {
         self.clear_wait();
         self.flush_all_held();
-        self.sup.heal_committed.fetch_add(1, Ordering::AcqRel);
-        self.sup.bump();
         let n = self.txs.len();
+        if self.sup.heal_committed.fetch_add(1, Ordering::AcqRel) + 1 == n {
+            for to in (0..n).filter(|&to| to != self.rank) {
+                self.send_ctl(to, Frame::Committed);
+            }
+        }
+        self.sup.bump();
         let deadline = Instant::now() + self.cfg.hard_timeout;
         loop {
             if self.sup.dead.load(Ordering::Acquire) > 0 {
@@ -2924,6 +2945,46 @@ mod tests {
         let payload = res.expect_err("kill with no budget must fail");
         let msg = payload_str(payload.as_ref());
         assert!(msg.contains("killed at collective 0"), "got: {msg}");
+    }
+
+    /// Under in-run recovery the last worker to commit wakes the others,
+    /// so an epoch with nothing to do waits out no poll slice: 100
+    /// near-empty collectives at p = 2 finish far inside 100 ms, where a
+    /// first committer left to poll would sleep one `HEAL_SLICE` in each
+    /// (200 ms in all). Rank 1 drains its channel (rank 0's replica and
+    /// one message) and commits first; rank 0 commits only once it sees
+    /// that, so nothing but the wake can end rank 1's wait early.
+    #[test]
+    fn last_commit_wakes_waiting_peers() {
+        let cfg = TransportCfg {
+            recover: RecoverMode::InRun,
+            ..TransportCfg::default()
+        };
+        let meter = LinkMeter::new();
+        let start = Instant::now();
+        for _ in 0..100 {
+            run_workers::<(), (), (), _>(
+                2,
+                Transport::new(&meter, &cfg),
+                vec![(), ()],
+                |rank, _, router| {
+                    if rank == 0 {
+                        router.send(1, 0, ());
+                        while router.sup.heal_committed.load(Ordering::Acquire) == 0 {
+                            std::thread::yield_now();
+                        }
+                    } else {
+                        router.recv_from(0);
+                    }
+                },
+            );
+        }
+        let took = start.elapsed();
+        assert_eq!(meter.collectives(), 100);
+        assert!(
+            took < Duration::from_millis(100),
+            "100 near-empty in-run collectives took {took:?}"
+        );
     }
 
     /// Shard serialization composes structurally and round-trips through

@@ -36,6 +36,8 @@ const COLLECTIVES: &[&str] = &[
     "route_exec",
     "axis_exec",
     "broadcast_scalar_exec",
+    "sparse_send",
+    "pull_remote",
     "run_workers",
 ];
 
@@ -761,6 +763,18 @@ mod tests {
             1
         );
         assert!(d[0].message.contains("barrier"));
+    }
+
+    #[test]
+    fn handshake_skipped_by_a_rank_with_nothing_to_send_is_flagged() {
+        let d = lint(
+            "fn go() { run_workers(p, t, w, |rank, w, router| { if rank != 0 { hs.sparse_send(router, frames); } }); }",
+        );
+        assert_eq!(
+            d.iter().filter(|d| d.rule == "collective-parity").count(),
+            1
+        );
+        assert!(d[0].message.contains("sparse_send"));
     }
 
     #[test]

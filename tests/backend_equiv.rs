@@ -560,3 +560,58 @@ fn spmd_backend_moves_real_bytes() {
         "no payload crossed the channels"
     );
 }
+
+/// The pull and route protocols send a frame only when it carries
+/// something, and a worker's own block never crosses a channel: at
+/// p = 8 each operation below is one collective with exactly these
+/// message and payload counts, where a frame to every ordered pair of
+/// workers would take 56 per round for the same payload.
+#[test]
+fn sparse_exchange_sends_only_non_empty_frames() {
+    fn frames<T: PartialEq + std::fmt::Debug>(op: impl Fn(&Ctx) -> T) -> (u64, u64) {
+        let (_, s) = check(8, op);
+        assert_eq!(s.link.collectives(), 1, "expected one collective");
+        (s.link.messages(), s.link.payload_bytes())
+    }
+    let n = 4096;
+    let cshifted = frames(|ctx| {
+        let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
+        cshift(ctx, &a, 0, 1).to_vec()
+    });
+    assert_eq!(cshifted, (16, 64), "cshift by +1");
+    let scattered = frames(|ctx| {
+        let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
+        let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| i[0] as i32);
+        let mut dst = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
+        scatter(ctx, &mut dst, &idx, &src);
+        dst.to_vec()
+    });
+    assert_eq!(scattered, (0, 0), "scatter with the identity index");
+    let transposed = frames(|ctx| {
+        let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
+        transpose(ctx, &m).to_vec()
+    });
+    assert_eq!(transposed, (24, 6144), "transpose of 32x32");
+    let stenciled = frames(|ctx| {
+        let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
+        assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
+        stencil(
+            ctx,
+            &m,
+            &star_stencil(2, -4.0, 1.0),
+            StencilBoundary::Cyclic,
+        )
+        .to_vec()
+    });
+    assert_eq!(
+        stenciled,
+        (48, 3072),
+        "5-point cyclic stencil on the 2x4 grid"
+    );
+    let gathered = frames(|ctx| {
+        let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
+        let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| ((7 * i[0] + 3) % n) as i32);
+        gather(ctx, &src, &idx).to_vec()
+    });
+    assert_eq!(gathered, (96, 28096), "gather with index (7i+3) mod 4096");
+}
