@@ -13,7 +13,7 @@
 
 use dpf_array::{DistArray, PAR};
 use dpf_comm::{stencil_into, StencilBoundary, StencilPoint};
-use dpf_core::checkpoint::{drive, Step};
+use dpf_core::checkpoint::{drive, Step, MAX_RESTORES};
 use dpf_core::{Ctx, DpfError, RecoveryStats, Verify};
 use dpf_linalg::pcr::{pcr_solve, Tridiag};
 use dpf_linalg::reference::thomas;
@@ -39,9 +39,14 @@ impl Default for Params {
     }
 }
 
-/// Run the benchmark; returns the final field and verification against a
-/// serial Crank–Nicolson integration.
-pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
+/// Run the benchmark; returns the final field, the verification against
+/// a serial Crank–Nicolson integration, and what recovery cost. Under
+/// `--checkpoint-every K` the field is snapshotted every K steps and
+/// rolled back + recomputed whenever a step panics (injected abort) or
+/// leaves a non-finite value behind (injected corruption). The serial
+/// reference is integrated fault-free afterwards, so a recovered run
+/// still verifies.
+pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
     let n = p.nx;
     let lam = p.lambda;
     // Initial condition: a sine mode (Dirichlet-compatible).
@@ -90,14 +95,17 @@ pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
         upper: sys_u,
         rhs: DistArray::<f64>::zeros(ctx, &[n], &[PAR]),
     };
-    for _ in 0..p.steps {
-        // RHS: the 3-point stencil with Dirichlet-0 ends.
-        stencil_into(ctx, &u, &rhs_pts, StencilBoundary::Fixed(0.0), &mut sys.rhs);
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
+        // RHS: the 3-point stencil with Dirichlet-0 ends. The buffer is
+        // fully rewritten each step, so it needs no snapshot.
+        stencil_into(ctx, u, &rhs_pts, StencilBoundary::Fixed(0.0), &mut sys.rhs);
         // Substructured tridiagonal solve; recycle the previous field's
         // storage into the buffer pool.
-        std::mem::replace(&mut u, pcr_solve(ctx, &sys)).recycle(ctx);
-
-        // Reference step.
+        std::mem::replace(u, pcr_solve(ctx, &sys)).recycle(ctx);
+        Step::Continue
+    })?;
+    for _ in 0..p.steps {
         u_ref = serial_cn_step(&u_ref, n, lam);
     }
     let worst = u
@@ -107,7 +115,7 @@ pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, dpf_core::nan_max);
     let verify = Verify::check("diff-1D vs serial CN", worst, 1e-9);
-    (u, verify)
+    Ok((u, verify, stats))
 }
 
 /// One serial Crank–Nicolson step (the verification mirror).
@@ -129,79 +137,6 @@ fn serial_cn_step(u_ref: &[f64], n: usize, lam: f64) -> Vec<f64> {
     thomas(&tl, &td, &tu, &rl)
 }
 
-/// [`run`] with snapshot-every-`every`-steps checkpointing: the field is
-/// snapshotted at step boundaries and rolled back + recomputed whenever a
-/// step panics (injected abort) or leaves a non-finite value behind
-/// (injected corruption). The serial reference is integrated fault-free
-/// afterwards, so a recovered run still verifies.
-pub fn run_checkpointed(
-    ctx: &Ctx,
-    p: &Params,
-    every: usize,
-    max_restores: usize,
-) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
-    let n = p.nx;
-    let lam = p.lambda;
-    let mut u = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| {
-        (std::f64::consts::PI * (i[0] + 1) as f64 / (n + 1) as f64).sin()
-    })
-    .declare(ctx);
-    let sys_l =
-        DistArray::<f64>::from_fn(
-            ctx,
-            &[n],
-            &[PAR],
-            |i| {
-                if i[0] == 0 {
-                    0.0
-                } else {
-                    -0.5 * lam
-                }
-            },
-        )
-        .declare(ctx);
-    let sys_d = DistArray::<f64>::full(ctx, &[n], &[PAR], 1.0 + lam).declare(ctx);
-    let sys_u = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| {
-        if i[0] + 1 == n {
-            0.0
-        } else {
-            -0.5 * lam
-        }
-    })
-    .declare(ctx);
-    let rhs_pts = vec![
-        StencilPoint::new(&[-1], 0.5 * lam),
-        StencilPoint::new(&[0], 1.0 - lam),
-        StencilPoint::new(&[1], 0.5 * lam),
-    ];
-    let mut sys = Tridiag {
-        lower: sys_l,
-        diag: sys_d,
-        upper: sys_u,
-        rhs: DistArray::<f64>::zeros(ctx, &[n], &[PAR]),
-    };
-    let stats = drive(&mut u, p.steps, every, max_restores, |u, _| {
-        // The RHS buffer is fully rewritten each step, so it needs no
-        // snapshot: a rolled-back step recomputes it from the restored u.
-        stencil_into(ctx, u, &rhs_pts, StencilBoundary::Fixed(0.0), &mut sys.rhs);
-        std::mem::replace(u, pcr_solve(ctx, &sys)).recycle(ctx);
-        Step::Continue
-    })?;
-    let mut u_ref: Vec<f64> = (0..n)
-        .map(|i| (std::f64::consts::PI * (i + 1) as f64 / (n + 1) as f64).sin())
-        .collect();
-    for _ in 0..p.steps {
-        u_ref = serial_cn_step(&u_ref, n, lam);
-    }
-    let worst = u
-        .as_slice()
-        .iter()
-        .zip(&u_ref)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, dpf_core::nan_max);
-    Ok((u, Verify::check("diff-1D vs serial CN", worst, 1e-9), stats))
-}
-
 /// The analytic decay factor of the first sine mode after `steps` of
 /// Crank–Nicolson: `((1 − λ(1 − cos θ)) / (1 + λ(1 − cos θ)))^steps`.
 pub fn analytic_mode_decay(p: &Params) -> f64 {
@@ -213,7 +148,7 @@ pub fn analytic_mode_decay(p: &Params) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dpf_core::{CommPattern, Machine};
+    use dpf_core::{CommPattern, FaultKind, FaultPlan, Machine};
 
     fn ctx() -> Ctx {
         Ctx::new(Machine::cm5(4))
@@ -222,14 +157,15 @@ mod tests {
     #[test]
     fn matches_serial_crank_nicolson() {
         let ctx = ctx();
-        let (_, v) = run(
+        let (_, v, _) = run(
             &ctx,
             &Params {
                 nx: 64,
                 steps: 5,
                 lambda: 0.4,
             },
-        );
+        )
+        .unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
@@ -241,7 +177,7 @@ mod tests {
             steps: 10,
             lambda: 0.3,
         };
-        let (u, _) = run(&ctx, &p);
+        let (u, _, _) = run(&ctx, &p).unwrap();
         // The initial condition is exactly the first eigenmode, so the
         // field stays proportional to it with the analytic decay factor.
         let factor = analytic_mode_decay(&p);
@@ -257,14 +193,15 @@ mod tests {
     #[test]
     fn records_stencil_and_cshift_patterns() {
         let ctx = ctx();
-        let _ = run(
+        run(
             &ctx,
             &Params {
                 nx: 32,
                 steps: 3,
                 lambda: 0.4,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Stencil), 3);
         // PCR contributes 2·ceil(log2 n) cshifts per step.
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Cshift), 3 * 2 * 5);
@@ -278,7 +215,7 @@ mod tests {
             steps: 0,
             lambda: 0.4,
         };
-        let _ = run(&ctx, &p);
+        run(&ctx, &p).unwrap();
         // u + the three tridiagonal coefficient vectors = 4 × 8 n.
         assert_eq!(ctx.instr.declared_bytes(), 32 * 100);
     }
@@ -286,14 +223,15 @@ mod tests {
     #[test]
     fn maximum_principle_holds() {
         let ctx = ctx();
-        let (u, _) = run(
+        let (u, _, _) = run(
             &ctx,
             &Params {
                 nx: 64,
                 steps: 20,
                 lambda: 0.45,
             },
-        );
+        )
+        .unwrap();
         // Diffusion with zero boundaries keeps 0 <= u <= max(initial).
         for &x in u.as_slice() {
             assert!((-1e-12..=1.0 + 1e-12).contains(&x));
@@ -308,9 +246,12 @@ mod tests {
             lambda: 0.4,
         };
         let ctx_a = ctx();
-        let (ua, va) = run(&ctx_a, &p);
-        let ctx_b = ctx();
-        let (ub, vb, stats) = run_checkpointed(&ctx_b, &p, 2, 4).unwrap();
+        let (ua, va, _) = run(&ctx_a, &p).unwrap();
+        let ctx_b = Ctx::with_faults(
+            Machine::cm5(4),
+            FaultPlan::default().with_checkpoint_every(2),
+        );
+        let (ub, vb, stats) = run(&ctx_b, &p).unwrap();
         assert!(va.is_pass() && vb.is_pass());
         assert_eq!(stats.restores, 0);
         assert_eq!(stats.steps, p.steps);
@@ -321,15 +262,16 @@ mod tests {
 
     #[test]
     fn checkpointed_run_recovers_from_injected_corruption() {
-        use dpf_core::{FaultKind, FaultPlan, Machine};
         let p = Params {
             nx: 64,
             steps: 8,
             lambda: 0.4,
         };
-        let plan = FaultPlan::new(0.02, 0xD1F1D).only(FaultKind::NanPoison);
+        let plan = FaultPlan::new(0.02, 0xD1F1D)
+            .only(FaultKind::NanPoison)
+            .with_checkpoint_every(2);
         let ctx = Ctx::with_faults(Machine::cm5(4), plan);
-        let (_, v, stats) = run_checkpointed(&ctx, &p, 2, 200).unwrap();
+        let (_, v, stats) = run(&ctx, &p).unwrap();
         assert!(ctx.faults.injected() > 0, "plan never fired");
         assert!(stats.restores > 0, "corruption never tripped a rollback");
         assert!(v.is_pass(), "{v}");

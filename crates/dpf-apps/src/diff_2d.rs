@@ -14,7 +14,7 @@
 
 use dpf_array::{DistArray, PAR, SER};
 use dpf_comm::{stencil_into, transpose, StencilBoundary, StencilPoint};
-use dpf_core::checkpoint::{drive, Step};
+use dpf_core::checkpoint::{drive, Step, MAX_RESTORES};
 use dpf_core::{Ctx, DpfError, RecoveryStats, Verify};
 use dpf_linalg::reference::thomas;
 
@@ -65,7 +65,11 @@ fn implicit_rows(ctx: &Ctx, rhs: &DistArray<f64>, lam: f64) -> DistArray<f64> {
 }
 
 /// Run the benchmark; verification compares against a serial ADI mirror.
-pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
+/// Under `--checkpoint-every K` the field is snapshotted every K steps
+/// and rolled back + recomputed when a step panics or leaves non-finite
+/// values behind. The RHS buffers are rewritten from the field each
+/// step, so only the field itself is snapshotted.
+pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
     let n = p.nx;
     let lam = p.lambda;
     let pi = std::f64::consts::PI;
@@ -85,61 +89,13 @@ pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
     // the recorded communication) match the allocating formulation.
     let mut rhs = DistArray::<f64>::zeros(ctx, &[n, n], &[PAR, SER]);
     let mut rhs_t = DistArray::<f64>::zeros(ctx, &[n, n], &[SER, PAR]);
-    for _ in 0..p.steps {
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
         // Half step 1: explicit in the parallel direction (3-pt stencil),
         // implicit along the serial rows.
-        stencil_into(ctx, &u, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs);
-        let half = implicit_rows(ctx, &rhs, lam);
-        // Transpose (AAPC) and repeat for the other direction.
-        let ht = transpose(ctx, &half);
-        half.recycle(ctx);
-        stencil_into(ctx, &ht, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs_t);
-        let full_t = implicit_rows(ctx, &rhs_t, lam);
-        ht.recycle(ctx);
-        std::mem::replace(&mut u, transpose(ctx, &full_t)).recycle(ctx);
-        full_t.recycle(ctx);
-
-        u_ref = serial_adi_step(&u_ref, n, lam);
-    }
-    let worst = u
-        .as_slice()
-        .iter()
-        .zip(&u_ref)
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0, dpf_core::nan_max);
-    (u, Verify::check("diff-2D vs serial ADI", worst, 1e-9))
-}
-
-/// [`run`] with snapshot-every-`every`-steps checkpointing (see
-/// `diff_1d::run_checkpointed` for the recovery semantics). The RHS
-/// buffers are rewritten from the field each step, so only the field
-/// itself is snapshotted.
-pub fn run_checkpointed(
-    ctx: &Ctx,
-    p: &Params,
-    every: usize,
-    max_restores: usize,
-) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
-    let n = p.nx;
-    let lam = p.lambda;
-    let pi = std::f64::consts::PI;
-    let mut u = DistArray::<f64>::from_fn(ctx, &[n, n], &[PAR, SER], |i| {
-        (pi * (i[0] + 1) as f64 / (n + 1) as f64).sin()
-            * (pi * (i[1] + 1) as f64 / (n + 1) as f64).sin()
-    })
-    .declare(ctx);
-    let _scratch = DistArray::<f64>::zeros(ctx, &[n, n], &[PAR, SER]).declare(ctx);
-    let expl_pts = vec![
-        StencilPoint::new(&[-1, 0], lam),
-        StencilPoint::new(&[0, 0], 1.0 - 2.0 * lam),
-        StencilPoint::new(&[1, 0], lam),
-    ];
-    let u_init = u.to_vec();
-    let mut rhs = DistArray::<f64>::zeros(ctx, &[n, n], &[PAR, SER]);
-    let mut rhs_t = DistArray::<f64>::zeros(ctx, &[n, n], &[SER, PAR]);
-    let stats = drive(&mut u, p.steps, every, max_restores, |u, _| {
         stencil_into(ctx, u, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs);
         let half = implicit_rows(ctx, &rhs, lam);
+        // Transpose (AAPC) and repeat for the other direction.
         let ht = transpose(ctx, &half);
         half.recycle(ctx);
         stencil_into(ctx, &ht, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs_t);
@@ -149,7 +105,6 @@ pub fn run_checkpointed(
         full_t.recycle(ctx);
         Step::Continue
     })?;
-    let mut u_ref = u_init;
     for _ in 0..p.steps {
         u_ref = serial_adi_step(&u_ref, n, lam);
     }
@@ -159,11 +114,8 @@ pub fn run_checkpointed(
         .zip(&u_ref)
         .map(|(a, b)| (a - b).abs())
         .fold(0.0, dpf_core::nan_max);
-    Ok((
-        u,
-        Verify::check("diff-2D vs serial ADI", worst, 1e-9),
-        stats,
-    ))
+    let verify = Verify::check("diff-2D vs serial ADI", worst, 1e-9);
+    Ok((u, verify, stats))
 }
 
 fn serial_adi_step(u: &[f64], n: usize, lam: f64) -> Vec<f64> {
@@ -220,14 +172,15 @@ mod tests {
     #[test]
     fn matches_serial_adi() {
         let ctx = ctx();
-        let (_, v) = run(
+        let (_, v, _) = run(
             &ctx,
             &Params {
                 nx: 24,
                 steps: 4,
                 lambda: 0.3,
             },
-        );
+        )
+        .unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
@@ -241,7 +194,7 @@ mod tests {
             steps: 5,
             lambda: 0.25,
         };
-        let (u, _) = run(&ctx, &p);
+        let (u, _, _) = run(&ctx, &p).unwrap();
         let pi = std::f64::consts::PI;
         let theta = pi / (p.nx + 1) as f64;
         let g = 2.0 * p.lambda * (1.0 - theta.cos());
@@ -261,14 +214,15 @@ mod tests {
     fn comm_is_stencils_and_aapcs() {
         let ctx = ctx();
         let steps = 3;
-        let _ = run(
+        run(
             &ctx,
             &Params {
                 nx: 16,
                 steps,
                 lambda: 0.3,
             },
-        );
+        )
+        .unwrap();
         // Per step: 2 stencils + 2 AAPC transposes (one per half step).
         assert_eq!(
             ctx.instr.pattern_calls(CommPattern::Stencil),
@@ -280,14 +234,15 @@ mod tests {
     #[test]
     fn memory_is_32nx_squared() {
         let ctx = ctx();
-        let _ = run(
+        run(
             &ctx,
             &Params {
                 nx: 20,
                 steps: 0,
                 lambda: 0.3,
             },
-        );
+        )
+        .unwrap();
         // Field + scratch = 2 × 8 n² ... the paper's 32 n² counts four
         // n²-sized doubles (u, rhs, and the two ADI workspaces); we
         // declare u and one scratch (16 n²) and the two per-step RHS
@@ -298,14 +253,15 @@ mod tests {
     #[test]
     fn maximum_principle_holds() {
         let ctx = ctx();
-        let (u, _) = run(
+        let (u, _, _) = run(
             &ctx,
             &Params {
                 nx: 16,
                 steps: 10,
                 lambda: 0.4,
             },
-        );
+        )
+        .unwrap();
         for &x in u.as_slice() {
             assert!((-1e-12..=1.0 + 1e-12).contains(&x));
         }
@@ -319,11 +275,14 @@ mod tests {
             steps: 4,
             lambda: 0.3,
         };
-        // Fault-free: identical to the plain run.
+        // Fault-free: identical to the unchecked run.
         let ctx_a = ctx();
-        let (ua, _) = run(&ctx_a, &p);
-        let ctx_b = ctx();
-        let (ub, vb, stats) = run_checkpointed(&ctx_b, &p, 2, 4).unwrap();
+        let (ua, _, _) = run(&ctx_a, &p).unwrap();
+        let ctx_b = Ctx::with_faults(
+            Machine::cm5(4),
+            FaultPlan::default().with_checkpoint_every(2),
+        );
+        let (ub, vb, stats) = run(&ctx_b, &p).unwrap();
         assert!(vb.is_pass() && stats.restores == 0);
         for (a, b) in ua.as_slice().iter().zip(ub.as_slice()) {
             assert!((a - b).abs() < 1e-14);
@@ -331,9 +290,11 @@ mod tests {
         // Injected NaN poison: detected, rolled back, final answer intact.
         // A step has only ~4 decision points (2 stencils + 2 transposes),
         // so the rate is high to make the fixed seed fire within 4 steps.
-        let plan = FaultPlan::new(0.25, 0xD1F2D).only(FaultKind::NanPoison);
+        let plan = FaultPlan::new(0.25, 0xD1F2D)
+            .only(FaultKind::NanPoison)
+            .with_checkpoint_every(1);
         let ctx = Ctx::with_faults(Machine::cm5(4), plan);
-        let (_, v, stats) = run_checkpointed(&ctx, &p, 1, 200).unwrap();
+        let (_, v, stats) = run(&ctx, &p).unwrap();
         assert!(ctx.faults.injected() > 0);
         assert!(stats.restores > 0);
         assert!(v.is_pass(), "{v}");

@@ -8,7 +8,7 @@
 
 use dpf_array::{DistArray, Triplet, PAR};
 use dpf_comm::{star_stencil, stencil, StencilBoundary};
-use dpf_core::checkpoint::{drive, Step};
+use dpf_core::checkpoint::{drive, Step, MAX_RESTORES};
 use dpf_core::{Ctx, DpfError, RecoveryStats, Verify};
 
 /// Benchmark parameters.
@@ -33,8 +33,10 @@ impl Default for Params {
 }
 
 /// Run the benchmark. Boundary values are held constant (Dirichlet); the
-/// interior is updated through array sections.
-pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
+/// interior is updated through array sections. Under
+/// `--checkpoint-every K` the field is rolled back and the window
+/// recomputed when a step panics or leaves non-finite values behind.
+pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
     let n = p.n;
     assert!(n >= 3, "need an interior");
     let lam = p.lambda;
@@ -51,13 +53,15 @@ pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
         Triplet::range(1, n - 1),
         Triplet::range(1, n - 1),
     ];
-    for _ in 0..p.steps {
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
         // 7-point stencil; the out-of-range reads never affect the result
         // because only the interior section is written back.
-        let updated = stencil(ctx, &u, &pts, StencilBoundary::Fixed(0.0));
+        let updated = stencil(ctx, u, &pts, StencilBoundary::Fixed(0.0));
         let inner = updated.section(ctx, &interior);
         u.set_section(ctx, &interior, &inner);
-    }
+        Step::Continue
+    })?;
     // The initial condition is a product sine mode vanishing on the
     // boundary; explicit Euler damps it by an exact factor per step.
     let theta = pi / (n - 1) as f64;
@@ -68,57 +72,8 @@ pub fn run(ctx: &Ctx, p: &Params) -> (DistArray<f64>, Verify) {
         let want = factor * mode(&idx);
         worst = dpf_core::nan_max(worst, (got - want).abs());
     }
-    (
-        u,
-        Verify::check("diff-3D vs analytic mode decay", worst, 1e-9),
-    )
-}
-
-/// [`run`] with snapshot-every-`every`-steps checkpointing: the field is
-/// rolled back and the window recomputed when a step panics or leaves
-/// non-finite values behind. Verification is the same analytic mode
-/// decay as [`run`].
-pub fn run_checkpointed(
-    ctx: &Ctx,
-    p: &Params,
-    every: usize,
-    max_restores: usize,
-) -> Result<(DistArray<f64>, Verify, RecoveryStats), DpfError> {
-    let n = p.n;
-    assert!(n >= 3, "need an interior");
-    let lam = p.lambda;
-    let pi = std::f64::consts::PI;
-    let mode = |i: &[usize]| {
-        (pi * i[0] as f64 / (n - 1) as f64).sin()
-            * (pi * i[1] as f64 / (n - 1) as f64).sin()
-            * (pi * i[2] as f64 / (n - 1) as f64).sin()
-    };
-    let mut u = DistArray::<f64>::from_fn(ctx, &[n, n, n], &[PAR, PAR, PAR], mode).declare(ctx);
-    let pts = star_stencil(3, 1.0 - 6.0 * lam, lam);
-    let interior = [
-        Triplet::range(1, n - 1),
-        Triplet::range(1, n - 1),
-        Triplet::range(1, n - 1),
-    ];
-    let stats = drive(&mut u, p.steps, every, max_restores, |u, _| {
-        let updated = stencil(ctx, u, &pts, StencilBoundary::Fixed(0.0));
-        let inner = updated.section(ctx, &interior);
-        u.set_section(ctx, &interior, &inner);
-        Step::Continue
-    })?;
-    let theta = pi / (n - 1) as f64;
-    let factor = (1.0 - 6.0 * lam * (1.0 - theta.cos())).powi(p.steps as i32);
-    let mut worst = 0.0f64;
-    for (flat, &got) in u.as_slice().iter().enumerate() {
-        let idx = dpf_array::unflatten(flat, u.shape());
-        let want = factor * mode(&idx);
-        worst = dpf_core::nan_max(worst, (got - want).abs());
-    }
-    Ok((
-        u,
-        Verify::check("diff-3D vs analytic mode decay", worst, 1e-9),
-        stats,
-    ))
+    let verify = Verify::check("diff-3D vs analytic mode decay", worst, 1e-9);
+    Ok((u, verify, stats))
 }
 
 /// Optimized (C/DPEAC-style) version: one fused pass over the interior
@@ -201,14 +156,15 @@ mod tests {
     #[test]
     fn matches_analytic_mode_decay() {
         let ctx = ctx();
-        let (_, v) = run(
+        let (_, v, _) = run(
             &ctx,
             &Params {
                 n: 16,
                 steps: 6,
                 lambda: 0.12,
             },
-        );
+        )
+        .unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
@@ -216,42 +172,45 @@ mod tests {
     fn one_stencil_per_iteration() {
         let ctx = ctx();
         let steps = 4;
-        let _ = run(
+        run(
             &ctx,
             &Params {
                 n: 8,
                 steps,
                 lambda: 0.1,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Stencil), steps as u64);
     }
 
     #[test]
     fn memory_is_8n_cubed() {
         let ctx = ctx();
-        let _ = run(
+        run(
             &ctx,
             &Params {
                 n: 10,
                 steps: 0,
                 lambda: 0.1,
             },
-        );
+        )
+        .unwrap();
         assert_eq!(ctx.instr.declared_bytes(), 8 * 1000);
     }
 
     #[test]
     fn boundaries_stay_fixed() {
         let ctx = ctx();
-        let (u, _) = run(
+        let (u, _, _) = run(
             &ctx,
             &Params {
                 n: 12,
                 steps: 5,
                 lambda: 0.15,
             },
-        );
+        )
+        .unwrap();
         let n = 12;
         // The initial sine mode is ~0 on the boundary (up to sin(π)
         // rounding); the scheme must leave boundary cells untouched.
@@ -273,7 +232,7 @@ mod tests {
             lambda: 0.12,
         };
         let ctx_b = Ctx::new(Machine::cm5(8));
-        let (ub, vb) = run(&ctx_b, &p);
+        let (ub, vb, _) = run(&ctx_b, &p).unwrap();
         let ctx_o = Ctx::new(Machine::cm5(8));
         let (uo, vo) = run_optimized(&ctx_o, &p);
         assert!(vb.is_pass() && vo.is_pass());
@@ -286,26 +245,31 @@ mod tests {
 
     #[test]
     fn checkpointed_run_recovers_under_faults() {
-        use dpf_core::{FaultKind, FaultPlan, Machine};
+        use dpf_core::{FaultKind, FaultPlan};
         let p = Params {
             n: 8,
             steps: 8,
             lambda: 0.1,
         };
-        let ctx_b = ctx();
-        let (ub, vb, stats) = run_checkpointed(&ctx_b, &p, 2, 4).unwrap();
+        let ctx_b = Ctx::with_faults(
+            Machine::cm5(8),
+            FaultPlan::default().with_checkpoint_every(2),
+        );
+        let (ub, vb, stats) = run(&ctx_b, &p).unwrap();
         assert!(vb.is_pass() && stats.restores == 0);
         let ctx_p = ctx();
-        let (up, _) = run(&ctx_p, &p);
+        let (up, _, _) = run(&ctx_p, &p).unwrap();
         for (a, b) in up.as_slice().iter().zip(ub.as_slice()) {
             assert!((a - b).abs() < 1e-14);
         }
         // One decision point per step (the stencil), and poison landing on
         // the discarded boundary ring is harmless — drive the rate high so
         // the fixed seed corrupts the interior within the window budget.
-        let plan = FaultPlan::new(0.6, 0xD1F3D).only(FaultKind::NanPoison);
+        let plan = FaultPlan::new(0.6, 0xD1F3D)
+            .only(FaultKind::NanPoison)
+            .with_checkpoint_every(1);
         let ctx = Ctx::with_faults(Machine::cm5(8), plan);
-        let (_, v, stats) = run_checkpointed(&ctx, &p, 1, 300).unwrap();
+        let (_, v, stats) = run(&ctx, &p).unwrap();
         assert!(ctx.faults.injected() > 0);
         assert!(stats.restores > 0);
         assert!(v.is_pass(), "{v}");

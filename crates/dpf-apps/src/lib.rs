@@ -45,7 +45,7 @@ mod proptests {
         ) {
             let ctx = Ctx::new(Machine::cm5(4));
             let p = crate::diff_1d::Params { nx, steps, lambda: lam };
-            let (_, v) = crate::diff_1d::run(&ctx, &p);
+            let (_, v, _) = crate::diff_1d::run(&ctx, &p).unwrap();
             prop_assert!(v.is_pass(), "{v}");
         }
 
@@ -65,9 +65,9 @@ mod proptests {
             // the communication accounting.
             let p = crate::diff_3d::Params { n: 8, steps: 3, lambda: 0.1 };
             let ctx_ref = Ctx::new(Machine::cm5(1));
-            let (u_ref, _) = crate::diff_3d::run(&ctx_ref, &p);
+            let (u_ref, _, _) = crate::diff_3d::run(&ctx_ref, &p).unwrap();
             let ctx = Ctx::new(Machine::cm5(procs));
-            let (u, _) = crate::diff_3d::run(&ctx, &p);
+            let (u, _, _) = crate::diff_3d::run(&ctx, &p).unwrap();
             for (a, b) in u.as_slice().iter().zip(u_ref.as_slice()) {
                 prop_assert!((a - b).abs() < 1e-15);
             }

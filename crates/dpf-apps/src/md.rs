@@ -15,7 +15,7 @@
 
 use dpf_array::{DistArray, Expr, PAR};
 use dpf_comm::fuse;
-use dpf_core::checkpoint::{drive, Checkpoint, Step};
+use dpf_core::checkpoint::{drive, Checkpoint, Step, MAX_RESTORES};
 use dpf_core::{nan_max, CommPattern, Ctx, DpfError, RecoveryStats, Verify};
 
 /// Benchmark parameters.
@@ -55,31 +55,18 @@ pub struct State {
 }
 
 impl Checkpoint for State {
-    type Snapshot = ([Vec<f64>; 3], [Vec<f64>; 3]);
-
-    fn snapshot(&self) -> Self::Snapshot {
-        let grab = |a: &[DistArray<f64>; 3]| {
-            [
-                a[0].as_slice().to_vec(),
-                a[1].as_slice().to_vec(),
-                a[2].as_slice().to_vec(),
-            ]
-        };
-        (grab(&self.pos), grab(&self.vel))
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.pos.capture(out);
+        self.vel.capture(out);
     }
 
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        for d in 0..3 {
-            self.pos[d].as_mut_slice().copy_from_slice(&snap.0[d]);
-            self.vel[d].as_mut_slice().copy_from_slice(&snap.1[d]);
-        }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.pos.restore(cursor);
+        self.vel.restore(cursor);
     }
 
     fn healthy(&self) -> bool {
-        self.pos
-            .iter()
-            .chain(self.vel.iter())
-            .all(|a| a.as_slice().iter().all(|v| v.is_finite()))
+        self.pos.healthy() && self.vel.healthy()
     }
 }
 
@@ -188,13 +175,18 @@ pub fn forces(ctx: &Ctx, p: &Params, st: &State) -> [DistArray<f64>; 3] {
 }
 
 /// Run velocity-Verlet for `steps`; verification checks momentum (exact)
-/// and energy (bounded drift).
-pub fn run(ctx: &Ctx, p: &Params) -> (State, Verify) {
-    let mut st = workload(ctx, p);
+/// and energy (bounded drift). Each step carries its closing force
+/// evaluation into the next, so under `--checkpoint-every K` the driven
+/// state is the phase state plus those forces: a rollback restores the
+/// forces together with the positions they were evaluated at.
+pub fn run(ctx: &Ctx, p: &Params) -> Result<(State, Verify, RecoveryStats), DpfError> {
+    let st = workload(ctx, p);
     let n = st.pos[0].len();
     let e0 = potential(p, &st) + kinetic(&st);
-    let mut f = forces(ctx, p, &st);
-    for _ in 0..p.steps {
+    let f = forces(ctx, p, &st);
+    let mut state = (st, f);
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut state, p.steps, every, MAX_RESTORES, |(st, f), _| {
         for (d, fd) in f.iter().enumerate() {
             st.vel[d].zip_inplace(ctx, 2, fd, |v, a| *v += 0.5 * p.dt * a);
             let vd = st.vel[d].clone();
@@ -202,11 +194,13 @@ pub fn run(ctx: &Ctx, p: &Params) -> (State, Verify) {
             // The "send" of the updated coordinate back to the home array.
             ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
         }
-        f = forces(ctx, p, &st);
+        *f = forces(ctx, p, st);
         for (d, fd) in f.iter().enumerate() {
             st.vel[d].zip_inplace(ctx, 2, fd, |v, a| *v += 0.5 * p.dt * a);
         }
-    }
+        Step::Continue
+    })?;
+    let (st, _) = state;
     // Momentum: Σv must stay 0 (equal masses, zero initial momentum).
     let mom: f64 = st
         .vel
@@ -216,52 +210,8 @@ pub fn run(ctx: &Ctx, p: &Params) -> (State, Verify) {
     let e1 = potential(p, &st) + kinetic(&st);
     let drift = ((e1 - e0) / nan_max(e0.abs(), 1.0)).abs();
     let metric = nan_max(mom, if drift < 0.05 { 0.0 } else { drift });
-    (
-        st,
-        Verify::check("md momentum + energy drift", metric, 1e-9),
-    )
-}
-
-/// [`run`] with snapshot-every-`every`-steps checkpointing. Unlike
-/// [`run`], each step recomputes the opening force evaluation from the
-/// (possibly restored) positions instead of carrying it across steps —
-/// the same trajectory, but a rolled-back step needs no saved forces.
-pub fn run_checkpointed(
-    ctx: &Ctx,
-    p: &Params,
-    every: usize,
-    max_restores: usize,
-) -> Result<(State, Verify, RecoveryStats), DpfError> {
-    let mut st = workload(ctx, p);
-    let n = st.pos[0].len();
-    let e0 = potential(p, &st) + kinetic(&st);
-    let stats = drive(&mut st, p.steps, every, max_restores, |st, _| {
-        let f = forces(ctx, p, st);
-        for (d, fd) in f.iter().enumerate() {
-            st.vel[d].zip_inplace(ctx, 2, fd, |v, a| *v += 0.5 * p.dt * a);
-            let vd = st.vel[d].clone();
-            st.pos[d].zip_inplace(ctx, 2, &vd, |x, v| *x += p.dt * v);
-            ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
-        }
-        let f = forces(ctx, p, st);
-        for (d, fd) in f.iter().enumerate() {
-            st.vel[d].zip_inplace(ctx, 2, fd, |v, a| *v += 0.5 * p.dt * a);
-        }
-        Step::Continue
-    })?;
-    let mom: f64 = st
-        .vel
-        .iter()
-        .map(|v| v.as_slice().iter().sum::<f64>().abs())
-        .fold(0.0, nan_max);
-    let e1 = potential(p, &st) + kinetic(&st);
-    let drift = ((e1 - e0) / nan_max(e0.abs(), 1.0)).abs();
-    let metric = nan_max(mom, if drift < 0.05 { 0.0 } else { drift });
-    Ok((
-        st,
-        Verify::check("md momentum + energy drift", metric, 1e-9),
-        stats,
-    ))
+    let verify = Verify::check("md momentum + energy drift", metric, 1e-9);
+    Ok((st, verify, stats))
 }
 
 #[cfg(test)]
@@ -276,7 +226,7 @@ mod tests {
     #[test]
     fn conserves_momentum_and_energy() {
         let ctx = ctx();
-        let (_, v) = run(&ctx, &Params::default());
+        let (_, v, _) = run(&ctx, &Params::default()).unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
@@ -305,29 +255,33 @@ mod tests {
 
     #[test]
     fn checkpointed_run_matches_and_recovers() {
-        use dpf_core::{FaultKind, FaultPlan, Machine};
+        use dpf_core::{FaultKind, FaultPlan};
         let p = Params {
             side: 2,
             steps: 6,
             ..Params::default()
         };
-        // Fault-free: the recomputed-forces formulation walks the same
-        // trajectory as the carried-forces one.
+        // Fault-free: the checkpointed run is the unchecked one, FLOP for
+        // FLOP and bit for bit.
         let ctx_a = ctx();
-        let (sa, _) = run(&ctx_a, &p);
-        let ctx_b = ctx();
-        let (sb, vb, stats) = run_checkpointed(&ctx_b, &p, 2, 4).unwrap();
+        let (sa, _, _) = run(&ctx_a, &p).unwrap();
+        let ctx_b = Ctx::with_faults(
+            Machine::cm5(4),
+            FaultPlan::default().with_checkpoint_every(2),
+        );
+        let (sb, vb, stats) = run(&ctx_b, &p).unwrap();
         assert!(vb.is_pass() && stats.restores == 0);
+        assert_eq!(ctx_a.instr.flops(), ctx_b.instr.flops());
         for d in 0..3 {
-            for (a, b) in sa.pos[d].as_slice().iter().zip(sb.pos[d].as_slice()) {
-                assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-            }
+            assert_eq!(sa.pos[d].as_slice(), sb.pos[d].as_slice());
         }
         // NaN-poisoned spreads: the force matrix is corrupted, the state
         // goes non-finite, and the driver rolls back and replays.
-        let plan = FaultPlan::new(0.05, 0x4D5FAA).only(FaultKind::NanPoison);
+        let plan = FaultPlan::new(0.05, 0x4D5FAA)
+            .only(FaultKind::NanPoison)
+            .with_checkpoint_every(1);
         let ctx = Ctx::with_faults(Machine::cm5(4), plan);
-        let (_, v, stats) = run_checkpointed(&ctx, &p, 1, 300).unwrap();
+        let (_, v, stats) = run(&ctx, &p).unwrap();
         assert!(ctx.faults.injected() > 0);
         assert!(stats.restores > 0);
         assert!(v.is_pass(), "{v}");

@@ -13,7 +13,7 @@
 
 use dpf_array::{DistArray, Expr, PAR};
 use dpf_comm::fuse;
-use dpf_core::checkpoint::{drive, Checkpoint, Step};
+use dpf_core::checkpoint::{drive, Checkpoint, Step, MAX_RESTORES};
 use dpf_core::{nan_max, nan_min, CommPattern, Ctx, DpfError, RecoveryStats, Verify, C64};
 use dpf_fft::{fft_axis_as, Direction};
 
@@ -53,29 +53,27 @@ pub struct State {
     pub spectra: Vec<f64>,
 }
 
+/// `c2` is never written after setup, so it is not captured. The
+/// spectra log grows by one entry per step, so it carries its length.
 impl Checkpoint for State {
-    // (now, prev, spectra); c2 is never written after setup.
-    type Snapshot = (Vec<f64>, Vec<f64>, Vec<f64>);
-
-    fn snapshot(&self) -> Self::Snapshot {
-        (
-            self.now.as_slice().to_vec(),
-            self.prev.as_slice().to_vec(),
-            self.spectra.clone(),
-        )
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.now.capture(out);
+        self.prev.capture(out);
+        self.spectra.len().capture(out);
+        self.spectra.capture(out);
     }
 
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        self.now.as_mut_slice().copy_from_slice(&snap.0);
-        self.prev.as_mut_slice().copy_from_slice(&snap.1);
-        self.spectra.clear();
-        self.spectra.extend_from_slice(&snap.2);
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.now.restore(cursor);
+        self.prev.restore(cursor);
+        let mut len = 0usize;
+        len.restore(cursor);
+        self.spectra.resize(len, 0.0);
+        self.spectra.restore(cursor);
     }
 
     fn healthy(&self) -> bool {
-        self.now.as_slice().iter().all(|v| v.is_finite())
-            && self.prev.as_slice().iter().all(|v| v.is_finite())
-            && self.spectra.iter().all(|v| v.is_finite())
+        self.now.healthy() && self.prev.healthy() && self.spectra.healthy()
     }
 }
 
@@ -197,12 +195,17 @@ pub fn workload(ctx: &Ctx, p: &Params) -> State {
 
 /// Run the benchmark. Verification (homogeneous case): the pulse
 /// translates at speed c — the peak must arrive where d'Alembert says,
-/// and the discrete energy must stay within tolerance.
-pub fn run(ctx: &Ctx, p: &Params) -> (State, Verify) {
+/// and the discrete energy must stay within tolerance. Under
+/// `--checkpoint-every K` the leapfrog pair and the spectra log roll back
+/// together on an injected fault, so a recovered run reports the same
+/// pulse position and energy history.
+pub fn run(ctx: &Ctx, p: &Params) -> Result<(State, Verify, RecoveryStats), DpfError> {
     let mut st = workload(ctx, p);
-    for _ in 0..p.steps {
-        step(ctx, p, &mut st);
-    }
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut st, p.steps, every, MAX_RESTORES, |st, _| {
+        step(ctx, p, st);
+        Step::Continue
+    })?;
     let verify = if p.contrast == 0.0 {
         // Peak position: started at nx/4 moving right by courant per step.
         let want = (p.nx as f64 / 4.0 + p.courant * p.steps as f64) % p.nx as f64;
@@ -227,45 +230,6 @@ pub fn run(ctx: &Ctx, p: &Params) -> (State, Verify) {
             0.5,
         )
     };
-    (st, verify)
-}
-
-/// [`run`] with snapshot-every-`every`-steps checkpointing: the leapfrog
-/// pair and the spectra log roll back together on an injected fault, so
-/// a recovered run reports the same pulse position and energy history.
-pub fn run_checkpointed(
-    ctx: &Ctx,
-    p: &Params,
-    every: usize,
-    max_restores: usize,
-) -> Result<(State, Verify, RecoveryStats), DpfError> {
-    let mut st = workload(ctx, p);
-    let stats = drive(&mut st, p.steps, every, max_restores, |st, _| {
-        step(ctx, p, st);
-        Step::Continue
-    })?;
-    let verify = if p.contrast == 0.0 {
-        let want = (p.nx as f64 / 4.0 + p.courant * p.steps as f64) % p.nx as f64;
-        let peak = st
-            .now
-            .as_slice()
-            .iter()
-            .enumerate()
-            .max_by(|a, b| a.1.total_cmp(b.1))
-            .map(|(i, _)| i as f64)
-            .unwrap();
-        let mut d = (peak - want).abs();
-        d = nan_min(d, p.nx as f64 - d);
-        Verify::check("wave-1D pulse position error", d, 2.0)
-    } else {
-        let e0 = st.spectra.first().copied().unwrap_or(0.0);
-        let emax = st.spectra.iter().cloned().fold(0.0, nan_max);
-        Verify::check(
-            "wave-1D spectral energy growth",
-            emax / nan_max(e0, 1e-300) - 1.0,
-            0.5,
-        )
-    };
     Ok((st, verify, stats))
 }
 
@@ -282,21 +246,22 @@ mod tests {
     #[test]
     fn homogeneous_pulse_travels_at_speed_c() {
         let ctx = ctx();
-        let (_, v) = run(&ctx, &Params::default());
+        let (_, v, _) = run(&ctx, &Params::default()).unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
     #[test]
     fn inhomogeneous_medium_stays_bounded() {
         let ctx = ctx();
-        let (_, v) = run(
+        let (_, v, _) = run(
             &ctx,
             &Params {
                 contrast: 0.5,
                 steps: 60,
                 ..Params::default()
             },
-        );
+        )
+        .unwrap();
         assert!(v.is_pass(), "{v}");
     }
 
@@ -371,17 +336,20 @@ mod tests {
 
     #[test]
     fn checkpointed_run_recovers_from_aborts_and_poison() {
-        use dpf_core::{FaultPlan, Machine};
+        use dpf_core::{FaultKind, FaultPlan};
         let p = Params {
             nx: 64,
             steps: 10,
             ..Params::default()
         };
-        // Fault-free: same trajectory and spectra as the plain run.
+        // Fault-free: same trajectory and spectra as the unchecked run.
         let ctx_a = ctx();
-        let (sa, _) = run(&ctx_a, &p);
-        let ctx_b = ctx();
-        let (sb, vb, stats) = run_checkpointed(&ctx_b, &p, 2, 4).unwrap();
+        let (sa, _, _) = run(&ctx_a, &p).unwrap();
+        let ctx_b = Ctx::with_faults(
+            Machine::cm5(4),
+            FaultPlan::default().with_checkpoint_every(2),
+        );
+        let (sb, vb, stats) = run(&ctx_b, &p).unwrap();
         assert!(vb.is_pass() && stats.restores == 0);
         assert_eq!(sa.spectra, sb.spectra);
         for (a, b) in sa.now.as_slice().iter().zip(sb.now.as_slice()) {
@@ -389,10 +357,10 @@ mod tests {
         }
         // Aborts unwind, poison trips the health probe; both roll back to
         // the last snapshot and replay.
-        let mut plan = FaultPlan::new(0.01, 0x3A7E1D);
-        plan.kinds = vec![dpf_core::FaultKind::NanPoison, dpf_core::FaultKind::Abort];
+        let mut plan = FaultPlan::new(0.01, 0x3A7E1D).with_checkpoint_every(2);
+        plan.kinds = vec![FaultKind::NanPoison, FaultKind::Abort];
         let ctx = Ctx::with_faults(Machine::cm5(4), plan);
-        let (st, v, stats) = run_checkpointed(&ctx, &p, 2, 400).unwrap();
+        let (st, v, stats) = run(&ctx, &p).unwrap();
         assert!(ctx.faults.injected() > 0);
         assert!(stats.restores > 0);
         assert_eq!(st.spectra.len(), p.steps);
@@ -406,7 +374,7 @@ mod tests {
             steps: 7,
             ..Params::default()
         };
-        let (st, _) = run(&ctx, &p);
+        let (st, _, _) = run(&ctx, &p).unwrap();
         assert_eq!(st.spectra.len(), 7);
         for &e in &st.spectra {
             assert!(e.is_finite() && e > 0.0);

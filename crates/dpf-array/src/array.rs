@@ -560,24 +560,21 @@ fn permute_chunk<T: Elem>(
     }
 }
 
-/// A distributed array checkpoints as a copy of its flat buffer; the
-/// layout is immutable over a kernel's iteration loop, so only the data
-/// needs saving. Health is per-element soundness (finite floats, no
-/// poison markers), which is what the fault injector's corruptions
-/// violate.
+/// A distributed array checkpoints as its flat buffer; the layout is
+/// immutable over a kernel's iteration loop, so only the data needs
+/// saving. Health is per-element soundness (finite floats, no poison
+/// markers), which is what the fault injector's corruptions violate.
 impl<T: Elem> dpf_core::Checkpoint for DistArray<T> {
-    type Snapshot = Vec<T>;
-
-    fn snapshot(&self) -> Vec<T> {
-        self.data.clone()
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.data.capture(out);
     }
 
-    fn restore(&mut self, snap: &Vec<T>) {
-        self.data.copy_from_slice(snap);
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.data.restore(cursor);
     }
 
     fn healthy(&self) -> bool {
-        self.data.iter().all(|v| v.is_sound())
+        self.data.healthy()
     }
 }
 

@@ -42,7 +42,8 @@
 //!   --max-retransmits N          retransmissions allowed per frame before a
 //!                                typed LinkFailure (default 6; 0 disables repair)
 //!   --kill-worker R:C            kill SPMD worker R at collective C
-//!                                (repeatable: a schedule of kills)
+//!                                (repeatable: a schedule of kills;
+//!                                needs --backend spmd and R < --procs)
 //!   --recover in-run|restart|off what a worker death does: heal inside the
 //!                                run via buddy-replica respawn (in-run),
 //!                                restart the benchmark from the harness
@@ -275,6 +276,22 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                     .ok_or("bad --quarantine")?;
             }
             other => return Err(format!("unknown option {other}")),
+        }
+    }
+    // A kill that cannot fire is a usage error, not a clean run. Checked
+    // once every flag is read: `--procs` and `--backend` may follow it.
+    for &(rank, _) in &o.kill_workers {
+        if o.backend != Backend::Spmd {
+            return Err(format!(
+                "--kill-worker needs --backend spmd: the {} backend has no workers",
+                o.backend
+            ));
+        }
+        if rank >= o.procs {
+            return Err(format!(
+                "--kill-worker rank {rank} is out of range for --procs {}",
+                o.procs
+            ));
         }
     }
     Ok(o)

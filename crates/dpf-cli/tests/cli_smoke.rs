@@ -90,6 +90,49 @@ fn zero_procs_is_a_usage_error_for_every_subcommand() {
 }
 
 #[test]
+fn kill_worker_that_cannot_fire_is_a_usage_error() {
+    for (args, names) in [
+        (
+            &[
+                "run",
+                "diff-1D",
+                "--backend",
+                "spmd",
+                "--procs",
+                "4",
+                "--kill-worker",
+                "9:1",
+            ][..],
+            "--procs 4",
+        ),
+        // `--procs` after the kill: validated once every flag is read.
+        (
+            &[
+                "all",
+                "--kill-worker",
+                "4:1",
+                "--backend",
+                "spmd",
+                "--procs",
+                "4",
+            ],
+            "--procs 4",
+        ),
+        (
+            &["run", "diff-1D", "--kill-worker", "1:1"],
+            "virtual backend",
+        ),
+    ] {
+        let out = dpf().args(args).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--kill-worker"), "{args:?}: {err}");
+        assert!(err.contains(names), "{args:?}: {err}");
+        assert!(err.contains("usage:"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn removed_size_tiers_exit_2_and_small_is_class_s() {
     for args in [
         &["run", "fft", "--size", "medium"][..],

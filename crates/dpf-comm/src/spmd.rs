@@ -8,7 +8,10 @@
 //! [`Layout::for_each_owner_segment`] — and obtains every remote element
 //! through a typed channel, so the run's
 //! [`LinkMeter`](dpf_core::LinkMeter) counts bytes that actually crossed
-//! between workers.
+//! between workers. Under `--recover in-run` these views are a worker's
+//! shard: [`SegsMut`] captures its owned elements through
+//! [`Checkpoint`](dpf_core::Checkpoint), the snapshot trait the
+//! iterative kernels also roll back with, and [`Segs`] captures nothing.
 //!
 //! Four reusable protocols cover the primitives:
 //!
@@ -77,7 +80,7 @@
 // dpf-lint: allow-file(hot-path-alloc, reason = "per-collective O(p) view setup and owned message payloads are the SPMD protocol, not per-element hot-path traffic")
 
 use dpf_array::Layout;
-use dpf_core::{Ctx, Elem, Router, ShardState};
+use dpf_core::{Checkpoint, Ctx, Elem, Router};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker's read-only view of its blocks of one array: the flat
@@ -140,25 +143,20 @@ impl<T: Copy> SegsMut<'_, T> {
 // capture their owned elements bit-exactly in segment order. Segment
 // starts and lengths are structural (fixed by the layout, identical
 // across attempts of an epoch) and are not serialized.
-impl<T> ShardState for Segs<'_, T> {
+impl<T> Checkpoint for Segs<'_, T> {
     fn capture(&self, _out: &mut Vec<u8>) {}
     fn restore(&mut self, _cursor: &mut &[u8]) {}
 }
 
-impl<T: Elem> ShardState for SegsMut<'_, T> {
+impl<T: Elem> Checkpoint for SegsMut<'_, T> {
     fn capture(&self, out: &mut Vec<u8>) {
         for piece in &self.pieces {
-            for v in piece.1.iter() {
-                v.put_le(out);
-            }
+            piece.1.capture(out);
         }
     }
     fn restore(&mut self, cursor: &mut &[u8]) {
-        for piece in self.pieces.iter_mut() {
-            for v in piece.1.iter_mut() {
-                *v = T::get_le(cursor);
-                *cursor = &cursor[T::WIRE_BYTES..];
-            }
+        for piece in &mut self.pieces {
+            piece.1.restore(cursor);
         }
     }
 }

@@ -1,29 +1,48 @@
-//! Checkpoint/restart for iterative kernels.
+//! Checkpoint/restart: one snapshot trait for both rollback layers.
 //!
 //! Iterative benchmarks (conjugate gradient, Jacobi eigensolver, the
 //! diffusion/wave applications, molecular dynamics) advance a small state
 //! through many identical steps. Under fault injection a step may panic
 //! (forced abort), corrupt the state (NaN poison / bit flip), or both.
 //! [`drive`] runs such a loop with snapshot-every-K semantics: state is
-//! snapshotted at checkpoint boundaries, validated via
+//! captured at checkpoint boundaries, validated via
 //! [`Checkpoint::healthy`], and rolled back + recomputed when a step
 //! panics or leaves the state unsound. The final `Verify` of a recovered
-//! run must still pass — that is the point.
+//! run must still pass — that is the point. Each kernel has one loop:
+//! with K = 0 (`--checkpoint-every` unset) [`drive`] runs it bare.
+//!
+//! The same byte form serves the SPMD backend's in-run healing
+//! (`--recover in-run`): every worker captures its work item at each
+//! collective's entry and pushes the bytes to its buddy rank, and a
+//! respawned worker restores from them (see `spmd.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
+use crate::dtype::Elem;
 use crate::fault::DpfError;
 
-/// Snapshot/restore/health for an iterative kernel's mutable state.
+/// Restore budget of a checkpoint-aware kernel (per run, not per window).
+pub const MAX_RESTORES: usize = 32;
+
+/// A value's bytes and health: the unit of rollback, both for an
+/// iterative kernel's state under [`drive`] and for an SPMD worker's
+/// shard under in-run healing.
+///
+/// [`Checkpoint::capture`] appends to `out`; [`Checkpoint::restore`]
+/// reads the same prefix back in place and advances the cursor, so
+/// implementations compose structurally (tuples, options, slices,
+/// arrays, vectors). Structure — `Some` vs `None`, lengths, piece counts
+/// — is *not* serialized: `restore` always runs against a value of the
+/// shape `capture` saw (a state that grows serializes its own length).
+/// Element round trips are bit-exact (see [`Elem::put_le`]): healed runs
+/// are asserted byte-identical to clean runs.
 pub trait Checkpoint {
-    /// The serialized form of the state (owned, cheap to clone around).
-    type Snapshot;
+    /// Append this value's bytes to `out`.
+    fn capture(&self, out: &mut Vec<u8>);
 
-    /// Capture the full state.
-    fn snapshot(&self) -> Self::Snapshot;
-
-    /// Restore the state captured by [`Checkpoint::snapshot`].
-    fn restore(&mut self, snap: &Self::Snapshot);
+    /// Rebuild this value in place from the front of `*cursor`, advancing
+    /// it past exactly the bytes [`Checkpoint::capture`] wrote.
+    fn restore(&mut self, cursor: &mut &[u8]);
 
     /// True when the state contains no corruption (e.g. all finite).
     /// The default trusts the state unconditionally.
@@ -32,40 +51,105 @@ pub trait Checkpoint {
     }
 }
 
-/// Every array-of-floats-like pair (or triple, ...) checkpoints as a tuple.
+/// Elements travel little-endian, bit-exact; health is
+/// [`Elem::is_sound`], which is what the fault injector's corruptions
+/// violate.
+impl<T: Elem> Checkpoint for T {
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.put_le(out);
+    }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        *self = T::get_le(cursor);
+        *cursor = &cursor[T::WIRE_BYTES..];
+    }
+    fn healthy(&self) -> bool {
+        self.is_sound()
+    }
+}
+
+impl Checkpoint for () {
+    fn capture(&self, _out: &mut Vec<u8>) {}
+    fn restore(&mut self, _cursor: &mut &[u8]) {}
+}
+
+impl Checkpoint for usize {
+    fn capture(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&(*self as u64).to_le_bytes());
+    }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        let (head, rest) = cursor.split_at(8);
+        *self = u64::from_le_bytes(head.try_into().expect("8-byte head")) as usize;
+        *cursor = rest;
+    }
+}
+
 impl<A: Checkpoint, B: Checkpoint> Checkpoint for (A, B) {
-    type Snapshot = (A::Snapshot, B::Snapshot);
-
-    fn snapshot(&self) -> Self::Snapshot {
-        (self.0.snapshot(), self.1.snapshot())
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.0.capture(out);
+        self.1.capture(out);
     }
-
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        self.0.restore(&snap.0);
-        self.1.restore(&snap.1);
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.0.restore(cursor);
+        self.1.restore(cursor);
     }
-
     fn healthy(&self) -> bool {
         self.0.healthy() && self.1.healthy()
     }
 }
 
-impl<T: Checkpoint> Checkpoint for Vec<T> {
-    type Snapshot = Vec<T::Snapshot>;
-
-    fn snapshot(&self) -> Self::Snapshot {
-        self.iter().map(Checkpoint::snapshot).collect()
-    }
-
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        assert_eq!(self.len(), snap.len(), "snapshot length mismatch");
-        for (s, c) in self.iter_mut().zip(snap) {
-            s.restore(c);
+impl<T: Checkpoint> Checkpoint for Option<T> {
+    fn capture(&self, out: &mut Vec<u8>) {
+        if let Some(inner) = self {
+            inner.capture(out);
         }
     }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        if let Some(inner) = self {
+            inner.restore(cursor);
+        }
+    }
+    fn healthy(&self) -> bool {
+        self.as_ref().is_none_or(Checkpoint::healthy)
+    }
+}
 
+impl<T: Checkpoint> Checkpoint for [T] {
+    fn capture(&self, out: &mut Vec<u8>) {
+        for v in self {
+            v.capture(out);
+        }
+    }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        for v in self {
+            v.restore(cursor);
+        }
+    }
     fn healthy(&self) -> bool {
         self.iter().all(Checkpoint::healthy)
+    }
+}
+
+impl<T: Checkpoint> Checkpoint for Vec<T> {
+    fn capture(&self, out: &mut Vec<u8>) {
+        self[..].capture(out);
+    }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self[..].restore(cursor);
+    }
+    fn healthy(&self) -> bool {
+        self[..].healthy()
+    }
+}
+
+impl<T: Checkpoint, const N: usize> Checkpoint for [T; N] {
+    fn capture(&self, out: &mut Vec<u8>) {
+        self[..].capture(out);
+    }
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self[..].restore(cursor);
+    }
+    fn healthy(&self) -> bool {
+        self[..].healthy()
     }
 }
 
@@ -96,11 +180,14 @@ pub struct RecoveryStats {
 /// snapshot-every-`every` checkpointing and at most `max_restores`
 /// rollbacks.
 ///
-/// Each step runs under `catch_unwind`; a panic or an unhealthy state at a
-/// checkpoint boundary triggers restore-and-recompute from the last
-/// snapshot. Because fault-injection decisions advance a global counter,
-/// a replayed step sees fresh decisions — recovery converges instead of
-/// re-injecting the identical fault forever.
+/// With `every == 0` this is the bare loop: no snapshot, no health probe
+/// and no `catch_unwind`, so a panicking step unwinds to the caller (the
+/// suite harness's retry). Otherwise each step runs under
+/// `catch_unwind`; a panic or an unhealthy state at a checkpoint boundary
+/// triggers restore-and-recompute from the last snapshot, which lives in
+/// one reused byte buffer. Because fault-injection decisions advance a
+/// global counter, a replayed step sees fresh decisions — recovery
+/// converges instead of re-injecting the identical fault forever.
 pub fn drive<S, F>(
     state: &mut S,
     max_steps: usize,
@@ -112,75 +199,54 @@ where
     S: Checkpoint,
     F: FnMut(&mut S, usize) -> Step,
 {
-    let every = every.max(1);
     let mut stats = RecoveryStats::default();
-    let mut snap = state.snapshot();
+    if every == 0 {
+        for i in 0..max_steps {
+            stats.steps += 1;
+            if step_fn(state, i) == Step::Done {
+                break;
+            }
+        }
+        return Ok(stats);
+    }
+    let mut snap = Vec::new();
+    state.capture(&mut snap);
     let mut snap_at = 0usize;
     stats.snapshots += 1;
 
     let mut i = 0usize;
     while i < max_steps {
-        let res = catch_unwind(AssertUnwindSafe(|| step_fn(state, i)));
-        let advance = match res {
-            Ok(step) => {
-                stats.steps += 1;
-                Some(step)
+        if let Ok(step) = catch_unwind(AssertUnwindSafe(|| step_fn(state, i))) {
+            stats.steps += 1;
+            i += 1;
+            let done = step == Step::Done || i == max_steps;
+            if !done && !i.is_multiple_of(every) {
+                continue;
             }
-            Err(_) => None,
-        };
-
-        match advance {
-            Some(step) => {
-                i += 1;
-                let boundary = i.is_multiple_of(every) || i == max_steps || step == Step::Done;
-                if boundary {
-                    if state.healthy() {
-                        snap = state.snapshot();
-                        snap_at = i;
-                        stats.snapshots += 1;
-                        if step == Step::Done {
-                            return Ok(stats);
-                        }
-                    } else {
-                        if stats.restores >= max_restores {
-                            return Err(DpfError::RecoveryExhausted {
-                                restores: stats.restores,
-                            });
-                        }
-                        stats.restores += 1;
-                        stats.replayed_steps += i - snap_at;
-                        state.restore(&snap);
-                        i = snap_at;
-                    }
-                } else if step == Step::Done {
-                    // Early convergence between boundaries: validate now.
-                    if state.healthy() {
-                        return Ok(stats);
-                    }
-                    if stats.restores >= max_restores {
-                        return Err(DpfError::RecoveryExhausted {
-                            restores: stats.restores,
-                        });
-                    }
-                    stats.restores += 1;
-                    stats.replayed_steps += i - snap_at;
-                    state.restore(&snap);
-                    i = snap_at;
+            // A boundary, or early convergence between boundaries:
+            // validate before trusting the state.
+            if state.healthy() {
+                if done {
+                    return Ok(stats);
                 }
-            }
-            None => {
-                // The step panicked: roll back to the last snapshot.
-                if stats.restores >= max_restores {
-                    return Err(DpfError::RecoveryExhausted {
-                        restores: stats.restores,
-                    });
-                }
-                stats.restores += 1;
-                stats.replayed_steps += i - snap_at;
-                state.restore(&snap);
-                i = snap_at;
+                snap.clear();
+                state.capture(&mut snap);
+                snap_at = i;
+                stats.snapshots += 1;
+                continue;
             }
         }
+        // The step panicked or left the state unsound: roll back to the
+        // last snapshot.
+        if stats.restores >= max_restores {
+            return Err(DpfError::RecoveryExhausted {
+                restores: stats.restores,
+            });
+        }
+        stats.restores += 1;
+        stats.replayed_steps += i - snap_at;
+        state.restore(&mut &snap[..]);
+        i = snap_at;
     }
 
     if state.healthy() {
@@ -202,15 +268,14 @@ mod tests {
     }
 
     impl Checkpoint for Counter {
-        type Snapshot = f64;
-        fn snapshot(&self) -> f64 {
-            self.v
+        fn capture(&self, out: &mut Vec<u8>) {
+            self.v.capture(out);
         }
-        fn restore(&mut self, snap: &f64) {
-            self.v = *snap;
+        fn restore(&mut self, cursor: &mut &[u8]) {
+            self.v.restore(cursor);
         }
         fn healthy(&self) -> bool {
-            self.v.is_finite()
+            self.v.healthy()
         }
     }
 
@@ -297,11 +362,17 @@ mod tests {
     #[test]
     fn tuple_state_checkpoints_both_halves() {
         let mut st = (Counter { v: 1.0 }, Counter { v: 2.0 });
-        let snap = st.snapshot();
+        let mut snap = Vec::new();
+        st.capture(&mut snap);
         st.0.v = 9.0;
         st.1.v = f64::NAN;
         assert!(!st.healthy());
-        st.restore(&snap);
+        let mut cursor = &snap[..];
+        st.restore(&mut cursor);
+        assert!(
+            cursor.is_empty(),
+            "restore reads exactly what capture wrote"
+        );
         assert_eq!((st.0.v, st.1.v), (1.0, 2.0));
         assert!(st.healthy());
     }

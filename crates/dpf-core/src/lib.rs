@@ -50,6 +50,6 @@ pub use pool::BufferPool;
 pub use report::{BenchReport, PerfSummary};
 pub use spmd::{
     install_quiet_panic_hook, run_workers, set_quiet_panics, Backend, LinkMeter, Router,
-    ShardState, SpmdBarrier, Transport, TransportCfg,
+    SpmdBarrier, Transport, TransportCfg,
 };
 pub use verify::{nan_max, nan_min, Verify};

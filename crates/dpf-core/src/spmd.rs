@@ -79,8 +79,10 @@
 //! Under [`RecoverMode::InRun`] a worker death no longer aborts the
 //! collective. Every collective is one *epoch*: at epoch entry — before
 //! any communication — each worker serializes its mutable shard (the
-//! [`ShardState`] of its work item) and pushes the snapshot, epoch-tagged
-//! and CRC'd, to its buddy rank (`rank+1 mod p`) as recovery traffic.
+//! [`Checkpoint::capture`] bytes of its work item, the same snapshot form
+//! the iterative kernels' in-attempt rollback uses) and pushes the
+//! snapshot, epoch-tagged and CRC'd, to its buddy rank (`rank+1 mod p`)
+//! as recovery traffic.
 //! Because the snapshot is taken before the first send of the epoch, the
 //! set of p snapshots is a globally consistent cut by construction.
 //!
@@ -135,6 +137,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex as PlMutex;
 
+use crate::checkpoint::Checkpoint;
 use crate::executor;
 use crate::fault::{splitmix64, DpfError, FaultPlan, LinkFaultKind, RecoverMode};
 
@@ -1883,85 +1886,6 @@ fn payload_str(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// Byte-serializable worker-local shard state, the unit of in-run
-/// recovery (`--recover in-run`).
-///
-/// Every worker captures its work item's *owned element bytes* at each
-/// epoch (collective) entry and pushes them to its buddy rank; a worker
-/// respawned after a death rebuilds its work item by restoring the
-/// buddy's replica. [`ShardState::capture`] appends to `out`;
-/// [`ShardState::restore`] reads the same prefix back in place and
-/// advances the cursor, so implementations compose structurally (tuples,
-/// options, vectors).
-///
-/// Structure — `Some` vs `None`, slice lengths, piece counts — is *not*
-/// serialized: it is fixed by the data decomposition, which is identical
-/// across attempts of the same epoch, and `restore` always runs against a
-/// value of the same shape `capture` saw. Element round trips must be
-/// bit-exact (see [`crate::Elem::put_le`]): healed runs are asserted
-/// byte-identical to clean runs.
-pub trait ShardState {
-    /// Append this value's owned bytes to `out`.
-    fn capture(&self, out: &mut Vec<u8>);
-
-    /// Rebuild this value from the front of `*cursor`, advancing it past
-    /// exactly the bytes [`ShardState::capture`] wrote.
-    fn restore(&mut self, cursor: &mut &[u8]);
-}
-
-impl ShardState for () {
-    fn capture(&self, _out: &mut Vec<u8>) {}
-    fn restore(&mut self, _cursor: &mut &[u8]) {}
-}
-
-impl ShardState for usize {
-    fn capture(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&(*self as u64).to_le_bytes());
-    }
-    fn restore(&mut self, cursor: &mut &[u8]) {
-        let (head, rest) = cursor.split_at(8);
-        *self = u64::from_le_bytes(head.try_into().expect("8-byte head")) as usize;
-        *cursor = rest;
-    }
-}
-
-impl<A: ShardState, B: ShardState> ShardState for (A, B) {
-    fn capture(&self, out: &mut Vec<u8>) {
-        self.0.capture(out);
-        self.1.capture(out);
-    }
-    fn restore(&mut self, cursor: &mut &[u8]) {
-        self.0.restore(cursor);
-        self.1.restore(cursor);
-    }
-}
-
-impl<T: ShardState> ShardState for Option<T> {
-    fn capture(&self, out: &mut Vec<u8>) {
-        if let Some(inner) = self {
-            inner.capture(out);
-        }
-    }
-    fn restore(&mut self, cursor: &mut &[u8]) {
-        if let Some(inner) = self {
-            inner.restore(cursor);
-        }
-    }
-}
-
-impl<T: ShardState> ShardState for Vec<T> {
-    fn capture(&self, out: &mut Vec<u8>) {
-        for v in self {
-            v.capture(out);
-        }
-    }
-    fn restore(&mut self, cursor: &mut &[u8]) {
-        for v in self.iter_mut() {
-            v.restore(cursor);
-        }
-    }
-}
-
 /// A driver's role in a recovery round.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum HealRole {
@@ -1978,7 +1902,7 @@ enum HealRole {
 /// recovery round so that rehydration from the buddy replica is provably
 /// load-bearing — if the restore in phase 3 were skipped or wrong, the
 /// healed results could not come out byte-identical to a clean run.
-fn scramble<W: ShardState>(w: &mut W, snapshot: &[u8]) {
+fn scramble<W: Checkpoint>(w: &mut W, snapshot: &[u8]) {
     let garbled: Vec<u8> = snapshot.iter().map(|b| b ^ 0xFF).collect();
     w.restore(&mut &garbled[..]);
 }
@@ -2013,7 +1937,7 @@ fn heal_round<M, W>(
 ) -> Result<(), Box<dyn Any + Send>>
 where
     M: Send + Clone,
-    W: ShardState,
+    W: Checkpoint,
 {
     let abort = |router: &Router<'_, M>| -> Result<(), Box<dyn Any + Send>> {
         let payload = router.heal_abort_payload();
@@ -2091,7 +2015,7 @@ fn respawn<M, W, R, F>(
 ) -> Result<R, Box<dyn Any + Send>>
 where
     M: Send + Clone,
-    W: Send + ShardState,
+    W: Send + Checkpoint,
     R: Send,
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {
@@ -2138,7 +2062,7 @@ fn drive<M, W, R, F>(
 ) -> Result<R, Box<dyn Any + Send>>
 where
     M: Send + Clone,
-    W: Send + ShardState,
+    W: Send + Checkpoint,
     R: Send,
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {
@@ -2271,7 +2195,7 @@ where
 /// Under `--recover in-run` (with more than one worker) healable deaths
 /// do not abort: the collective rewinds to its start, the dead rank is
 /// respawned and rehydrated from its buddy's replica, and the epoch
-/// re-runs — see the module docs and [`ShardState`].
+/// re-runs — see the module docs and [`Checkpoint`].
 pub fn run_workers<M, W, R, F>(
     nprocs: usize,
     transport: Transport<'_>,
@@ -2280,7 +2204,7 @@ pub fn run_workers<M, W, R, F>(
 ) -> Vec<R>
 where
     M: Send + Clone,
-    W: Send + ShardState,
+    W: Send + Checkpoint,
     R: Send,
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {

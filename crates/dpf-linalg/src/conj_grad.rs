@@ -12,7 +12,7 @@
 
 use dpf_array::{DistArray, Expr, PAR};
 use dpf_comm::{dot, fuse, max_all};
-use dpf_core::checkpoint::{drive, Checkpoint, Step};
+use dpf_core::checkpoint::{drive, Checkpoint, Step, MAX_RESTORES};
 use dpf_core::{Ctx, DpfError, RecoveryStats, Verify};
 
 /// A symmetric positive-definite tridiagonal system (constant layout with
@@ -61,35 +61,6 @@ fn apply(ctx: &Ctx, sys: &CgSystem, v: &DistArray<f64>) -> DistArray<f64> {
     fuse::eval(ctx, &q)
 }
 
-/// Solve to `tol` (residual max-norm) or `max_iter`.
-pub fn cg_solve(ctx: &Ctx, sys: &CgSystem, tol: f64, max_iter: usize) -> CgResult {
-    let n = sys.diag.shape()[0];
-    let mut x = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
-    let mut r = sys.rhs.clone();
-    let mut p = r.clone();
-    let mut rho = dot(ctx, &r, &r);
-    let mut res = max_all(ctx, &r.map(ctx, 0, f64::abs));
-    let mut iters = 0;
-    while res > tol && iters < max_iter {
-        let q = apply(ctx, sys, &p);
-        let alpha = rho / dot(ctx, &p, &q);
-        x.zip_inplace(ctx, 2, &p, |xi, pi| *xi += alpha * pi);
-        r.zip_inplace(ctx, 2, &q, |ri, qi| *ri -= alpha * qi);
-        let rho_new = dot(ctx, &r, &r);
-        let beta = rho_new / rho;
-        p = r.zip_map(ctx, 2, &p, |ri, pi| ri + beta * pi);
-        rho = rho_new;
-        // Convergence reduction (3rd Reduction of the iteration; no FLOPs).
-        res = max_all(ctx, &r.map(ctx, 0, f64::abs));
-        iters += 1;
-    }
-    CgResult {
-        x,
-        iterations: iters,
-        residual: res,
-    }
-}
-
 /// Full iteration state of a CG solve, checkpointable as one unit.
 struct CgState {
     x: DistArray<f64>,
@@ -100,77 +71,70 @@ struct CgState {
 }
 
 impl Checkpoint for CgState {
-    type Snapshot = (Vec<f64>, Vec<f64>, Vec<f64>, f64, f64);
-
-    fn snapshot(&self) -> Self::Snapshot {
-        (
-            Checkpoint::snapshot(&self.x),
-            Checkpoint::snapshot(&self.r),
-            Checkpoint::snapshot(&self.p),
-            self.rho,
-            self.res,
-        )
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.x.capture(out);
+        self.r.capture(out);
+        self.p.capture(out);
+        self.rho.capture(out);
+        self.res.capture(out);
     }
 
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        self.x.restore(&snap.0);
-        self.r.restore(&snap.1);
-        self.p.restore(&snap.2);
-        self.rho = snap.3;
-        self.res = snap.4;
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.x.restore(cursor);
+        self.r.restore(cursor);
+        self.p.restore(cursor);
+        self.rho.restore(cursor);
+        self.res.restore(cursor);
     }
 
     fn healthy(&self) -> bool {
         self.x.healthy()
             && self.r.healthy()
             && self.p.healthy()
-            && self.rho.is_finite()
-            && self.res.is_finite()
+            && self.rho.healthy()
+            && self.res.healthy()
     }
 }
 
-/// [`cg_solve`] with snapshot-every-`every` checkpoint/restart: survives
-/// injected comm-buffer corruption and forced aborts by rolling the full
-/// iteration state back to the last healthy snapshot and recomputing.
-/// Returns the solve result plus what recovery cost.
-pub fn cg_solve_checkpointed(
+/// Solve to `tol` (residual max-norm) or `max_iter`. Under
+/// `--checkpoint-every K` the full iteration state is snapshotted every
+/// K iterations and rolled back + recomputed after injected comm-buffer
+/// corruption or a forced abort. Returns the solve result plus what
+/// recovery cost.
+pub fn cg_solve(
     ctx: &Ctx,
     sys: &CgSystem,
     tol: f64,
     max_iter: usize,
-    every: usize,
-    max_restores: usize,
 ) -> Result<(CgResult, RecoveryStats), DpfError> {
     let n = sys.diag.shape()[0];
+    let x = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
     let r = sys.rhs.clone();
+    let p = r.clone();
     let rho = dot(ctx, &r, &r);
     let res = max_all(ctx, &r.map(ctx, 0, f64::abs));
-    let mut st = CgState {
-        x: DistArray::<f64>::zeros(ctx, &[n], &[PAR]),
-        p: r.clone(),
-        r,
-        rho,
-        res,
-    };
-    let mut iters = 0usize;
-    let stats = drive(&mut st, max_iter, every, max_restores, |st, i| {
-        if st.res <= tol {
-            return Step::Done;
+    let mut st = CgState { x, r, p, rho, res };
+    let mut iters = 0;
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut st, max_iter, every, MAX_RESTORES, |st, i| {
+        if st.res > tol {
+            let q = apply(ctx, sys, &st.p);
+            let alpha = st.rho / dot(ctx, &st.p, &q);
+            st.x.zip_inplace(ctx, 2, &st.p, |xi, pi| *xi += alpha * pi);
+            st.r.zip_inplace(ctx, 2, &q, |ri, qi| *ri -= alpha * qi);
+            let rho_new = dot(ctx, &st.r, &st.r);
+            let beta = rho_new / st.rho;
+            st.p = st.r.zip_map(ctx, 2, &st.p, |ri, pi| ri + beta * pi);
+            st.rho = rho_new;
+            // Convergence reduction (3rd Reduction of the iteration; no FLOPs).
+            st.res = max_all(ctx, &st.r.map(ctx, 0, f64::abs));
+            iters = i + 1;
         }
-        let q = apply(ctx, sys, &st.p);
-        let alpha = st.rho / dot(ctx, &st.p, &q);
-        st.x.zip_inplace(ctx, 2, &st.p, |xi, pi| *xi += alpha * pi);
-        st.r.zip_inplace(ctx, 2, &q, |ri, qi| *ri -= alpha * qi);
-        let rho_new = dot(ctx, &st.r, &st.r);
-        let beta = rho_new / st.rho;
-        st.p = st.r.zip_map(ctx, 2, &st.p, |ri, pi| ri + beta * pi);
-        st.rho = rho_new;
-        st.res = max_all(ctx, &st.r.map(ctx, 0, f64::abs));
-        iters = i + 1;
-        if st.res <= tol {
-            Step::Done
-        } else {
+        // Iterate while `res > tol`: a NaN residual ends the solve too.
+        if st.res > tol {
             Step::Continue
+        } else {
+            Step::Done
         }
     })?;
     Ok((
@@ -313,7 +277,7 @@ mod tests {
     fn converges_to_thomas_solution() {
         let ctx = ctx(4);
         let sys = workload(&ctx, 64);
-        let out = cg_solve(&ctx, &sys, 1e-12, 200);
+        let (out, _) = cg_solve(&ctx, &sys, 1e-12, 200).unwrap();
         assert!(out.residual <= 1e-12);
         assert!(verify(&sys, &out.x, 1e-9).is_pass());
     }
@@ -322,10 +286,27 @@ mod tests {
     fn converges_quickly_for_spd_tridiagonal() {
         let ctx = ctx(2);
         let sys = workload(&ctx, 128);
-        let out = cg_solve(&ctx, &sys, 1e-10, 500);
+        let (out, _) = cg_solve(&ctx, &sys, 1e-10, 500).unwrap();
         // Condition number of the boosted Laplacian is ~3; CG converges in
         // far fewer than n iterations.
         assert!(out.iterations < 60, "took {} iterations", out.iterations);
+    }
+
+    #[test]
+    fn checkpointed_solve_recovers_from_poison() {
+        use dpf_core::{FaultKind, FaultPlan};
+        for seed in 1..=5 {
+            let plan = FaultPlan::new(0.02, seed)
+                .only(FaultKind::NanPoison)
+                .with_checkpoint_every(2);
+            let ctx = Ctx::with_faults(Machine::cm5(4), plan);
+            let sys = workload(&ctx, 64);
+            let (out, stats) = cg_solve(&ctx, &sys, 1e-11, 640).unwrap();
+            assert!(ctx.faults.injected() > 0, "seed {seed}: plan never fired");
+            assert!(stats.restores > 0, "seed {seed}: no rollback exercised");
+            let v = verify(&sys, &out.x, 1e-8);
+            assert!(v.is_pass(), "seed {seed}: {v}");
+        }
     }
 
     #[test]
@@ -335,7 +316,7 @@ mod tests {
         // Count one iteration's worth by running exactly one iteration.
         let snap0_cs = ctx.instr.pattern_calls(CommPattern::Cshift);
         let snap0_rd = ctx.instr.pattern_calls(CommPattern::Reduction);
-        let _ = cg_solve(&ctx, &sys, f64::INFINITY, 1); // setup only, res <= inf
+        cg_solve(&ctx, &sys, f64::INFINITY, 1).unwrap(); // setup only, res <= inf
         let cs = ctx.instr.pattern_calls(CommPattern::Cshift) - snap0_cs;
         let rd = ctx.instr.pattern_calls(CommPattern::Reduction) - snap0_rd;
         // Setup performs 2 reductions (rho and the initial residual norm);
@@ -344,7 +325,7 @@ mod tests {
         assert_eq!(rd, 2);
         let ctx2 = Ctx::new(Machine::cm5(4));
         let sys2 = workload(&ctx2, 32);
-        let _ = cg_solve(&ctx2, &sys2, 0.0, 1); // force exactly 1 iteration
+        cg_solve(&ctx2, &sys2, 0.0, 1).unwrap(); // force exactly 1 iteration
         assert_eq!(ctx2.instr.pattern_calls(CommPattern::Cshift), 2);
         assert_eq!(ctx2.instr.pattern_calls(CommPattern::Reduction), 2 + 3);
     }
@@ -354,7 +335,7 @@ mod tests {
         let ctx = ctx(1);
         let n = 256u64;
         let sys = workload(&ctx, n as usize);
-        let _ = cg_solve(&ctx, &sys, 0.0, 1);
+        cg_solve(&ctx, &sys, 0.0, 1).unwrap();
         let setup = 2 * (2 * n - 1) - n; // rho dot (2n-1) + |r| map(0)
         let per_iter = ctx.instr.flops() - (2 * n - 1);
         // Expect ~15n: 5n matvec + 2 dots (4n) + 3 axpys (6n).
@@ -371,7 +352,7 @@ mod tests {
         let p = 96;
         let ctx_b = Ctx::new(Machine::cm5(4));
         let sys_b = workload(&ctx_b, p);
-        let out_b = cg_solve(&ctx_b, &sys_b, 1e-12, 400);
+        let (out_b, _) = cg_solve(&ctx_b, &sys_b, 1e-12, 400).unwrap();
         let ctx_o = Ctx::new(Machine::cm5(4));
         let sys_o = workload(&ctx_o, p);
         let out_o = cg_solve_optimized(&ctx_o, &sys_o, 1e-12, 400);

@@ -13,7 +13,7 @@
 
 use dpf_array::{DistArray, PAR};
 use dpf_comm::cshift;
-use dpf_core::checkpoint::{drive, Checkpoint, Step};
+use dpf_core::checkpoint::{drive, Checkpoint, Step, MAX_RESTORES};
 use dpf_core::{flops, CommPattern, Ctx, DpfError, RecoveryStats, Verify};
 
 /// Result of the eigen decomposition.
@@ -29,72 +29,6 @@ pub struct JacobiResult {
     pub offdiag: f64,
 }
 
-/// Diagonalize a symmetric matrix. `n` must be even (pad with a detached
-/// diagonal entry otherwise — the workload generator always returns even).
-pub fn jacobi_eigen(ctx: &Ctx, a: &DistArray<f64>, tol: f64, max_sweeps: usize) -> JacobiResult {
-    assert_eq!(a.rank(), 2, "jacobi expects a 2-D matrix");
-    let n = a.shape()[0];
-    assert_eq!(a.shape()[1], n, "matrix must be square");
-    assert!(
-        n >= 2 && n.is_multiple_of(2),
-        "jacobi pairing needs even n >= 2"
-    );
-    let mut m = a.to_vec();
-    let mut v = vec![0.0f64; n * n];
-    for i in 0..n {
-        v[i * n + i] = 1.0;
-    }
-    // Round-robin schedule held in a 1-D parallel array; rotating it with
-    // CSHIFT *is* the paper's "2 CSHIFTs on 1-D arrays" per iteration.
-    let mut players = DistArray::<i32>::from_fn(ctx, &[n - 1], &[PAR], |i| i[0] as i32 + 1);
-    let mut iterations = 0usize;
-    let mut off = offdiag_norm(&m, n);
-    'sweeps: for _ in 0..max_sweeps {
-        for _round in 0..n - 1 {
-            if off <= tol {
-                break 'sweeps;
-            }
-            // Pair (0, players[0]) and (players[i], players[n-1-i]).
-            let ps = players.to_vec();
-            let mut pairs = Vec::with_capacity(n / 2);
-            pairs.push((0usize, ps[0] as usize));
-            for i in 1..n / 2 {
-                pairs.push((ps[i] as usize, ps[n - 1 - i] as usize));
-            }
-            // Table 4's per-iteration communication.
-            ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
-            ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
-            ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
-            ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
-            for _ in 0..4 {
-                ctx.record_comm(CommPattern::Broadcast, 1, 2, n as u64, 0);
-            }
-            ctx.add_flops(pairs.len() as u64 * (26 + 12 * n as u64));
-            ctx.busy(|| {
-                for &(p, q) in &pairs {
-                    rotate_pair(&mut m, &mut v, n, p.min(q), p.max(q));
-                }
-            });
-            // Rotate the tournament: one genuine 1-D CSHIFT plus the
-            // inverse-lookup array's shift (recorded) — Table 4's
-            // "2 CSHIFTs on 1-D arrays".
-            players = cshift(ctx, &players, 0, -1);
-            ctx.record_comm(CommPattern::Cshift, 1, 1, (n - 1) as u64, 0);
-            iterations += 1;
-            off = offdiag_norm(&m, n);
-        }
-        if off <= tol {
-            break;
-        }
-    }
-    JacobiResult {
-        eigenvalues: (0..n).map(|i| m[i * n + i]).collect(),
-        vectors: v,
-        iterations,
-        offdiag: off,
-    }
-}
-
 /// Full per-round state of the eigensolver: the working matrix, the
 /// accumulating vectors, the tournament schedule and the convergence
 /// measure.
@@ -106,31 +40,27 @@ struct JacobiState {
 }
 
 impl Checkpoint for JacobiState {
-    type Snapshot = (Vec<f64>, Vec<f64>, Vec<i32>, f64);
-
-    fn snapshot(&self) -> Self::Snapshot {
-        (
-            self.m.clone(),
-            self.v.clone(),
-            Checkpoint::snapshot(&self.players),
-            self.off,
-        )
+    fn capture(&self, out: &mut Vec<u8>) {
+        self.m.capture(out);
+        self.v.capture(out);
+        self.players.capture(out);
+        self.off.capture(out);
     }
 
-    fn restore(&mut self, snap: &Self::Snapshot) {
-        self.m.copy_from_slice(&snap.0);
-        self.v.copy_from_slice(&snap.1);
-        self.players.restore(&snap.2);
-        self.off = snap.3;
+    fn restore(&mut self, cursor: &mut &[u8]) {
+        self.m.restore(cursor);
+        self.v.restore(cursor);
+        self.players.restore(cursor);
+        self.off.restore(cursor);
     }
 
     fn healthy(&self) -> bool {
         // The schedule is a permutation of 1..n; a bit-flipped entry is a
         // legal i32 but an illegal player id, so range-check explicitly.
         let n = self.players.len() + 1;
-        self.m.iter().all(|x| x.is_finite())
-            && self.v.iter().all(|x| x.is_finite())
-            && self.off.is_finite()
+        self.m.healthy()
+            && self.v.healthy()
+            && self.off.healthy()
             && self
                 .players
                 .as_slice()
@@ -139,16 +69,16 @@ impl Checkpoint for JacobiState {
     }
 }
 
-/// [`jacobi_eigen`] with snapshot-every-`every` checkpoint/restart over
-/// the rotation-set loop: a corrupted schedule or matrix (or a forced
-/// abort inside a round) rolls back to the last healthy snapshot.
-pub fn jacobi_eigen_checkpointed(
+/// Diagonalize a symmetric matrix. `n` must be even (pad with a detached
+/// diagonal entry otherwise — the workload generator always returns even).
+/// Under `--checkpoint-every K` the rotation-set loop is snapshotted
+/// every K sets: a corrupted schedule or matrix (or a forced abort inside
+/// a set) rolls back to the last healthy snapshot.
+pub fn jacobi_eigen(
     ctx: &Ctx,
     a: &DistArray<f64>,
     tol: f64,
     max_sweeps: usize,
-    every: usize,
-    max_restores: usize,
 ) -> Result<(JacobiResult, RecoveryStats), DpfError> {
     assert_eq!(a.rank(), 2, "jacobi expects a 2-D matrix");
     let n = a.shape()[0];
@@ -162,53 +92,53 @@ pub fn jacobi_eigen_checkpointed(
     for i in 0..n {
         v[i * n + i] = 1.0;
     }
+    // Round-robin schedule held in a 1-D parallel array; rotating it with
+    // CSHIFT *is* the paper's "2 CSHIFTs on 1-D arrays" per iteration.
+    let players = DistArray::<i32>::from_fn(ctx, &[n - 1], &[PAR], |i| i[0] as i32 + 1);
     let off = offdiag_norm(&m, n);
-    let mut st = JacobiState {
-        m,
-        v,
-        players: DistArray::<i32>::from_fn(ctx, &[n - 1], &[PAR], |i| i[0] as i32 + 1),
-        off,
-    };
+    let mut st = JacobiState { m, v, players, off };
     let mut iterations = 0usize;
-    let stats = drive(
-        &mut st,
-        max_sweeps * (n - 1),
-        every,
-        max_restores,
-        |st, i| {
-            if st.off <= tol {
-                return Step::Done;
+    // `n − 1` rotation sets make a sweep.
+    let max_sets = max_sweeps * (n - 1);
+    let every = ctx.faults.checkpoint_every();
+    let stats = drive(&mut st, max_sets, every, MAX_RESTORES, |st, i| {
+        if st.off <= tol {
+            return Step::Done;
+        }
+        // Pair (0, players[0]) and (players[k], players[n-1-k]).
+        let ps = st.players.to_vec();
+        let mut pairs = Vec::with_capacity(n / 2);
+        pairs.push((0usize, ps[0] as usize));
+        for k in 1..n / 2 {
+            pairs.push((ps[k] as usize, ps[n - 1 - k] as usize));
+        }
+        // Table 4's per-iteration communication.
+        ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
+        ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
+        ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
+        ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
+        for _ in 0..4 {
+            ctx.record_comm(CommPattern::Broadcast, 1, 2, n as u64, 0);
+        }
+        ctx.add_flops(pairs.len() as u64 * (26 + 12 * n as u64));
+        ctx.busy(|| {
+            for &(p, q) in &pairs {
+                rotate_pair(&mut st.m, &mut st.v, n, p.min(q), p.max(q));
             }
-            let ps = st.players.to_vec();
-            let mut pairs = Vec::with_capacity(n / 2);
-            pairs.push((0usize, ps[0] as usize));
-            for k in 1..n / 2 {
-                pairs.push((ps[k] as usize, ps[n - 1 - k] as usize));
-            }
-            ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
-            ctx.record_comm(CommPattern::Cshift, 2, 2, (n * n) as u64, 0);
-            ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
-            ctx.record_comm(CommPattern::Send, 1, 2, n as u64, 0);
-            for _ in 0..4 {
-                ctx.record_comm(CommPattern::Broadcast, 1, 2, n as u64, 0);
-            }
-            ctx.add_flops(pairs.len() as u64 * (26 + 12 * n as u64));
-            ctx.busy(|| {
-                for &(p, q) in &pairs {
-                    rotate_pair(&mut st.m, &mut st.v, n, p.min(q), p.max(q));
-                }
-            });
-            st.players = cshift(ctx, &st.players, 0, -1);
-            ctx.record_comm(CommPattern::Cshift, 1, 1, (n - 1) as u64, 0);
-            st.off = offdiag_norm(&st.m, n);
-            iterations = i + 1;
-            if st.off <= tol {
-                Step::Done
-            } else {
-                Step::Continue
-            }
-        },
-    )?;
+        });
+        // Rotate the tournament: one genuine 1-D CSHIFT plus the
+        // inverse-lookup array's shift (recorded) — Table 4's
+        // "2 CSHIFTs on 1-D arrays".
+        st.players = cshift(ctx, &st.players, 0, -1);
+        ctx.record_comm(CommPattern::Cshift, 1, 1, (n - 1) as u64, 0);
+        st.off = offdiag_norm(&st.m, n);
+        iterations = i + 1;
+        if st.off <= tol {
+            Step::Done
+        } else {
+            Step::Continue
+        }
+    })?;
     Ok((
         JacobiResult {
             eigenvalues: (0..n).map(|i| st.m[i * n + i]).collect(),
@@ -314,7 +244,7 @@ mod tests {
     fn diagonalizes_2x2_exactly() {
         let ctx = ctx(1);
         let a = DistArray::<f64>::from_vec(&ctx, &[2, 2], &[PAR, PAR], vec![2., 1., 1., 2.]);
-        let out = jacobi_eigen(&ctx, &a, 1e-14, 10);
+        let (out, _) = jacobi_eigen(&ctx, &a, 1e-14, 10).unwrap();
         let mut ev = out.eigenvalues.clone();
         ev.sort_by(f64::total_cmp);
         assert!((ev[0] - 1.0).abs() < 1e-12);
@@ -325,7 +255,7 @@ mod tests {
     fn eigenpairs_satisfy_av_equals_lambda_v() {
         let ctx = ctx(4);
         let a = workload(&ctx, 12);
-        let out = jacobi_eigen(&ctx, &a, 1e-12, 30);
+        let (out, _) = jacobi_eigen(&ctx, &a, 1e-12, 30).unwrap();
         assert!(out.offdiag < 1e-10, "offdiag {}", out.offdiag);
         assert!(verify(&a, &out, 1e-8).is_pass());
     }
@@ -334,7 +264,7 @@ mod tests {
     fn eigenvalue_sum_of_squares_matches_frobenius() {
         let ctx = ctx(2);
         let a = workload(&ctx, 8);
-        let out = jacobi_eigen(&ctx, &a, 1e-13, 30);
+        let (out, _) = jacobi_eigen(&ctx, &a, 1e-13, 30).unwrap();
         let frob2: f64 = a.as_slice().iter().map(|x| x * x).sum();
         let lam2: f64 = out.eigenvalues.iter().map(|x| x * x).sum();
         assert!((frob2 - lam2).abs() < 1e-8 * frob2.max(1.0));
@@ -344,7 +274,7 @@ mod tests {
     fn comm_per_iteration_matches_table4() {
         let ctx = ctx(4);
         let a = workload(&ctx, 8);
-        let out = jacobi_eigen(&ctx, &a, 0.0, 1); // exactly one sweep = 7 sets
+        let (out, _) = jacobi_eigen(&ctx, &a, 0.0, 1).unwrap(); // exactly one sweep = 7 sets
         let iters = out.iterations as u64;
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Send), 2 * iters);
         assert_eq!(ctx.instr.pattern_calls(CommPattern::Broadcast), 4 * iters);
@@ -357,12 +287,33 @@ mod tests {
         let ctx = ctx(1);
         let n = 64u64;
         let a = workload(&ctx, n as usize);
-        let out = jacobi_eigen(&ctx, &a, 0.0, 1);
+        let (out, _) = jacobi_eigen(&ctx, &a, 0.0, 1).unwrap();
         let per_iter = ctx.instr.flops() as f64 / out.iterations as f64;
         let expect = 6.0 * (n * n) as f64;
         assert!(
             (per_iter - expect).abs() / expect < 0.1,
             "per-iter {per_iter} vs {expect}"
         );
+    }
+
+    #[test]
+    fn checkpointed_solve_recovers_from_bit_flips() {
+        use dpf_core::{FaultKind, FaultPlan};
+        // A flipped schedule entry is a legal i32 but an illegal player:
+        // either the next set indexes out of range and panics, or the
+        // health probe's range check rejects it at a boundary. Both roll
+        // back. Seed 3 injects nothing at this size.
+        for seed in [1, 2, 4, 5] {
+            let plan = FaultPlan::new(0.05, seed)
+                .only(FaultKind::BitFlip)
+                .with_checkpoint_every(2);
+            let ctx = Ctx::with_faults(Machine::cm5(4), plan);
+            let a = workload(&ctx, 8);
+            let (out, stats) = jacobi_eigen(&ctx, &a, 1e-11, 40).unwrap();
+            assert!(ctx.faults.injected() > 0, "seed {seed}: plan never fired");
+            assert!(stats.restores > 0, "seed {seed}: no rollback exercised");
+            let v = verify(&a, &out, 1e-7);
+            assert!(v.is_pass(), "seed {seed}: {v}");
+        }
     }
 }

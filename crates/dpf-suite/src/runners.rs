@@ -7,29 +7,26 @@ use dpf_core::{Ctx, DpfError, ProblemClass, RecoveryStats, Verify};
 
 use crate::benchmark::RunOutput;
 
-/// Restore budget for checkpoint-aware runners (per run, not per window).
-const MAX_RESTORES: usize = 32;
-
-/// The checkpointed path of a checkpoint-aware runner, taken when the
-/// fault plan sets an interval: `run(every)` returns the verification,
-/// iteration count and recovery statistics, and the problem string gains
-/// the interval and restore count. An exhausted restore budget (or an
-/// unrecoverable error) reports a failing verification instead of
-/// unwinding, so the suite sweep keeps going. `None` when checkpointing
-/// is off.
+/// The output of a checkpoint-aware runner, whose kernel returns the
+/// verification, iteration count and recovery statistics. With
+/// checkpointing on (`--checkpoint-every K`, K > 0) the problem string
+/// gains the interval and restore count. An exhausted restore budget (or
+/// an unrecoverable error) reports a failing verification instead of
+/// unwinding, so the suite sweep keeps going.
 fn checkpointed(
     ctx: &Ctx,
-    problem: &str,
+    problem: String,
     points: u64,
-    run: impl FnOnce(usize) -> Result<(Verify, u64, RecoveryStats), DpfError>,
-) -> Option<RunOutput> {
+    run: Result<(Verify, u64, RecoveryStats), DpfError>,
+) -> RunOutput {
     let every = ctx.faults.checkpoint_every();
-    if every == 0 {
-        return None;
-    }
-    Some(match run(every) {
+    match run {
         Ok((verify, iterations, stats)) => RunOutput {
-            problem: format!("{problem} (ck={every}, restores={})", stats.restores),
+            problem: if every > 0 {
+                format!("{problem} (ck={every}, restores={})", stats.restores)
+            } else {
+                problem
+            },
             verify,
             points,
             iterations,
@@ -40,7 +37,7 @@ fn checkpointed(
             points,
             iterations: 0,
         },
-    })
+    }
 }
 
 // ---------------------------------------------------------------- linalg
@@ -179,21 +176,11 @@ pub fn conj_grad(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::conj_grad as cg;
     let n = conj_grad_size(c);
     let sys = cg::workload(ctx, n);
-    let problem = format!("n={n}, d");
-    if let Some(out) = checkpointed(ctx, &problem, n as u64, |every| {
-        let (out, stats) =
-            cg::cg_solve_checkpointed(ctx, &sys, 1e-11, 10 * n, every, MAX_RESTORES)?;
-        Ok((cg::verify(&sys, &out.x, 1e-8), out.iterations as u64, stats))
-    }) {
-        return out;
-    }
-    let out = cg::cg_solve(ctx, &sys, 1e-11, 10 * n);
-    RunOutput {
-        problem,
-        verify: cg::verify(&sys, &out.x, 1e-8),
-        points: n as u64,
-        iterations: out.iterations as u64,
-    }
+    let out = cg::cg_solve(ctx, &sys, 1e-11, 10 * n).map(|(out, stats)| {
+        let verify = cg::verify(&sys, &out.x, 1e-8);
+        (verify, out.iterations as u64, stats)
+    });
+    checkpointed(ctx, format!("n={n}, d"), n as u64, out)
 }
 
 /// `conj-grad`, optimized (fused-kernel) version.
@@ -215,20 +202,11 @@ pub fn jacobi(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_linalg::jacobi as jc;
     let n = c.linear(8);
     let a = jc::workload(ctx, n);
-    let problem = format!("n={n}, d");
-    if let Some(out) = checkpointed(ctx, &problem, (n * n) as u64, |every| {
-        let (out, stats) = jc::jacobi_eigen_checkpointed(ctx, &a, 1e-11, 40, every, MAX_RESTORES)?;
-        Ok((jc::verify(&a, &out, 1e-7), out.iterations as u64, stats))
-    }) {
-        return out;
-    }
-    let out = jc::jacobi_eigen(ctx, &a, 1e-11, 40);
-    RunOutput {
-        problem,
-        verify: jc::verify(&a, &out, 1e-7),
-        points: (n * n) as u64,
-        iterations: out.iterations as u64,
-    }
+    let out = jc::jacobi_eigen(ctx, &a, 1e-11, 40).map(|(out, stats)| {
+        let verify = jc::verify(&a, &out, 1e-7);
+        (verify, out.iterations as u64, stats)
+    });
+    checkpointed(ctx, format!("n={n}, d"), (n * n) as u64, out)
 }
 
 /// `fft` — 1-D, 2-D and 3-D round trips (Table 4's three rows).
@@ -292,21 +270,9 @@ pub fn diff_1d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
         steps: c.linear(4),
         ..Default::default()
     };
+    let out = d::run(ctx, &p).map(|(_, verify, stats)| (verify, p.steps as u64, stats));
     let problem = format!("nx={}, steps={}", p.nx, p.steps);
-    let points = p.nx as u64;
-    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
-        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
-        Ok((verify, p.steps as u64, stats))
-    }) {
-        return out;
-    }
-    let (_, verify) = d::run(ctx, &p);
-    RunOutput {
-        problem,
-        verify,
-        points,
-        iterations: p.steps as u64,
-    }
+    checkpointed(ctx, problem, p.nx as u64, out)
 }
 
 /// `diff-2D`.
@@ -317,21 +283,9 @@ pub fn diff_2d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
         steps: c.linear(3),
         ..Default::default()
     };
+    let out = d::run(ctx, &p).map(|(_, verify, stats)| (verify, p.steps as u64, stats));
     let problem = format!("nx={}, steps={}", p.nx, p.steps);
-    let points = (p.nx * p.nx) as u64;
-    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
-        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
-        Ok((verify, p.steps as u64, stats))
-    }) {
-        return out;
-    }
-    let (_, verify) = d::run(ctx, &p);
-    RunOutput {
-        problem,
-        verify,
-        points,
-        iterations: p.steps as u64,
-    }
+    checkpointed(ctx, problem, (p.nx * p.nx) as u64, out)
 }
 
 /// `diff-3D` parameters, shared by the basic and fused versions.
@@ -347,21 +301,9 @@ fn diff_3d_params(c: ProblemClass) -> dpf_apps::diff_3d::Params {
 pub fn diff_3d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::diff_3d as d;
     let p = diff_3d_params(c);
+    let out = d::run(ctx, &p).map(|(_, verify, stats)| (verify, p.steps as u64, stats));
     let problem = format!("n={}, steps={}", p.n, p.steps);
-    let points = (p.n * p.n * p.n) as u64;
-    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
-        let (_, verify, stats) = d::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
-        Ok((verify, p.steps as u64, stats))
-    }) {
-        return out;
-    }
-    let (_, verify) = d::run(ctx, &p);
-    RunOutput {
-        problem,
-        verify,
-        points,
-        iterations: p.steps as u64,
-    }
+    checkpointed(ctx, problem, (p.n * p.n * p.n) as u64, out)
 }
 
 /// `diff-3D`, optimized (fused node-level kernel) version.
@@ -486,21 +428,9 @@ pub fn md(ctx: &Ctx, c: ProblemClass) -> RunOutput {
         steps: c.linear(5),
         ..Default::default()
     };
+    let out = m::run(ctx, &p).map(|(_, verify, stats)| (verify, p.steps as u64, stats));
     let problem = format!("np={}, steps={}", p.side.pow(3), p.steps);
-    let points = p.side.pow(3) as u64;
-    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
-        let (_, verify, stats) = m::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
-        Ok((verify, p.steps as u64, stats))
-    }) {
-        return out;
-    }
-    let (_, verify) = m::run(ctx, &p);
-    RunOutput {
-        problem,
-        verify,
-        points,
-        iterations: p.steps as u64,
-    }
+    checkpointed(ctx, problem, p.side.pow(3) as u64, out)
 }
 
 /// `mdcell`.
@@ -699,21 +629,9 @@ fn wave_1d_params(c: ProblemClass) -> dpf_apps::wave_1d::Params {
 pub fn wave_1d(ctx: &Ctx, c: ProblemClass) -> RunOutput {
     use dpf_apps::wave_1d as w;
     let p = wave_1d_params(c);
+    let out = w::run(ctx, &p).map(|(_, verify, stats)| (verify, p.steps as u64, stats));
     let problem = format!("nx={}, steps={}", p.nx, p.steps);
-    let points = p.nx as u64;
-    if let Some(out) = checkpointed(ctx, &problem, points, |every| {
-        let (_, verify, stats) = w::run_checkpointed(ctx, &p, every, MAX_RESTORES)?;
-        Ok((verify, p.steps as u64, stats))
-    }) {
-        return out;
-    }
-    let (_, verify) = w::run(ctx, &p);
-    RunOutput {
-        problem,
-        verify,
-        points,
-        iterations: p.steps as u64,
-    }
+    checkpointed(ctx, problem, p.nx as u64, out)
 }
 
 /// `wave-1D`, optimized (fused flux kernel) version.

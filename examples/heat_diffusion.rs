@@ -9,9 +9,9 @@
 //! Run with: `cargo run --release --example heat_diffusion`
 
 use dpf::apps::{diff_1d, diff_2d, diff_3d};
-use dpf::core::{Ctx, Machine};
+use dpf::core::{Ctx, DpfError, Machine};
 
-fn main() {
+fn main() -> Result<(), DpfError> {
     let machine = Machine::cm5(32);
     println!(
         "heat diffusion three ways on a {}-processor virtual machine\n",
@@ -29,7 +29,7 @@ fn main() {
         steps: 32,
         lambda: 0.4,
     };
-    let (_, v1) = diff_1d::run(&ctx, &p1);
+    let (_, v1, _) = diff_1d::run(&ctx, &p1)?;
     row("diff-1D (implicit, PCR)", &ctx, &v1);
 
     // 2-D: alternating-direction implicit, transposing between sweeps.
@@ -39,7 +39,7 @@ fn main() {
         steps: 16,
         lambda: 0.3,
     };
-    let (_, v2) = diff_2d::run(&ctx, &p2);
+    let (_, v2, _) = diff_2d::run(&ctx, &p2)?;
     row("diff-2D (ADI + AAPC)", &ctx, &v2);
 
     // 3-D: explicit 7-point stencil.
@@ -49,7 +49,7 @@ fn main() {
         steps: 32,
         lambda: 0.15,
     };
-    let (_, v3) = diff_3d::run(&ctx, &p3);
+    let (_, v3, _) = diff_3d::run(&ctx, &p3)?;
     row("diff-3D (explicit stencil)", &ctx, &v3);
 
     println!(
@@ -58,6 +58,7 @@ fn main() {
          highest FLOP count but only nearest-neighbour halo traffic — the\n\
          trade-off the DPF suite was designed to expose to compilers."
     );
+    Ok(())
 }
 
 fn row(label: &str, ctx: &Ctx, verify: &dpf::Verify) {

@@ -4,7 +4,7 @@
 
 use std::time::Duration;
 
-use dpf::core::{derive_seed, Ctx, FaultKind, FaultPlan, Machine};
+use dpf::core::{derive_seed, Backend, Ctx, FaultKind, FaultPlan, Machine};
 use dpf::suite::{run_guarded, run_suite, ProblemClass, RunOutcome, SuiteConfig, Version};
 
 fn machine() -> Machine {
@@ -128,10 +128,12 @@ fn stalled_run_times_out_instead_of_hanging() {
 #[test]
 fn checkpointed_kernel_survives_poison_within_one_run() {
     use dpf::apps::diff_1d;
-    let plan = FaultPlan::new(0.02, 0xFA17).only(FaultKind::NanPoison);
+    let plan = FaultPlan::new(0.02, 0xFA17)
+        .only(FaultKind::NanPoison)
+        .with_checkpoint_every(2);
     let ctx = Ctx::with_faults(machine(), plan);
     let p = diff_1d::Params::default();
-    let (_, v, stats) = diff_1d::run_checkpointed(&ctx, &p, 2, 500).unwrap();
+    let (_, v, stats) = diff_1d::run(&ctx, &p).unwrap();
     assert!(ctx.faults.injected() > 0, "plan injected nothing");
     assert!(stats.restores > 0, "no rollback exercised");
     assert!(v.is_pass(), "{v}");
@@ -157,6 +159,47 @@ fn suite_checkpointing_recovers_iterative_kernels() {
         "{}",
         result.output.problem
     );
+}
+
+#[test]
+fn checkpointing_is_transparent_without_faults() {
+    // A fault-free run with --checkpoint-every 2 reports the §1.5
+    // inventory of the unchecked run: one loop per kernel, so turning
+    // snapshots on changes no FLOP, byte or call. Only the problem string
+    // gains the cadence and restore count.
+    const CHECKPOINT_AWARE: [&str; 7] = [
+        "conj-grad",
+        "jacobi",
+        "diff-1D",
+        "diff-2D",
+        "diff-3D",
+        "md",
+        "wave-1D",
+    ];
+    for backend in [Backend::Virtual, Backend::Spmd] {
+        for name in CHECKPOINT_AWARE {
+            let entry = dpf::find(name).unwrap();
+            let run = |every: usize| {
+                let cfg = SuiteConfig {
+                    machine: Machine::cm5(4),
+                    faults: FaultPlan::default().with_checkpoint_every(every),
+                    backend,
+                    ..SuiteConfig::default()
+                };
+                let res = run_guarded(&entry, Version::Basic, &cfg);
+                assert_eq!(res.outcome, RunOutcome::Completed, "{name} ck={every}");
+                res.result.unwrap().report
+            };
+            let (plain, ck) = (run(0), run(2));
+            let label = format!("{name} on {backend:?}");
+            let problem = format!("{} (ck=2, restores=0)", plain.problem);
+            assert_eq!(ck.problem, problem, "{label}");
+            assert_eq!(ck.verify, plain.verify, "{label}");
+            assert_eq!(ck.perf.flops, plain.perf.flops, "{label}: FLOPs");
+            assert_eq!(ck.memory_bytes, plain.memory_bytes, "{label}: memory");
+            assert_eq!(ck.comm, plain.comm, "{label}: per-pattern meters");
+        }
+    }
 }
 
 // ------------------------------------------------------- acceptance sweep

@@ -120,18 +120,17 @@ fn killed_worker_recovers_through_checkpoint_restart() {
 
     // Clean reference run, which also tells us how many SPMD collectives
     // the kernel issues so the kill can land squarely mid-run.
-    let clean = Ctx::build(Machine::cm5(4), None, Backend::Spmd);
-    let (u_clean, v_clean, s_clean) =
-        diff_1d::run_checkpointed(&clean, &p, 2, 0).expect("clean run failed");
+    let checkpointed = FaultPlan::default().with_checkpoint_every(2);
+    let clean = Ctx::build(Machine::cm5(4), Some(checkpointed.clone()), Backend::Spmd);
+    let (u_clean, v_clean, s_clean) = diff_1d::run(&clean, &p).expect("clean run failed");
     assert!(v_clean.is_pass());
     assert_eq!(s_clean.restores, 0);
     let total = clean.link.collectives();
     assert!(total > 4, "too few collectives to place a mid-run kill");
 
-    let plan = FaultPlan::default().with_kill_worker(1, total / 2);
+    let plan = checkpointed.with_kill_worker(1, total / 2);
     let ctx = Ctx::build(Machine::cm5(4), Some(plan), Backend::Spmd);
-    let (u, verify, stats) =
-        diff_1d::run_checkpointed(&ctx, &p, 2, 4).expect("recovery from worker death failed");
+    let (u, verify, stats) = diff_1d::run(&ctx, &p).expect("recovery from worker death failed");
     assert!(verify.is_pass(), "recovered run failed verification");
     assert!(
         stats.restores >= 1,

@@ -14,14 +14,14 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::thread::ThreadId;
 
-use dpf::core::{run_workers, LinkMeter, Router, ShardState, Transport};
+use dpf::core::{run_workers, Checkpoint, LinkMeter, Router, Transport};
 
 const P: usize = 8;
 
 /// A work item that borrows one caller-owned cell.
 struct Cell<'a>(&'a mut u64);
 
-impl ShardState for Cell<'_> {
+impl Checkpoint for Cell<'_> {
     fn capture(&self, out: &mut Vec<u8>) {
         out.extend_from_slice(&self.0.to_le_bytes());
     }
