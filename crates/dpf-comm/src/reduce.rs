@@ -10,13 +10,14 @@
 //! over `p` processors, `p − 1` partial values per lane cross processor
 //! boundaries.
 //!
-//! Under the SPMD backend the reductions run as a sequential fold whose
-//! accumulator hops along the owner-segment chain ([`crate::spmd`]), so
+//! Under the SPMD backend the whole-array reductions run as one
+//! sequential fold on the owner of the first element ([`crate::spmd`]):
+//! every other owner ships it its elements' values in one frame, so
 //! element order — and floating-point rounding — is identical to the
-//! virtual backend's serial loops. The partial values that cross workers
-//! are metered; a chain moves the same `p − 1` partials per lane as the
-//! modeled tree for 1-D distributions and more for multi-axis grids
-//! (where row-major segments interleave owners).
+//! virtual backend's serial loops. The link meter counts the values
+//! shipped, one element size each, which is more than the modeled tree's
+//! `p − 1` partials; the §1.5 meters charge the modeled tree on both
+//! backends.
 
 use crate::spmd::{axis_exec, fold_exec};
 use dpf_array::DistArray;
@@ -56,7 +57,7 @@ pub fn sum_all<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> T {
                 a.layout(),
                 a.as_slice(),
                 T::zero(),
-                T::DTYPE.size() as u64,
+                &|_flat, x| x,
                 &|acc: &mut T, _flat, x| *acc += x,
             )
         })
@@ -74,8 +75,9 @@ pub fn sum_masked<T: Num>(ctx: &Ctx, a: &DistArray<T>, mask: &DistArray<bool>) -
     ctx.add_flops(flops::reduction(a.len() as u64) * T::DTYPE.add_flops());
     record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
     let mut s = if ctx.spmd() && grid_procs(a) > 1 {
-        // Mask flags are read in place (aligned with the data per the HPF
-        // assumption); only the running partial crosses the chain.
+        // Mask flags are read by the element's owner (aligned with the
+        // data per the HPF assumption), which ships `None` for a
+        // masked-out element so the folder skips it as the serial loop does.
         let m = mask.as_slice();
         ctx.busy(|| {
             fold_exec(
@@ -83,9 +85,9 @@ pub fn sum_masked<T: Num>(ctx: &Ctx, a: &DistArray<T>, mask: &DistArray<bool>) -
                 a.layout(),
                 a.as_slice(),
                 T::zero(),
-                T::DTYPE.size() as u64,
-                &|acc: &mut T, flat, x| {
-                    if m[flat] {
+                &|flat, x| m[flat].then_some(x),
+                &|acc: &mut T, _flat, x| {
+                    if let Some(x) = x {
                         *acc += x;
                     }
                 },
@@ -117,7 +119,7 @@ pub fn product_all<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> T {
                 a.layout(),
                 a.as_slice(),
                 T::one(),
-                T::DTYPE.size() as u64,
+                &|_flat, x| x,
                 &|acc: &mut T, _flat, x| *acc *= x,
             )
         })
@@ -207,12 +209,12 @@ pub fn max_all<T: Elem + PartialOrd>(ctx: &Ctx, a: &DistArray<T>) -> T {
     record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
     if ctx.spmd() && grid_procs(a) > 1 {
         ctx.busy(|| {
-            fold_exec::<T, Option<T>>(
+            fold_exec::<T, T, Option<T>>(
                 ctx,
                 a.layout(),
                 a.as_slice(),
                 None,
-                T::DTYPE.size() as u64,
+                &|_flat, x| x,
                 &|best, _flat, x| match best {
                     Some(b) => {
                         if x > *b {
@@ -243,12 +245,12 @@ pub fn min_all<T: Elem + PartialOrd>(ctx: &Ctx, a: &DistArray<T>) -> T {
     record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
     if ctx.spmd() && grid_procs(a) > 1 {
         ctx.busy(|| {
-            fold_exec::<T, Option<T>>(
+            fold_exec::<T, T, Option<T>>(
                 ctx,
                 a.layout(),
                 a.as_slice(),
                 None,
-                T::DTYPE.size() as u64,
+                &|_flat, x| x,
                 &|best, _flat, x| match best {
                     Some(b) => {
                         if x < *b {
@@ -279,16 +281,15 @@ pub fn min_all<T: Elem + PartialOrd>(ctx: &Ctx, a: &DistArray<T>) -> T {
 pub fn maxloc_abs<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> (usize, T) {
     record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
     if ctx.spmd() && grid_procs(a) > 1 {
-        // The hop carries (index, value, magnitude); the strict `>` keeps
-        // the first of equal magnitudes, matching the serial scan.
+        // The strict `>` keeps the first of equal magnitudes, matching the
+        // serial scan.
         let st = ctx.busy(|| {
-            fold_exec::<T, Option<(usize, T, f64)>>(
+            fold_exec::<T, T, Option<(usize, T, f64)>>(
                 ctx,
                 a.layout(),
                 a.as_slice(),
                 None,
-                (T::DTYPE.size() + std::mem::size_of::<usize>() + std::mem::size_of::<f64>())
-                    as u64,
+                &|_flat, x| x,
                 &|st, flat, x| {
                     let m = x.mag();
                     match st {
@@ -327,22 +328,23 @@ pub fn dot<T: Num>(ctx: &Ctx, a: &DistArray<T>, b: &DistArray<T>) -> T {
     ctx.add_flops(n * T::DTYPE.mul_flops() + flops::reduction(n) * T::DTYPE.add_flops());
     record_reduce::<T>(ctx, a.rank(), 0, n, grid_procs(a) as u64 - 1);
     let mut s = if ctx.spmd() && grid_procs(a) > 1 {
-        // `b` is read in place at the chain's own flats (aligned operands
-        // per the HPF assumption). Above the parallel threshold the chain
-        // state carries the per-4096-chunk partials so the final
-        // combination can reproduce the virtual backend's rayon reduce
-        // tree bit for bit.
+        // Each product `a * b` is formed by the owner of its flat
+        // (aligned operands per the HPF assumption) and only the product
+        // is shipped. Above the parallel threshold the fold state keeps
+        // the per-4096-chunk partials so the final combination can
+        // reproduce the virtual backend's rayon reduce tree bit for bit.
         let bs = b.as_slice();
+        let lift = |flat: usize, x: T| x * bs[flat];
         if a.len() >= dpf_array::PAR_THRESHOLD {
             ctx.busy(|| {
-                let (mut partials, tail) = fold_exec::<T, (Vec<T>, T)>(
+                let (mut partials, tail) = fold_exec::<T, T, (Vec<T>, T)>(
                     ctx,
                     a.layout(),
                     a.as_slice(),
                     (Vec::new(), T::zero()),
-                    T::DTYPE.size() as u64,
-                    &|st, flat, x| {
-                        st.1 += x * bs[flat];
+                    &lift,
+                    &|st, flat, y| {
+                        st.1 += y;
                         if (flat + 1) % DOT_CHUNK == 0 {
                             let full = std::mem::replace(&mut st.1, T::zero());
                             st.0.push(full);
@@ -361,8 +363,8 @@ pub fn dot<T: Num>(ctx: &Ctx, a: &DistArray<T>, b: &DistArray<T>) -> T {
                     a.layout(),
                     a.as_slice(),
                     T::zero(),
-                    T::DTYPE.size() as u64,
-                    &|acc: &mut T, flat, x| *acc += x * bs[flat],
+                    &lift,
+                    &|acc: &mut T, _flat, y| *acc += y,
                 )
             })
         }
@@ -379,7 +381,7 @@ pub fn dot<T: Num>(ctx: &Ctx, a: &DistArray<T>, b: &DistArray<T>) -> T {
                         }
                         acc
                     })
-                    // dpf-lint: allow(determinism-taint, reason = "blessed bit-replay pair: fixed DOT_CHUNK piece sums make this the reference tree that rayon_piece_sum replays bit-exactly on the SPMD chain")
+                    // dpf-lint: allow(determinism-taint, reason = "blessed bit-replay pair: fixed DOT_CHUNK piece sums make this the reference tree that rayon_piece_sum replays bit-exactly on the SPMD fold")
                     .reduce(T::zero, |p, q| p + q)
             } else {
                 let mut acc = T::zero();

@@ -26,10 +26,12 @@
 //!   receiver sorts by source flat before applying, which reproduces the
 //!   virtual backend's serial flat-source-order collision semantics
 //!   exactly. Used by the scatter/send/combine family.
-//! * [`fold_exec`] — a sequential fold whose state travels the global
-//!   owner-segment chain in flat order, making whole-array reductions
-//!   bit-identical to the virtual backend's serial left fold. Used by the
-//!   reductions and the dot product.
+//! * [`fold_exec`] — a sequential fold on one folder, the owner of the
+//!   first segment: every other owner ships it the values of its own
+//!   elements in one frame, and the folder runs the serial left fold over
+//!   the owner-segment table in flat order, making whole-array reductions
+//!   bit-identical to the virtual backend's. Used by the reductions and
+//!   the dot product.
 //! * [`axis_exec`] — a per-lane pipeline along one axis: lane accumulators
 //!   are carried from each axis block to its successor. Used by the scans
 //!   and `sum_axis`.
@@ -59,9 +61,10 @@
 //! finishes its serve loop and sends every reply a receive loop waits
 //! for. The route protocol is the pull without the reply round.
 //!
-//! Every protocol is acyclic (requests always precede replies;
-//! fold/pipeline chains are linear), so the per-sender FIFO order the
-//! router guarantees makes deadlock impossible by construction — and the
+//! Every protocol is acyclic (requests always precede replies; a fold's
+//! frames all go one way, to the folder, which sends nothing; pipeline
+//! chains are linear), so the per-sender FIFO order the router
+//! guarantees makes deadlock impossible by construction — and the
 //! router's timeouts turn any future protocol bug into a diagnosed panic
 //! rather than a hang. Every protocol also receives every message it
 //! sends: on the reliable transport a worker whose part is done leaves
@@ -458,61 +461,74 @@ pub(crate) fn route_exec<T: Elem>(
     );
 }
 
-/// Sequential fold over the whole array in flat order, the state hopping
-/// along the global owner-segment chain: the owner of segment `j` receives
-/// the state from the owner of segment `j − 1`, folds its elements, and
-/// forwards it. Element order — and therefore floating-point rounding — is
-/// identical to the virtual backend's serial left fold; only the owner
-/// transitions cross a channel (`hop_bytes` each).
-pub(crate) fn fold_exec<T: Elem, A: Send + Sync + Clone>(
+/// Sequential fold over the whole array in flat order, gathered to one
+/// folder, the owner of the first segment. Every other owner lifts its own
+/// elements through `lift(flat, x)` in flat order and sends the results to
+/// the folder in one frame, metered at the array's element size per value.
+/// The folder walks the owner-segment table in flat order, lifting its own
+/// elements in place and taking the other owners' values from per-owner
+/// cursors, and runs `step` on every element. Element order — and
+/// therefore floating-point rounding — is identical to the virtual
+/// backend's serial left fold; reads of aligned operands (`lift`) stay on
+/// the worker that owns the flat.
+pub(crate) fn fold_exec<T: Elem, U: Send + Clone, A: Send + Sync + Clone>(
     ctx: &Ctx,
     layout: &Layout,
     data: &[T],
     init: A,
-    hop_bytes: u64,
-    step: &(dyn Fn(&mut A, usize, T) + Sync),
+    lift: &(dyn Fn(usize, T) -> U + Sync),
+    step: &(dyn Fn(&mut A, usize, U) + Sync),
 ) -> A {
     let p = ctx.nprocs();
     let mut table: Vec<(usize, usize, usize)> = Vec::new();
     layout.for_each_owner_segment(0, layout.len(), |s, l, o| table.push((s, l, o)));
-    let nseg = table.len();
-    let mut mine: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
-    for (j, &(_, _, o)) in table.iter().enumerate() {
-        mine[o].push(j);
+    let folder = table.first().map_or(0, |t| t.2);
+    let mut ships = vec![false; p];
+    for &(_, _, o) in &table {
+        ships[o] = o != folder;
     }
-    let work: Vec<_> = split_ref(layout, data, p).into_iter().zip(mine).collect();
-    let table = &table;
-    let init = &init;
-    let results = dpf_core::run_workers(
+    let esize = T::DTYPE.size() as u64;
+    let (table, ships, init) = (&table, &ships, &init);
+    let mut results = dpf_core::run_workers(
         p,
         ctx.transport(),
-        work,
-        |_rank, (segs, my), router: &mut Router<'_, A>| {
-            let mut last = None;
-            for &j in my.iter() {
-                let (s, l, _) = table[j];
-                let mut state = if j == 0 {
-                    init.clone()
-                } else {
-                    router.recv_from(table[j - 1].2)
-                };
-                for flat in s..s + l {
-                    step(&mut state, flat, segs.get(flat));
+        split_ref(layout, data, p),
+        |rank, segs, router: &mut Router<'_, Vec<U>>| {
+            if rank != folder {
+                if ships[rank] {
+                    let vals: Vec<U> = segs
+                        .pieces
+                        .iter()
+                        .flat_map(|&(s, xs)| (s..).zip(xs).map(|(flat, &x)| lift(flat, x)))
+                        .collect();
+                    router.send(folder, vals.len() as u64 * esize, vals);
                 }
-                if j + 1 < nseg {
-                    router.send(table[j + 1].2, hop_bytes, state);
+                return None;
+            }
+            let mut from: Vec<_> = (0..p).map(|_| Vec::new().into_iter()).collect();
+            for q in (0..p).filter(|&q| ships[q]) {
+                from[q] = router.recv_from(q).into_iter();
+            }
+            let mut own = segs.pieces.iter();
+            let mut acc = init.clone();
+            for &(s, l, o) in table {
+                if o == rank {
+                    let &(_, xs) = own.next().expect("the folder's pieces follow the table");
+                    for (flat, &x) in (s..).zip(xs) {
+                        step(&mut acc, flat, lift(flat, x));
+                    }
                 } else {
-                    last = Some(state);
+                    for (flat, u) in (s..s + l).zip(from[o].by_ref()) {
+                        step(&mut acc, flat, u);
+                    }
                 }
             }
-            last
+            Some(acc)
         },
     );
     results
-        .into_iter()
-        .flatten()
-        .next()
-        .expect("fold chain must end on some worker")
+        .swap_remove(folder)
+        .expect("the folder returns the fold")
 }
 
 /// Per-lane pipeline along `axis`: each worker processes its block of

@@ -100,6 +100,33 @@ fn f(i: usize) -> f64 {
     (i % 23) as f64 - 11.0 + (i % 7) as f64 * 0.125
 }
 
+/// Reduction inputs: a vector plus all-`PAR` 2-D and 3-D shapes, whose
+/// row-major segments interleave owners. The fixed extents are ragged:
+/// at p = 4, `[3, 5]` leaves the last worker of its 1×4 grid owning
+/// nothing; at p = 8, `[2, 3]` leaves half the workers idle and
+/// `[5, 9, 5]` leaves an empty block on its 4-way axis.
+fn reduction_shapes(n: usize, r: usize, c: usize, z: usize) -> [Vec<usize>; 6] {
+    [
+        vec![n],
+        vec![r, c],
+        vec![z, r, c],
+        vec![3, 5],
+        vec![2, 3],
+        vec![5, 9, 5],
+    ]
+}
+
+/// An all-`PAR` array of `shape` holding `g(flat)`.
+fn par_array(ctx: &Ctx, shape: &[usize], g: impl Fn(usize) -> f64) -> DistArray<f64> {
+    let len = shape.iter().product();
+    DistArray::from_vec(
+        ctx,
+        shape,
+        &vec![PAR; shape.len()],
+        (0..len).map(g).collect(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -141,32 +168,51 @@ proptest! {
     }
 
     #[test]
-    fn whole_array_reductions_match(n in 1usize..200, p in 1usize..9) {
-        check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
-            let mask = DistArray::<bool>::from_fn(ctx, &[n], &[PAR], |i| i[0] % 3 != 0);
-            (
-                sum_all(ctx, &a),
-                sum_masked(ctx, &a, &mask),
-                max_all(ctx, &a),
-                min_all(ctx, &a),
-                maxloc_abs(ctx, &a),
-            )
-        });
-        // product over a scaled-down copy so magnitudes stay finite
-        check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| 1.0 + f(i[0]) * 0.01);
-            product_all(ctx, &a)
-        });
+    fn whole_array_reductions_match(
+        n in 1usize..200,
+        r in 1usize..12,
+        c in 1usize..12,
+        z in 1usize..5,
+        p in 1usize..9,
+    ) {
+        for shape in reduction_shapes(n, r, c, z) {
+            check(p, |ctx| {
+                let a = par_array(ctx, &shape, f);
+                let flags = (0..a.len()).map(|k| k % 3 != 0).collect();
+                let mask = DistArray::<bool>::from_vec(ctx, &shape, a.layout().axes(), flags);
+                (
+                    sum_all(ctx, &a),
+                    sum_masked(ctx, &a, &mask),
+                    max_all(ctx, &a),
+                    min_all(ctx, &a),
+                    maxloc_abs(ctx, &a),
+                )
+            });
+            // product over a scaled-down copy so magnitudes stay finite
+            check(p, |ctx| {
+                let a = par_array(ctx, &shape, |k| 1.0 + f(k) * 0.01);
+                product_all(ctx, &a)
+            });
+        }
     }
 
     #[test]
-    fn dot_matches(n in 1usize..300, p in 1usize..9) {
-        check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
-            let b = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0] + 5) * 0.5);
-            dot(ctx, &a, &b)
-        });
+    fn dot_matches(
+        n in 1usize..300,
+        r in 1usize..12,
+        c in 1usize..12,
+        z in 1usize..5,
+        p in 1usize..9,
+    ) {
+        for shape in reduction_shapes(n, r, c, z) {
+            check(p, |ctx| {
+                let a = par_array(ctx, &shape, f);
+                // Thirds are inexact, so the sum's rounding depends on
+                // its element order.
+                let b = par_array(ctx, &shape, |k| f(k + 5) / 3.0);
+                dot(ctx, &a, &b)
+            });
+        }
     }
 
     #[test]
@@ -339,19 +385,24 @@ proptest! {
 /// The dot product above the rayon parallel threshold exercises the
 /// chunk-partial protocol that replays the virtual backend's reduce tree;
 /// the result must stay bit-identical, not merely approximately equal.
+/// The 26³ cube's row-major segments interleave owners, so its chunk
+/// partials are folded across them.
 #[test]
 fn dot_above_parallel_threshold_is_bit_identical() {
-    let n = PAR_THRESHOLD + 1000;
-    for p in [2usize, 7, 8] {
-        let (_, s) = check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
-            let b = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0] + 3) * 0.25);
-            dot(ctx, &a, &b).to_bits()
-        });
-        assert!(
-            s.link.payload_bytes() > 0,
-            "p={p}: no bytes crossed a channel"
-        );
+    let cube = [26usize, 26, 26];
+    assert!(cube.iter().product::<usize>() > PAR_THRESHOLD);
+    for shape in [&[PAR_THRESHOLD + 1000][..], &cube] {
+        for p in [2usize, 7, 8] {
+            let (_, s) = check(p, |ctx| {
+                let a = par_array(ctx, shape, f);
+                let b = par_array(ctx, shape, |k| f(k + 3) / 3.0);
+                dot(ctx, &a, &b).to_bits()
+            });
+            assert!(
+                s.link.payload_bytes() > 0,
+                "p={p}, shape={shape:?}: no bytes crossed a channel"
+            );
+        }
     }
 }
 
@@ -565,7 +616,9 @@ fn spmd_backend_moves_real_bytes() {
 /// something, and a worker's own block never crosses a channel: at
 /// p = 8 each operation below is one collective with exactly these
 /// message and payload counts, where a frame to every ordered pair of
-/// workers would take 56 per round for the same payload.
+/// workers would take 56 per round for the same payload. A reduction
+/// sends one frame from each other owner to the folder, carrying one
+/// element-sized value per element.
 #[test]
 fn sparse_exchange_sends_only_non_empty_frames() {
     fn frames<T: PartialEq + std::fmt::Debug>(op: impl Fn(&Ctx) -> T) -> (u64, u64) {
@@ -614,4 +667,12 @@ fn sparse_exchange_sends_only_non_empty_frames() {
         gather(ctx, &src, &idx).to_vec()
     });
     assert_eq!(gathered, (96, 28096), "gather with index (7i+3) mod 4096");
+    let summed = frames(|ctx| {
+        let m = par_array(ctx, &[32, 32], f);
+        assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
+        sum_all(ctx, &m)
+    });
+    assert_eq!(summed, (7, 7168), "sum_all of 32x32 on the 2x4 grid");
+    let dotted = frames(|ctx| dot(ctx, &par_array(ctx, &[n], f), &par_array(ctx, &[n], f)));
+    assert_eq!(dotted, (7, 28672), "dot of two f64[4096]");
 }
