@@ -35,9 +35,6 @@ pub struct Ctx {
     /// Bytes/messages that actually crossed an SPMD channel; stays zero
     /// under the virtual backend.
     pub link: LinkMeter,
-    /// SPMD transport configuration (link-fault model, retry budget,
-    /// timeouts, buffer caps); derived from the fault plan at build time.
-    pub link_cfg: TransportCfg,
 }
 
 impl Ctx {
@@ -56,10 +53,6 @@ impl Ctx {
         backend: Backend,
         pool: Arc<BufferPool>,
     ) -> Self {
-        let link_cfg = plan
-            .as_ref()
-            .map(TransportCfg::from_plan)
-            .unwrap_or_default();
         Ctx {
             machine,
             instr: Instr::new(),
@@ -70,7 +63,6 @@ impl Ctx {
             },
             backend,
             link: LinkMeter::new(),
-            link_cfg,
         }
     }
 
@@ -107,11 +99,12 @@ impl Ctx {
         self.backend.is_spmd()
     }
 
-    /// The SPMD transport (meter + configuration) collectives pass to
-    /// [`crate::spmd::run_workers`].
+    /// The SPMD transport collectives pass to
+    /// [`crate::spmd::run_workers`]: the link meter, the fault plan's link
+    /// model and kill schedule, and the default transport limits.
     #[inline]
     pub fn transport(&self) -> Transport<'_> {
-        Transport::new(&self.link, &self.link_cfg)
+        Transport::new(&self.link, self.faults.plan(), TransportCfg::default())
     }
 
     /// Charge `n` FLOPs (see [`crate::flops`] for the conventions).

@@ -276,7 +276,7 @@ impl std::fmt::Display for FaultKind {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum LinkFaultKind {
     /// The message never reaches the channel (the sender's transport layer
-    /// must retransmit it after a backoff).
+    /// retransmits it at its next service point).
     Drop,
     /// The message is delivered twice (the receiver must dedup by sequence
     /// number).
@@ -285,7 +285,8 @@ pub enum LinkFaultKind {
     /// same link (the receiver must reassemble by sequence number).
     Reorder,
     /// The message's checksum is mangled in flight (the receiver detects
-    /// the CRC mismatch, discards the frame and nacks it).
+    /// the CRC mismatch and discards the frame; the sender retransmits it
+    /// at its next service point).
     Corrupt,
 }
 
@@ -517,9 +518,11 @@ pub struct FaultRecord {
     pub decision: u64,
 }
 
-/// SplitMix64 — the hash driving the decision stream.
+/// SplitMix64 — the hash driving the decision stream, the link-fault
+/// decisions and the soak's schedules. As a generator step it is
+/// `state = splitmix64(state)`.
 #[inline]
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -40,8 +40,8 @@ pub use complex::{Complex, Real, C32, C64};
 pub use ctx::Ctx;
 pub use dtype::{DType, Elem};
 pub use fault::{
-    derive_seed, DpfError, FaultInjector, FaultKind, FaultPlan, FaultRecord, LinkFaultKind,
-    RecoverMode,
+    derive_seed, splitmix64, DpfError, FaultInjector, FaultKind, FaultPlan, FaultRecord,
+    LinkFaultKind, RecoverMode,
 };
 pub use instr::{CommKey, CommPattern, CommStats, Instr, LocalAccess, PhaseReport};
 pub use machine::Machine;
@@ -49,7 +49,7 @@ pub use numeric::{Field, Num};
 pub use pool::BufferPool;
 pub use report::{BenchReport, PerfSummary};
 pub use spmd::{
-    install_quiet_panic_hook, run_workers, set_quiet_panics, Backend, LinkMeter, Router,
-    SpmdBarrier, Transport, TransportCfg,
+    crc32, install_quiet_panic_hook, payload_str, run_workers, set_quiet_panics, Backend,
+    LinkMeter, Router, Transport, TransportCfg,
 };
 pub use verify::{nan_max, nan_min, Verify};

@@ -18,13 +18,13 @@
 //!   the `dpf --backend` CLI flag.
 //! * [`LinkMeter`] — counts messages and payload bytes that crossed a
 //!   channel between two *distinct* workers (self-sends are local), plus
-//!   the transport-layer traffic (retransmissions, acks/nacks, injected
-//!   link faults) that the paper's communication model does **not** count.
-//! * [`TransportCfg`] / [`Transport`] — the transport configuration
-//!   (link-fault rate, retry budget, timeouts, buffer caps) and the
-//!   meter+config pair every collective passes to [`run_workers`].
-//! * [`SpmdBarrier`] — a reusable generation-counted barrier; collectives
-//!   reuse one barrier object across their communication rounds.
+//!   the transport-layer traffic (retransmissions, acks, injected link
+//!   faults) that the paper's communication model does **not** count.
+//! * [`TransportCfg`] / [`Transport`] — the transport's own limits
+//!   (timeouts, buffer caps, respawn budget) and the meter + fault plan +
+//!   limits every collective passes to [`run_workers`]. The link model
+//!   (fault rate, seed and kinds, retry budget, kill schedule, recovery
+//!   mode) is read from the [`FaultPlan`] alone.
 //! * [`Router`] — a worker's mailbox: senders to every peer plus a
 //!   receiver with per-sender pending queues, so per-pair FIFO order
 //!   holds even when rounds interleave on the shared channel.
@@ -42,16 +42,26 @@
 //! `(seed, src, dst, seq, attempt)` and may be dropped, duplicated,
 //! reordered, or corrupted *on the simulated wire*. The transport then
 //! guarantees exactly-once, per-link FIFO delivery on top of the lossy
-//! link: frames carry sequence numbers and a CRC32 header checksum,
-//! receivers dedup/reassemble and send cumulative acks (plus nacks for
-//! gaps and checksum rejects), and senders retransmit with exponential
-//! backoff under a bounded retry budget. Because the decision function is
-//! pure, the entire retransmission history — and therefore every
-//! data-plane meter (messages, bytes, retransmissions, fault tallies,
-//! dedup and CRC-reject counts) — is byte-reproducible from the fault
-//! seed, independent of thread timing; only the ack/nack control-frame
-//! counts vary with scheduling, since one cumulative ack covers however
-//! many frames arrived before it flushed.
+//! link: frames carry sequence numbers and a CRC32 header checksum, and
+//! receivers dedup/reassemble and send cumulative acks.
+//!
+//! The sender decides every loss itself, so it knows which frames it owes
+//! a repair (its *victims*) without waiting to be told. Simulated time is
+//! logical: a victim is repaired at the sender's next service point — on
+//! entry to every blocking operation ([`Router::recv_from`],
+//! [`Router::barrier`], the teardown linger and the commit wait) and every
+//! `SEND_SERVICE_EVERY` sends — by retransmitting it until a transmission
+//! gets through or its retry budget is spent. No wall-clock timer drives a
+//! repair, and no worker blocks while it still owes a peer a frame. A
+//! frame is never repaired inside the `send` that lost it, so receivers
+//! still see drop gaps and reassemble across them.
+//!
+//! Because the decision function is pure, the entire retransmission
+//! history — and therefore every data-plane meter (messages, bytes,
+//! retransmissions, fault tallies, dedup and CRC-reject counts) — is
+//! byte-reproducible from the fault seed, independent of thread timing;
+//! only the ack count varies with scheduling, since one cumulative ack
+//! covers however many frames arrived before it flushed.
 //! A frame whose budget is exhausted raises a typed
 //! [`DpfError::LinkFailure`] that the suite harness turns into a
 //! retry/quarantine decision rather than a hung run.
@@ -72,7 +82,9 @@
 //! sequence numbers, buffered-message counts, heartbeat ages), runs cycle
 //! detection over it, and panics with a typed [`DpfError::Deadlock`]. A
 //! hard per-wait timeout ([`TransportCfg::hard_timeout`]) remains as the
-//! backstop of last resort.
+//! backstop of last resort. These two wall-clock windows are the only
+//! timers left in the transport: they catch genuine stalls, never a
+//! simulated loss, which is always repaired before its sender waits.
 //!
 //! # In-run self-healing (`--recover in-run`)
 //!
@@ -95,7 +107,7 @@
 //!    respawned thread) arrive at the recovery barrier, so every doomed
 //!    in-flight frame is already sitting in some receiver's channel.
 //! 2. **Rewind** — each driver drains its own channel (keeping replica
-//!    frames, discarding doomed data/ack/nack traffic), resets its
+//!    frames, discarding doomed data/ack traffic), resets its
 //!    sequence/reassembly state, and restores its shard from the local
 //!    epoch snapshot; rank 0 rolls the logical §1.5 meters back to the
 //!    epoch mark and resets the collective barrier.
@@ -119,12 +131,13 @@
 //! polling; a waiting worker still polls in `HEAL_SLICE` steps, but only
 //! to notice a heal or a death.
 
-// The transport legitimately reads the wall clock: retransmission
-// timers (RTO backoff), heartbeat stall detection and hard-timeout
-// deadlines are protocol state, not §1.5 busy/elapsed metering — that
-// accounting stays centralized in `instr.rs`, which never sees these
-// reads because transport time is wait time, metered as messages.
-// dpf-lint: allow-file(untimed-clock, reason = "RTO/heartbeat/deadline protocol timers, not busy-elapsed metering; section 1.5 accounting stays in instr.rs")
+// The transport legitimately reads the wall clock: heartbeat stall
+// detection and hard-timeout deadlines are the backstops for genuine
+// stalls, not §1.5 busy/elapsed metering — that accounting stays
+// centralized in `instr.rs`, which never sees these reads because
+// transport time is wait time, metered as messages. No repair of a
+// simulated loss waits on the clock.
+// dpf-lint: allow-file(untimed-clock, reason = "heartbeat/stall/deadline backstops for genuine stalls, not busy-elapsed metering; section 1.5 accounting stays in instr.rs")
 
 use std::any::Any;
 use std::cell::Cell;
@@ -147,15 +160,13 @@ const DEFAULT_HARD_TIMEOUT: Duration = Duration::from_secs(60);
 /// How long global progress must stay flat — with every live worker
 /// blocked — before a deadlock is diagnosed.
 const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
-/// Base retransmission timeout; attempt `k` backs off to `rto << k`.
-const DEFAULT_RTO: Duration = Duration::from_millis(40);
-/// Ceiling on the exponential retransmission backoff.
-const BACKOFF_CAP: Duration = Duration::from_secs(2);
 /// How long a blocked receiver sleeps on its channel per service slice.
 const SERVICE_SLICE: Duration = Duration::from_millis(25);
-/// On the reliable path, a sender polls its channel (acks, nacks, peer
-/// frames) every this-many sends so tight send loops can't starve the
-/// protocol and overflow receiver-side reassembly windows.
+/// On the reliable path, a sender services its link every this-many
+/// sends: it drains its channel (acks, peer frames) and repairs the
+/// frames it has lost since, so a tight send loop neither starves the
+/// protocol nor overflows receiver-side reassembly windows with frames
+/// queued behind an unrepaired gap.
 const SEND_SERVICE_EVERY: u32 = 64;
 /// XOR mask applied to a frame's checksum to simulate payload corruption.
 const CRC_MANGLE: u32 = 0xA5A5_5A5A;
@@ -220,11 +231,11 @@ impl std::str::FromStr for Backend {
 /// workers. The *logical* counters (`messages`, `payload_bytes`) count each
 /// application-level message exactly once — this is the quantity compared
 /// against the paper's communication model and it is unchanged by link
-/// faults. The *transport* counters (retransmissions, acks, nacks, injected
+/// faults. The *transport* counters (retransmissions, acks, injected
 /// faults, discarded duplicates, checksum rejects) account for the extra
-/// wire traffic the reliability protocol generates; all but the ack/nack
-/// control-frame counts are deterministic for a given fault seed, and all
-/// are excluded from the paper-model comparison.
+/// wire traffic the reliability protocol generates; all but the ack count
+/// are deterministic for a given fault seed, and all are excluded from the
+/// paper-model comparison.
 /// Self-sends are delivered through the same channels for uniform worker
 /// code but are not communication, so they are not counted anywhere.
 #[derive(Debug, Default)]
@@ -234,7 +245,6 @@ pub struct LinkMeter {
     retransmits: AtomicU64,
     retransmitted_bytes: AtomicU64,
     acks: AtomicU64,
-    nacks: AtomicU64,
     faults_dropped: AtomicU64,
     faults_duplicated: AtomicU64,
     faults_reordered: AtomicU64,
@@ -287,11 +297,6 @@ impl LinkMeter {
     }
 
     #[inline]
-    fn note_nack(&self) {
-        self.nacks.fetch_add(1, Ordering::Relaxed);
-    }
-
-    #[inline]
     fn note_fault(&self, kind: LinkFaultKind) {
         let ctr = match kind {
             LinkFaultKind::Drop => &self.faults_dropped,
@@ -328,11 +333,6 @@ impl LinkMeter {
     /// Cumulative acknowledgements sent by receivers (reliable mode only).
     pub fn acks(&self) -> u64 {
         self.acks.load(Ordering::Relaxed)
-    }
-
-    /// Nacks sent by receivers for sequence gaps and checksum rejects.
-    pub fn nacks(&self) -> u64 {
-        self.nacks.load(Ordering::Relaxed)
     }
 
     /// Total injected link faults of every kind.
@@ -446,23 +446,13 @@ impl LinkMeter {
     }
 }
 
-/// Transport configuration for one SPMD context: link-fault model, retry
-/// budget, timeouts, and receiver-side buffer caps. Built from a
-/// [`FaultPlan`] via [`TransportCfg::from_plan`]; the default is a clean,
-/// reliable in-process link with diagnostics-only supervision.
-#[derive(Clone, Debug)]
+/// The transport's own limits: the stall and hard timeouts, the
+/// receiver-side buffer caps and the respawn budget. The link model
+/// itself — fault rate, seed and kinds, retry budget, kill schedule,
+/// recovery mode — is the context's [`FaultPlan`]'s. The default suits
+/// every suite run; unit tests tighten single limits.
+#[derive(Clone, Copy, Debug)]
 pub struct TransportCfg {
-    /// Per-transmission probability of injecting a link fault.
-    pub link_rate: f64,
-    /// Seed for the deterministic per-frame fault decisions.
-    pub link_seed: u64,
-    /// Which fault kinds the injector may choose from.
-    pub link_kinds: Vec<LinkFaultKind>,
-    /// Retransmissions allowed per frame beyond the first transmission
-    /// before the sender raises [`DpfError::LinkFailure`].
-    pub max_retransmits: u32,
-    /// Base retransmission timeout (exponential backoff multiplies it).
-    pub rto: Duration,
     /// Flat-progress window after which a fully-blocked worker set is
     /// diagnosed as deadlocked.
     pub stall_timeout: Duration,
@@ -474,105 +464,55 @@ pub struct TransportCfg {
     /// Max out-of-order frames buffered per peer awaiting reassembly
     /// before the receiver raises [`DpfError::LinkBackpressure`].
     pub reassembly_cap: usize,
-    /// Kill schedule: each `(rank, collective)` entry kills worker `rank`
-    /// at the start of collective `collective` (0-based), exercising
-    /// supervision and — under [`RecoverMode::InRun`] — in-run healing.
-    pub kill_workers: Vec<(usize, u64)>,
-    /// What a worker death does to the collective (heal in-run, abort for
-    /// harness restart, or abort without retry).
-    pub recover: RecoverMode,
     /// Respawns allowed per worker per collective under in-run recovery
     /// before the death hard-fails the collective.
     pub max_respawns: u32,
-    /// Test-only chaos knob: mangle the CRC of every pushed shard replica
-    /// so rehydration is forced onto the corrupt-replica fallback path.
-    pub replica_corrupt: bool,
 }
 
 impl Default for TransportCfg {
     fn default() -> Self {
         TransportCfg {
-            link_rate: 0.0,
-            link_seed: 0,
-            link_kinds: LinkFaultKind::ALL.to_vec(),
-            max_retransmits: 6,
-            rto: DEFAULT_RTO,
             stall_timeout: DEFAULT_STALL_TIMEOUT,
             hard_timeout: DEFAULT_HARD_TIMEOUT,
             pending_cap: 1 << 16,
             reassembly_cap: 4096,
-            kill_workers: Vec::new(),
-            recover: RecoverMode::default(),
             max_respawns: DEFAULT_MAX_RESPAWNS,
-            replica_corrupt: false,
         }
     }
 }
 
-impl TransportCfg {
-    /// Derive the transport configuration from a fault plan.
-    pub fn from_plan(plan: &FaultPlan) -> Self {
-        TransportCfg {
-            link_rate: plan.link_rate,
-            link_seed: plan.seed,
-            link_kinds: plan.link_kinds.clone(),
-            max_retransmits: plan.max_retransmits,
-            kill_workers: plan.kill_workers.clone(),
-            recover: plan.recover,
-            replica_corrupt: plan.replica_corrupt,
-            ..TransportCfg::default()
-        }
-    }
-
-    /// True when the link-fault injector is armed.
-    pub fn link_active(&self) -> bool {
-        self.link_rate > 0.0 && !self.link_kinds.is_empty()
-    }
-
-    /// True when the ack/retransmit protocol runs. The in-process channel
-    /// is lossless, so the protocol (and its bookkeeping cost) is engaged
-    /// only when faults are being injected on the simulated wire.
-    pub fn reliable(&self) -> bool {
-        self.link_active()
-    }
-}
-
-/// The meter+configuration pair a collective hands to [`run_workers`].
+/// What a collective hands to [`run_workers`]: the meter it records
+/// into, the fault plan that models its links and kills, and the
+/// transport's limits.
 #[derive(Clone, Copy)]
 pub struct Transport<'a> {
     meter: &'a LinkMeter,
-    cfg: &'a TransportCfg,
+    plan: &'a FaultPlan,
+    cfg: TransportCfg,
 }
 
-static CLEAN_CFG: OnceLock<TransportCfg> = OnceLock::new();
+static CLEAN_PLAN: OnceLock<FaultPlan> = OnceLock::new();
 
 impl<'a> Transport<'a> {
-    /// A transport with an explicit configuration.
-    pub fn new(meter: &'a LinkMeter, cfg: &'a TransportCfg) -> Self {
-        Transport { meter, cfg }
+    /// A transport over `meter` running `plan`'s link model and kill
+    /// schedule within `cfg`'s limits.
+    pub fn new(meter: &'a LinkMeter, plan: &'a FaultPlan, cfg: TransportCfg) -> Self {
+        Transport { meter, plan, cfg }
     }
 
-    /// A clean (fault-free, default-configured) transport over `meter`.
+    /// A clean (fault-free, default-limited) transport over `meter`.
     pub fn clean(meter: &'a LinkMeter) -> Self {
-        Transport {
+        Transport::new(
             meter,
-            cfg: CLEAN_CFG.get_or_init(TransportCfg::default),
-        }
-    }
-
-    /// The meter this transport records into.
-    pub fn meter(&self) -> &'a LinkMeter {
-        self.meter
-    }
-
-    /// The transport configuration.
-    pub fn cfg(&self) -> &'a TransportCfg {
-        self.cfg
+            CLEAN_PLAN.get_or_init(FaultPlan::default),
+            TransportCfg::default(),
+        )
     }
 }
 
-/// Bit-serial CRC32 (IEEE polynomial, reflected).
-fn crc32(bytes: &[u8]) -> u32 {
+/// Bit-serial CRC32 (IEEE polynomial, reflected): the checksum of SPMD
+/// frames and shard replicas, and of the campaign journal's lines.
+pub fn crc32(bytes: &[u8]) -> u32 {
     let mut crc = !0u32;
     for &b in bytes {
         crc ^= b as u32;
@@ -605,35 +545,29 @@ fn header_crc(src: usize, dst: usize, seq: u64, payload_bytes: u64) -> u32 {
 /// doesn't already cover, and mapping those rolls to clean delivery keeps
 /// the retry budget meaningful.
 fn link_decide(
-    cfg: &TransportCfg,
+    plan: &FaultPlan,
     src: usize,
     dst: usize,
     seq: u64,
     attempt: u32,
 ) -> Option<LinkFaultKind> {
-    if src == dst || !cfg.link_active() {
+    if src == dst || !plan.link_active() {
         return None;
     }
-    let mut h = splitmix64(cfg.link_seed ^ 0xA076_1D64_78BD_642F);
+    let mut h = splitmix64(plan.seed ^ 0xA076_1D64_78BD_642F);
     h = splitmix64(h ^ ((src as u64) << 32) ^ dst as u64);
     h = splitmix64(h ^ seq);
     h = splitmix64(h ^ attempt as u64);
     let unit = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    if unit >= cfg.link_rate {
+    if unit >= plan.link_rate {
         return None;
     }
-    let pick = (splitmix64(h) % cfg.link_kinds.len() as u64) as usize;
-    let kind = cfg.link_kinds[pick];
+    let pick = (splitmix64(h) % plan.link_kinds.len() as u64) as usize;
+    let kind = plan.link_kinds[pick];
     if attempt > 0 && matches!(kind, LinkFaultKind::Duplicate | LinkFaultKind::Reorder) {
         return None;
     }
     Some(kind)
-}
-
-/// Exponential backoff for retransmission attempt `attempt` (0-based).
-fn backoff(rto: Duration, attempt: u32) -> Duration {
-    let mult = 1u32 << attempt.min(6);
-    (rto * mult).min(BACKOFF_CAP)
 }
 
 /// A sequence-numbered, checksummed data frame.
@@ -645,7 +579,7 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// What travels on a channel: data frames plus the ack/nack control plane.
+/// What travels on a channel: data frames plus the ack control plane.
 /// Control frames ride the same (lossless) channel but are never metered
 /// as logical messages and are never themselves subjected to link faults.
 enum Frame<M> {
@@ -657,9 +591,6 @@ enum Frame<M> {
     Twice(Envelope<M>),
     Ack {
         upto: u64,
-    },
-    Nack {
-        seq: u64,
     },
     /// A shard snapshot on the recovery channel: the epoch-start replica a
     /// worker pushes to its buddy, and the same bytes forwarded back to a
@@ -695,9 +626,8 @@ struct TxEntry<M> {
     /// Transmissions performed so far (the initial send counts as one).
     attempts: u32,
     /// True when the latest transmission was lost (dropped/corrupted) and
-    /// a repair is owed.
+    /// a repair is owed at the sender's next service point.
     victim: bool,
-    retry_at: Instant,
 }
 
 /// Sender-side state for one outgoing link.
@@ -726,8 +656,6 @@ struct RxLink<M> {
     expected: u64,
     /// Out-of-order frames awaiting reassembly, keyed by sequence number.
     reorder: BTreeMap<u64, Envelope<M>>,
-    /// A gap nack has been sent for the current `expected` value.
-    nacked: bool,
 }
 
 impl<M> RxLink<M> {
@@ -735,7 +663,6 @@ impl<M> RxLink<M> {
         RxLink {
             expected: 0,
             reorder: BTreeMap::new(),
-            nacked: false,
         }
     }
 }
@@ -875,11 +802,10 @@ impl StallWatch {
 }
 
 /// A reusable barrier for `n` workers: generation-counted, so the same
-/// object serves every round of a collective. [`Router::barrier`] waits in
-/// slices so it can keep servicing the transport; the standalone
-/// [`SpmdBarrier::wait`] remains for barrier-only users and panics with a
-/// generation/arrival diagnosis instead of hanging.
-pub struct SpmdBarrier {
+/// object serves every round of a collective. Its waiters poll it in
+/// slices ([`Router::barrier`], the recovery rendezvous) so they can keep
+/// servicing the transport and watching for stalls and deaths.
+struct SpmdBarrier {
     state: Mutex<(usize, u64)>,
     cv: Condvar,
     n: usize,
@@ -887,7 +813,7 @@ pub struct SpmdBarrier {
 
 impl SpmdBarrier {
     /// Barrier for `n` workers.
-    pub fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         SpmdBarrier {
             state: Mutex::new((0, 0)),
             cv: Condvar::new(),
@@ -898,7 +824,7 @@ impl SpmdBarrier {
     /// Arrive at the barrier. Returns `None` when this arrival released
     /// the generation (the caller proceeds immediately), otherwise the
     /// generation to [`SpmdBarrier::poll`] for.
-    pub fn arrive(&self) -> Option<u64> {
+    fn arrive(&self) -> Option<u64> {
         let mut state = self.state.lock().expect("spmd barrier poisoned");
         let gen = state.1;
         state.0 += 1;
@@ -914,7 +840,7 @@ impl SpmdBarrier {
 
     /// Wait up to `timeout` for generation `gen` to be released. Returns
     /// true once the barrier has advanced past `gen`.
-    pub fn poll(&self, gen: u64, timeout: Duration) -> bool {
+    fn poll(&self, gen: u64, timeout: Duration) -> bool {
         let state = self.state.lock().expect("spmd barrier poisoned");
         if state.1 != gen {
             return true;
@@ -926,13 +852,8 @@ impl SpmdBarrier {
         state.1 != gen
     }
 
-    /// The current generation (completed barrier rounds).
-    pub fn generation(&self) -> u64 {
-        self.state.lock().expect("spmd barrier poisoned").1
-    }
-
     /// Workers arrived at the current generation so far.
-    pub fn arrived(&self) -> usize {
+    fn arrived(&self) -> usize {
         self.state.lock().expect("spmd barrier poisoned").0
     }
 
@@ -945,25 +866,6 @@ impl SpmdBarrier {
     /// the recovery barrier.
     fn reset_arrivals(&self) {
         self.state.lock().expect("spmd barrier poisoned").0 = 0;
-    }
-
-    /// Block until all `n` workers have arrived at this generation.
-    pub fn wait(&self) {
-        let Some(gen) = self.arrive() else { return };
-        let deadline = Instant::now() + DEFAULT_HARD_TIMEOUT;
-        loop {
-            if self.poll(gen, Duration::from_millis(50)) {
-                return;
-            }
-            if Instant::now() >= deadline {
-                panic!(
-                    "spmd barrier timed out after {DEFAULT_HARD_TIMEOUT:?} at generation {gen} \
-                     ({}/{} workers arrived; deadlock suspected)",
-                    self.arrived(),
-                    self.n
-                );
-            }
-        }
     }
 }
 
@@ -985,6 +887,7 @@ pub struct Router<'a, M> {
     rx_links: Vec<RxLink<M>>,
     ops_since_service: u32,
     meter: &'a LinkMeter,
+    plan: &'a FaultPlan,
     cfg: &'a TransportCfg,
     barrier: &'a SpmdBarrier,
     sup: &'a Supervision,
@@ -1011,13 +914,14 @@ impl<M: Send + Clone> Router<'_, M> {
     /// message crosses between distinct workers. Sends never block
     /// (unbounded channels); under an armed link-fault plan the frame may
     /// be dropped, duplicated, reordered or corrupted on the simulated
-    /// wire, and the reliability protocol repairs it transparently.
+    /// wire, and the reliability protocol repairs it transparently at the
+    /// sender's next service point.
     pub fn send(&mut self, to: usize, payload_bytes: u64, msg: M) {
         let local = to == self.rank;
         if !local {
             self.meter.record(payload_bytes);
         }
-        if local || !self.cfg.reliable() {
+        if local || !self.plan.link_active() {
             // Lossless fast path: no checksum, no retransmission state.
             let seq = self.tx_links[to].next_seq;
             self.tx_links[to].next_seq += 1;
@@ -1032,13 +936,15 @@ impl<M: Send + Clone> Router<'_, M> {
             );
             return;
         }
-        // Service the control plane periodically so a tight send loop
-        // can't starve acks/nacks and overflow peer reassembly windows.
+        // Service the link periodically so a tight send loop can't starve
+        // acks and overflow peer reassembly windows behind a lost frame.
         self.ops_since_service += 1;
         if self.ops_since_service >= SEND_SERVICE_EVERY {
             self.ops_since_service = 0;
             self.service(None);
-            self.run_sender_timers();
+            for peer in 0..self.txs.len() {
+                self.repair(peer);
+            }
         }
         let seq = self.tx_links[to].next_seq;
         self.tx_links[to].next_seq += 1;
@@ -1049,7 +955,6 @@ impl<M: Send + Clone> Router<'_, M> {
             msg: msg.clone(),
             attempts: 1,
             victim: false,
-            retry_at: Instant::now() + self.cfg.rto,
         });
         let idx = self.tx_links[to].unacked.len() - 1;
         let env = Envelope {
@@ -1058,7 +963,7 @@ impl<M: Send + Clone> Router<'_, M> {
             crc,
             msg,
         };
-        match link_decide(self.cfg, self.rank, to, seq, 0) {
+        match link_decide(self.plan, self.rank, to, seq, 0) {
             None => {
                 self.transmit(to, Frame::Data(env));
                 self.flush_held(to);
@@ -1096,17 +1001,17 @@ impl<M: Send + Clone> Router<'_, M> {
     }
 
     /// Receive the next message from worker `from`, buffering messages
-    /// from other senders. While blocked the worker keeps servicing the
-    /// transport (acks, nacks, retransmission timers), publishes its wait
-    /// state for the stall detector, and aborts with a diagnosis instead
-    /// of hanging.
+    /// from other senders. Before it blocks the worker puts everything it
+    /// owes its peers on the wire; while blocked it keeps servicing the
+    /// transport (acks, peer frames), publishes its wait state for the
+    /// stall detector, and aborts with a diagnosis instead of hanging.
     pub fn recv_from(&mut self, from: usize) -> M {
         if let Some(m) = self.pending[from].pop_front() {
             self.sup.bump();
             return m;
         }
         self.heartbeat();
-        self.flush_all_held();
+        self.flush_owed();
         let deadline = Instant::now() + self.cfg.hard_timeout;
         let mut watch = StallWatch::new(self.sup);
         loop {
@@ -1118,7 +1023,6 @@ impl<M: Send + Clone> Router<'_, M> {
                 return m;
             }
             self.check_deaths();
-            self.run_sender_timers();
             self.publish_wait(WaitState::Recv {
                 peer: from,
                 expected: self.rx_links[from].expected,
@@ -1147,11 +1051,12 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    /// Wait on the collective's reusable barrier, servicing the transport
-    /// and watching for stalls while blocked.
+    /// Wait on the collective's reusable barrier, first putting everything
+    /// this worker owes its peers on the wire, then servicing the
+    /// transport and watching for stalls while blocked.
     pub fn barrier(&mut self) {
         self.heartbeat();
-        self.flush_all_held();
+        self.flush_owed();
         let Some(gen) = self.barrier.arrive() else {
             self.sup.bump();
             return;
@@ -1166,7 +1071,6 @@ impl<M: Send + Clone> Router<'_, M> {
             }
             self.check_deaths();
             self.service(None);
-            self.run_sender_timers();
             self.publish_wait(WaitState::Barrier { generation: gen });
             self.stall_check(&mut watch);
             if Instant::now() >= deadline {
@@ -1227,8 +1131,11 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    /// Send a control frame; losing one to a dead peer is harmless (the
-    /// death path releases everyone), so errors are ignored.
+    /// Send a control frame (an ack, a commit wake) or a recovery frame (a
+    /// shard replica). Both ride the lossless channel, are never metered
+    /// as logical messages and never meet a link fault. Losing one to a
+    /// dead peer is harmless (the death path releases everyone), so
+    /// errors are ignored.
     fn send_ctl(&self, to: usize, frame: Frame<M>) {
         let _ = self.txs[to].send((self.rank, frame));
     }
@@ -1239,9 +1146,25 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    fn flush_all_held(&mut self) {
+    /// Put everything this worker owes its peers on the wire: release each
+    /// held (reordered) frame and repair each lost one. Runs on entry to
+    /// every blocking operation, so no worker waits while a peer waits on
+    /// a frame only it can send.
+    fn flush_owed(&mut self) {
         for to in 0..self.txs.len() {
             self.flush_held(to);
+            self.repair(to);
+        }
+    }
+
+    /// Retransmit each lost frame on link `to` until a transmission gets
+    /// through; `owe_repair` fails the link once a frame's budget is
+    /// spent.
+    fn repair(&mut self, to: usize) {
+        for idx in 0..self.tx_links[to].unacked.len() {
+            while self.tx_links[to].unacked[idx].victim {
+                self.retransmit(to, idx);
+            }
         }
     }
 
@@ -1249,7 +1172,7 @@ impl<M: Send + Clone> Router<'_, M> {
     /// transmission attempt `attempt` was lost, failing the link with a
     /// typed error once the retry budget is exhausted.
     fn owe_repair(&mut self, to: usize, idx: usize, attempt: u32) {
-        if attempt >= self.cfg.max_retransmits {
+        if attempt >= self.plan.max_retransmits {
             let seq = self.tx_links[to].unacked[idx].seq;
             self.clear_wait();
             std::panic::panic_any(DpfError::LinkFailure {
@@ -1259,9 +1182,7 @@ impl<M: Send + Clone> Router<'_, M> {
                 attempts: attempt + 1,
             });
         }
-        let e = &mut self.tx_links[to].unacked[idx];
-        e.victim = true;
-        e.retry_at = Instant::now() + backoff(self.cfg.rto, attempt);
+        self.tx_links[to].unacked[idx].victim = true;
     }
 
     /// Retransmit in-flight entry `idx` on link `to`, consuming one
@@ -1274,7 +1195,7 @@ impl<M: Send + Clone> Router<'_, M> {
             (e.seq, e.payload_bytes, attempt, e.msg.clone())
         };
         self.meter.note_retransmit(payload_bytes);
-        match link_decide(self.cfg, self.rank, to, seq, attempt) {
+        match link_decide(self.plan, self.rank, to, seq, attempt) {
             Some(LinkFaultKind::Drop) => {
                 self.meter.note_fault(LinkFaultKind::Drop);
                 self.owe_repair(to, idx, attempt);
@@ -1303,27 +1224,6 @@ impl<M: Send + Clone> Router<'_, M> {
                         msg,
                     }),
                 );
-            }
-        }
-    }
-
-    /// Retransmit every owed repair whose backoff deadline has passed.
-    fn run_sender_timers(&mut self) {
-        if !self.cfg.reliable() {
-            return;
-        }
-        let now = Instant::now();
-        for to in 0..self.txs.len() {
-            if to == self.rank {
-                continue;
-            }
-            let mut idx = 0;
-            while idx < self.tx_links[to].unacked.len() {
-                let e = &self.tx_links[to].unacked[idx];
-                if e.victim && e.retry_at <= now {
-                    self.retransmit(to, idx);
-                }
-                idx += 1;
             }
         }
     }
@@ -1358,7 +1258,6 @@ impl<M: Send + Clone> Router<'_, M> {
                     link.unacked.pop_front();
                 }
             }
-            Frame::Nack { seq } => self.on_nack(sender, seq),
             Frame::Committed => {}
             Frame::Replica {
                 epoch,
@@ -1378,22 +1277,16 @@ impl<M: Send + Clone> Router<'_, M> {
             self.deliver(src, env.msg);
             return;
         }
-        let reliable = self.cfg.reliable();
+        // A rejected or missing frame needs no word back: its sender
+        // decided the loss itself and repairs it at its next service point.
+        let reliable = self.plan.link_active();
         if reliable && env.crc != header_crc(src, self.rank, env.seq, env.payload_bytes) {
             self.meter.note_crc_reject();
-            self.meter.note_nack();
-            self.send_ctl(src, Frame::Nack { seq: env.seq });
             return;
         }
         let expected = self.rx_links[src].expected;
         if env.seq < expected || self.rx_links[src].reorder.contains_key(&env.seq) {
             self.meter.note_duplicate_discarded();
-            if reliable && expected > 0 {
-                // Re-ack so a sender retransmitting an already-delivered
-                // frame trims its in-flight window.
-                self.meter.note_ack();
-                self.send_ctl(src, Frame::Ack { upto: expected - 1 });
-            }
             return;
         }
         if env.seq > expected {
@@ -1407,15 +1300,9 @@ impl<M: Send + Clone> Router<'_, M> {
                 });
             }
             self.rx_links[src].reorder.insert(env.seq, env);
-            if reliable && !self.rx_links[src].nacked {
-                self.rx_links[src].nacked = true;
-                self.meter.note_nack();
-                self.send_ctl(src, Frame::Nack { seq: expected });
-            }
             return;
         }
         self.rx_links[src].expected += 1;
-        self.rx_links[src].nacked = false;
         self.deliver(src, env.msg);
         while let Some(e) = {
             let next = self.rx_links[src].expected;
@@ -1443,28 +1330,6 @@ impl<M: Send + Clone> Router<'_, M> {
         }
         self.pending[src].push_back(msg);
         self.sup.bump();
-    }
-
-    /// React to a nack: release a held frame the receiver is missing, or
-    /// repair a lost transmission ahead of its backoff timer.
-    fn on_nack(&mut self, from: usize, seq: u64) {
-        if self.tx_links[from]
-            .held
-            .as_ref()
-            .is_some_and(|h| h.seq == seq)
-        {
-            self.flush_held(from);
-            return;
-        }
-        let idx = self.tx_links[from]
-            .unacked
-            .iter()
-            .position(|e| e.seq == seq);
-        if let Some(idx) = idx {
-            if self.tx_links[from].unacked[idx].victim {
-                self.retransmit(from, idx);
-            }
-        }
     }
 
     /// Diagnose a deadlock once the whole worker set is blocked and global
@@ -1574,15 +1439,15 @@ impl<M: Send + Clone> Router<'_, M> {
         out
     }
 
-    /// Teardown drain: after a worker's collective body returns it keeps
-    /// servicing acks, nacks and retransmission timers until none of its
-    /// own frames is unacked or held, so a fault on a final frame is
-    /// still repaired (see the module docs for why nothing else needs
-    /// it). Once a death is recorded it instead stays until every worker
-    /// has retired. Clean transports without deaths return at once.
+    /// Teardown drain: after a worker's collective body returns it puts
+    /// its held and lost final frames on the wire, then services acks
+    /// until none of its own frames is unacked or held (see the module
+    /// docs for why nothing else needs it). Once a death is recorded it
+    /// instead stays until every worker has retired. Clean transports
+    /// without deaths return at once.
     fn linger(&mut self) {
         self.clear_wait();
-        self.flush_all_held();
+        self.flush_owed();
         let mut deadline = None;
         loop {
             let settled = if self.sup.dead.load(Ordering::Acquire) > 0 {
@@ -1602,20 +1467,10 @@ impl<M: Send + Clone> Router<'_, M> {
                 return;
             }
             self.service(Some(Duration::from_millis(5)));
-            self.run_sender_timers();
         }
     }
 
     // ---- in-run recovery (`--recover in-run`) ----------------------------
-
-    /// Put a frame on the recovery channel. Recovery traffic rides the
-    /// same lossless in-process channels as the ack/nack control plane:
-    /// it is never metered as a logical message and never subjected to
-    /// link faults. A send error means the peer's receiver is gone, which
-    /// the death paths diagnose — ignore it here.
-    fn send_recovery(&self, to: usize, frame: Frame<M>) {
-        let _ = self.txs[to].send((self.rank, frame));
-    }
 
     /// Push this worker's epoch-start shard snapshot to its buddy rank
     /// (`rank+1 mod p`), CRC'd and epoch-tagged, metered on the replica
@@ -1626,11 +1481,11 @@ impl<M: Send + Clone> Router<'_, M> {
             return;
         }
         let mut crc = crc32(snapshot);
-        if self.cfg.replica_corrupt {
+        if self.plan.replica_corrupt {
             crc ^= CRC_MANGLE;
         }
         self.meter.note_replica_push(snapshot.len() as u64);
-        self.send_recovery(
+        self.send_ctl(
             buddy,
             Frame::Replica {
                 epoch,
@@ -1647,7 +1502,7 @@ impl<M: Send + Clone> Router<'_, M> {
         match self.replica_store[victim].clone() {
             Some(entry) if entry.epoch == epoch => {
                 self.meter.note_rehydration(entry.data.len() as u64);
-                self.send_recovery(
+                self.send_ctl(
                     victim,
                     Frame::Replica {
                         epoch,
@@ -1705,7 +1560,7 @@ impl<M: Send + Clone> Router<'_, M> {
     }
 
     /// Rewind phase: drain this worker's channel completely — keeping
-    /// replica frames, discarding the doomed attempt's data/ack/nack
+    /// replica frames, discarding the doomed attempt's data/ack
     /// traffic — and reset all per-link transport state so the re-run
     /// starts from sequence zero on every link (which also re-rolls the
     /// deterministic link-fault decisions identically to a clean run).
@@ -1749,15 +1604,16 @@ impl<M: Send + Clone> Router<'_, M> {
 
     /// End-of-body wait under in-run recovery: the epoch commits only
     /// once all workers have completed it (after which no victim can
-    /// appear, because a victim never completes the body). While waiting,
-    /// the worker keeps servicing the transport exactly like the linger
-    /// drain, so peers' final repairs still get their acks. The worker
-    /// whose commit completes the count wakes every peer with a
-    /// [`Frame::Committed`]; the `HEAL_SLICE` poll remains only as the
-    /// backstop that notices heals and deaths.
+    /// appear, because a victim never completes the body). Like the
+    /// linger drain, the worker first puts its held and lost final frames
+    /// on the wire, then keeps servicing the transport, so peers' final
+    /// frames still get their acks. The worker whose commit completes the
+    /// count wakes every peer with a [`Frame::Committed`]; the
+    /// `HEAL_SLICE` poll remains only as the backstop that notices heals
+    /// and deaths.
     fn commit_wait(&mut self) -> CommitOutcome {
         self.clear_wait();
-        self.flush_all_held();
+        self.flush_owed();
         let n = self.txs.len();
         if self.sup.heal_committed.fetch_add(1, Ordering::AcqRel) + 1 == n {
             for to in (0..n).filter(|&to| to != self.rank) {
@@ -1777,7 +1633,6 @@ impl<M: Send + Clone> Router<'_, M> {
                 return CommitOutcome::Committed;
             }
             self.service(Some(HEAL_SLICE));
-            self.run_sender_timers();
             if Instant::now() >= deadline {
                 return CommitOutcome::Aborted;
             }
@@ -1873,8 +1728,9 @@ pub fn set_quiet_panics(quiet: bool) {
     QUIET_PANICS.with(|q| q.set(quiet));
 }
 
-/// Best-effort human-readable rendering of a caught panic payload.
-fn payload_str(payload: &(dyn Any + Send)) -> String {
+/// Best-effort human-readable rendering of a caught panic payload: a
+/// typed [`DpfError`]'s message, a string payload, or a placeholder.
+pub fn payload_str(payload: &(dyn Any + Send)) -> String {
     if let Some(e) = payload.downcast_ref::<DpfError>() {
         e.to_string()
     } else if let Some(s) = payload.downcast_ref::<&str>() {
@@ -2089,7 +1945,7 @@ where
         // Scheduled kill gate: each schedule entry fires at most once, so
         // the re-run after a heal does not re-kill the respawned worker.
         let due = (0..fired.len())
-            .find(|&i| !fired[i] && router.cfg.kill_workers[i] == (rank, collective));
+            .find(|&i| !fired[i] && router.plan.kill_workers[i] == (rank, collective));
         if let Some(i) = due {
             fired[i] = true;
             if heal_armed && respawns_left > 0 {
@@ -2210,10 +2066,9 @@ where
 {
     assert_eq!(work.len(), nprocs, "one work item per worker");
     install_quiet_panic_hook();
-    let meter = transport.meter;
-    let cfg = transport.cfg;
+    let Transport { meter, plan, cfg } = transport;
     let collective = meter.begin_collective();
-    let heal_armed = cfg.recover == RecoverMode::InRun && nprocs > 1;
+    let heal_armed = plan.recover == RecoverMode::InRun && nprocs > 1;
     // The logical-meter rollback point for epoch rewinds: §1.5 counters
     // as they stood before any worker of this collective sent anything.
     let epoch_mark = (meter.messages(), meter.payload_bytes());
@@ -2222,7 +2077,7 @@ where
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
     let mut results: Vec<Option<Result<R, Box<dyn Any + Send>>>> =
         (0..nprocs).map(|_| None).collect();
-    let (txs, barrier, sup, f) = (&txs[..], &barrier, &sup, &f);
+    let (txs, cfg, barrier, sup, f) = (&txs[..], &cfg, &barrier, &sup, &f);
     let jobs: Vec<executor::Job<'_>> = rxs
         .into_iter()
         .zip(work.iter_mut().zip(results.iter_mut()))
@@ -2240,12 +2095,13 @@ where
                     rx_links: (0..nprocs).map(|_| RxLink::new()).collect(),
                     ops_since_service: 0,
                     meter,
+                    plan,
                     cfg,
                     barrier,
                     sup,
                     replica_store: (0..nprocs).map(|_| None).collect(),
                 };
-                let fired = vec![false; cfg.kill_workers.len()];
+                let fired = vec![false; plan.kill_workers.len()];
                 *slot = Some(drive(
                     w,
                     router,
@@ -2293,6 +2149,18 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A transport over `meter` running `plan` within the default limits.
+    fn transport<'a>(meter: &'a LinkMeter, plan: &'a FaultPlan) -> Transport<'a> {
+        Transport::new(meter, plan, TransportCfg::default())
+    }
+
+    /// Link faults at `rate` from `seed`, with a 32-retransmit budget.
+    fn lossy(rate: f64, seed: u64) -> FaultPlan {
+        FaultPlan::new(0.0, seed)
+            .with_link_faults(rate)
+            .with_max_retransmits(32)
+    }
 
     #[test]
     fn backend_parses_and_displays() {
@@ -2377,7 +2245,10 @@ mod tests {
             for _ in 0..4 {
                 s.spawn(|| {
                     for _ in 0..10 {
-                        b.wait();
+                        if let Some(gen) = b.arrive() {
+                            let released = (0..200).any(|_| b.poll(gen, Duration::from_millis(50)));
+                            assert!(released, "generation {gen} never released");
+                        }
                     }
                 });
             }
@@ -2409,11 +2280,11 @@ mod tests {
     #[test]
     fn lossy_links_deliver_exactly_once_in_order() {
         let rounds = 40u64;
-        let exchange = |cfg: &TransportCfg| {
+        let exchange = |plan: &FaultPlan| {
             let meter = LinkMeter::new();
             let results = run_workers::<u64, (), Vec<u64>, _>(
                 4,
-                Transport::new(&meter, cfg),
+                transport(&meter, plan),
                 vec![(); 4],
                 |rank, _w, router| {
                     for round in 0..rounds {
@@ -2438,35 +2309,27 @@ mod tests {
             );
             (results, meter.messages(), meter.payload_bytes())
         };
-        let clean = exchange(&TransportCfg::default());
+        let clean = exchange(&FaultPlan::default());
+        let mix = lossy(0.3, 0xD5F_0004);
         let mut kinds: Vec<Vec<LinkFaultKind>> =
             LinkFaultKind::ALL.iter().map(|&k| vec![k]).collect();
         kinds.push(LinkFaultKind::ALL.to_vec());
         for link_kinds in kinds {
-            let cfg = TransportCfg {
-                link_rate: 0.3,
-                link_seed: 0xD5F_0004,
+            let plan = FaultPlan {
                 link_kinds: link_kinds.clone(),
-                max_retransmits: 32,
-                ..TransportCfg::default()
+                ..mix.clone()
             };
-            let lossy = exchange(&cfg);
             assert_eq!(
-                lossy, clean,
+                exchange(&plan),
+                clean,
                 "kinds {link_kinds:?} changed results or logical meters"
             );
         }
         // The full mix must actually have exercised the repair machinery.
-        let cfg = TransportCfg {
-            link_rate: 0.3,
-            link_seed: 0xD5F_0004,
-            max_retransmits: 32,
-            ..TransportCfg::default()
-        };
         let meter = LinkMeter::new();
         run_workers::<u64, (), (), _>(
             4,
-            Transport::new(&meter, &cfg),
+            transport(&meter, &mix),
             vec![(); 4],
             |rank, _w, router| {
                 for round in 0..rounds {
@@ -2491,16 +2354,11 @@ mod tests {
     #[test]
     fn lossy_transport_counters_are_deterministic() {
         let run = || {
-            let cfg = TransportCfg {
-                link_rate: 0.25,
-                link_seed: 99,
-                max_retransmits: 32,
-                ..TransportCfg::default()
-            };
+            let plan = lossy(0.25, 99);
             let meter = LinkMeter::new();
             run_workers::<u64, (), (), _>(
                 3,
-                Transport::new(&meter, &cfg),
+                transport(&meter, &plan),
                 vec![(); 3],
                 |rank, _w, router| {
                     for round in 0..30u64 {
@@ -2514,9 +2372,9 @@ mod tests {
                     }
                 },
             );
-            // Control-frame counts (acks/nacks) depend on scheduling — a
-            // cumulative ack covers however many frames arrived before it
-            // flushed — so only the data-plane accounting is compared.
+            // The ack count depends on scheduling — a cumulative ack
+            // covers however many frames arrived before it flushed — so
+            // only the data-plane accounting is compared.
             assert!(meter.acks() > 0, "no acks flowed");
             (
                 meter.messages(),
@@ -2531,21 +2389,58 @@ mod tests {
         assert_eq!(run(), run());
     }
 
+    /// One collective at p = 2 in which rank 0 sends rank 1 one frame.
+    fn one_frame(meter: &LinkMeter, plan: &FaultPlan) {
+        run_workers::<u64, (), (), _>(
+            2,
+            transport(meter, plan),
+            vec![(); 2],
+            |rank, _w, router| {
+                if rank == 0 {
+                    router.send(1, 8, 7);
+                } else {
+                    assert_eq!(router.recv_from(0), 7);
+                }
+            },
+        );
+    }
+
+    /// Simulated losses are repaired in logical time: a sender retransmits
+    /// each frame it lost before it next blocks, with no timer to wait
+    /// out. 100 one-frame collectives at p = 2, with half of all
+    /// transmissions dropped, finish far inside a second, and every drop
+    /// costs exactly one retransmission.
+    #[test]
+    fn lost_frames_are_repaired_without_waiting() {
+        // Under seed 3 link 0 -> 1 drops its first frame's first two
+        // transmissions.
+        let plan = lossy(0.5, 3).only_link(LinkFaultKind::Drop);
+        let meter = LinkMeter::new();
+        let start = Instant::now();
+        for _ in 0..100 {
+            one_frame(&meter, &plan);
+        }
+        let took = start.elapsed();
+        assert!(meter.link_faults() > 0, "no drop fired");
+        assert_eq!(meter.retransmits(), meter.link_faults());
+        assert!(
+            took < Duration::from_secs(1),
+            "100 lossy one-frame collectives took {took:?}"
+        );
+    }
+
     /// On the reliable transport a worker whose body has returned leaves
     /// as soon as its own frames are acked: it does not wait for a peer
     /// that is still in its body.
     #[test]
     fn finished_worker_leaves_once_its_frames_are_acked() {
-        let cfg = TransportCfg {
-            // Arms the reliable transport; no fault fires at this rate.
-            link_rate: f64::MIN_POSITIVE,
-            ..TransportCfg::default()
-        };
-        assert!(cfg.reliable());
+        // Arms the reliable transport; no fault fires at this rate.
+        let plan = FaultPlan::default().with_link_faults(f64::MIN_POSITIVE);
+        assert!(plan.link_active());
         let meter = LinkMeter::new();
         let left = run_workers::<u64, (), bool, _>(
             2,
-            Transport::new(&meter, &cfg),
+            transport(&meter, &plan),
             vec![(); 2],
             |rank, _w, router| {
                 if rank == 0 {
@@ -2577,19 +2472,14 @@ mod tests {
     /// the exact link coordinates, not a bare panic string.
     #[test]
     fn retry_budget_exhaustion_is_typed() {
-        let cfg = TransportCfg {
-            link_rate: 1.0,
-            link_seed: 7,
-            link_kinds: vec![LinkFaultKind::Drop],
-            max_retransmits: 2,
-            rto: Duration::from_millis(1),
-            ..TransportCfg::default()
-        };
+        let plan = lossy(1.0, 7)
+            .only_link(LinkFaultKind::Drop)
+            .with_max_retransmits(2);
         let meter = LinkMeter::new();
         let res = std::panic::catch_unwind(|| {
             run_workers::<u64, (), (), _>(
                 2,
-                Transport::new(&meter, &cfg),
+                transport(&meter, &plan),
                 vec![(); 2],
                 |rank, _w, router| {
                     router.send(1 - rank, 8, rank as u64);
@@ -2611,15 +2501,12 @@ mod tests {
     /// WorkerDied, and the kill (the root cause) wins propagation.
     #[test]
     fn killed_worker_releases_blocked_peers() {
-        let cfg = TransportCfg {
-            kill_workers: vec![(1, 0)],
-            ..TransportCfg::default()
-        };
+        let plan = FaultPlan::default().with_kill_worker(1, 0);
         let meter = LinkMeter::new();
         let res = std::panic::catch_unwind(|| {
             run_workers::<u64, (), (), _>(
                 2,
-                Transport::new(&meter, &cfg),
+                transport(&meter, &plan),
                 vec![(); 2],
                 |rank, _w, router| {
                     if rank == 0 {
@@ -2637,7 +2524,7 @@ mod tests {
         // The next collective (index 1) must not re-fire the kill.
         let results = run_workers::<u64, (), u64, _>(
             2,
-            Transport::new(&meter, &cfg),
+            transport(&meter, &plan),
             vec![(); 2],
             |rank, _w, router| {
                 router.send(1 - rank, 8, rank as u64);
@@ -2660,7 +2547,7 @@ mod tests {
         let res = std::panic::catch_unwind(|| {
             run_workers::<u64, (), (), _>(
                 2,
-                Transport::new(&meter, &cfg),
+                Transport::new(&meter, &FaultPlan::default(), cfg),
                 vec![(); 2],
                 |rank, _w, router| {
                     router.recv_from(1 - rank);
@@ -2693,7 +2580,7 @@ mod tests {
         let res = std::panic::catch_unwind(|| {
             run_workers::<u64, (), (), _>(
                 2,
-                Transport::new(&meter, &cfg),
+                Transport::new(&meter, &FaultPlan::default(), cfg),
                 vec![(); 2],
                 |rank, _w, router| {
                     if rank == 1 {
@@ -2723,38 +2610,36 @@ mod tests {
     /// The fault decision is a pure function of its inputs.
     #[test]
     fn link_decisions_are_deterministic() {
-        let cfg = TransportCfg {
-            link_rate: 0.5,
-            link_seed: 1234,
-            ..TransportCfg::default()
-        };
+        let plan = FaultPlan::new(0.0, 1234).with_link_faults(0.5);
         let mut fired = 0;
         for seq in 0..200u64 {
-            let a = link_decide(&cfg, 0, 1, seq, 0);
-            let b = link_decide(&cfg, 0, 1, seq, 0);
+            let a = link_decide(&plan, 0, 1, seq, 0);
+            let b = link_decide(&plan, 0, 1, seq, 0);
             assert_eq!(a, b);
             if a.is_some() {
                 fired += 1;
             }
         }
         assert!(fired > 50 && fired < 150, "rate wildly off: {fired}/200");
-        // Self-links and disarmed configs never fault.
-        assert_eq!(link_decide(&cfg, 2, 2, 0, 0), None);
-        let clean = TransportCfg::default();
-        assert_eq!(link_decide(&clean, 0, 1, 0, 0), None);
+        // Self-links and disarmed plans never fault.
+        assert_eq!(link_decide(&plan, 2, 2, 0, 0), None);
+        assert_eq!(link_decide(&FaultPlan::default(), 0, 1, 0, 0), None);
     }
 
     /// The exchange used by the healing tests: every worker's shard is a
     /// vector it mutates with values received from every peer, so a
     /// mid-run death corrupts real state that only the buddy replica can
     /// bring back.
-    fn healing_exchange(cfg: &TransportCfg) -> (Vec<Vec<usize>>, u64, u64, u64, u64) {
+    fn healing_exchange(
+        plan: &FaultPlan,
+        cfg: TransportCfg,
+    ) -> (Vec<Vec<usize>>, u64, u64, u64, u64) {
         let meter = LinkMeter::new();
         let nprocs = 4;
         let work: Vec<Vec<usize>> = (0..nprocs).map(|r| vec![r; 8]).collect();
         let results = run_workers::<u64, Vec<usize>, Vec<usize>, _>(
             nprocs,
-            Transport::new(&meter, cfg),
+            Transport::new(&meter, plan, cfg),
             work,
             |rank, w, router| {
                 for to in 0..router.nprocs() {
@@ -2783,15 +2668,13 @@ mod tests {
     /// run, one respawn and one epoch rewind on the recovery counters.
     #[test]
     fn killed_worker_heals_bit_identically() {
-        let clean = healing_exchange(&TransportCfg::default());
+        let clean = healing_exchange(&FaultPlan::default(), TransportCfg::default());
         assert_eq!(clean.3, 0);
         assert_eq!(clean.4, 0);
-        let cfg = TransportCfg {
-            kill_workers: vec![(2, 0)],
-            recover: RecoverMode::InRun,
-            ..TransportCfg::default()
-        };
-        let healed = healing_exchange(&cfg);
+        let plan = FaultPlan::default()
+            .with_kill_worker(2, 0)
+            .with_recover(RecoverMode::InRun);
+        let healed = healing_exchange(&plan, TransportCfg::default());
         assert_eq!(healed.0, clean.0, "healed results differ from clean run");
         assert_eq!(healed.1, clean.1, "logical message count drifted");
         assert_eq!(healed.2, clean.2, "logical payload bytes drifted");
@@ -2803,15 +2686,12 @@ mod tests {
     /// respawned once and the re-run succeeds.
     #[test]
     fn untyped_body_panic_heals_once() {
-        let cfg = TransportCfg {
-            recover: RecoverMode::InRun,
-            ..TransportCfg::default()
-        };
+        let plan = FaultPlan::default().with_recover(RecoverMode::InRun);
         let meter = LinkMeter::new();
         let boom = AtomicBool::new(true);
         let results = run_workers::<u64, usize, usize, _>(
             3,
-            Transport::new(&meter, &cfg),
+            transport(&meter, &plan),
             vec![10, 20, 30],
             |rank, w, router| {
                 if rank == 1 && boom.swap(false, Ordering::AcqRel) {
@@ -2838,13 +2718,11 @@ mod tests {
     /// restart).
     #[test]
     fn corrupt_replica_aborts_with_typed_error() {
-        let cfg = TransportCfg {
-            kill_workers: vec![(1, 0)],
-            recover: RecoverMode::InRun,
-            replica_corrupt: true,
-            ..TransportCfg::default()
-        };
-        let res = std::panic::catch_unwind(|| healing_exchange(&cfg));
+        let plan = FaultPlan::default()
+            .with_kill_worker(1, 0)
+            .with_recover(RecoverMode::InRun)
+            .with_replica_corrupt();
+        let res = std::panic::catch_unwind(|| healing_exchange(&plan, TransportCfg::default()));
         let payload = res.expect_err("corrupt replica must fail the collective");
         let err = payload
             .downcast_ref::<DpfError>()
@@ -2859,13 +2737,14 @@ mod tests {
     /// hard death exactly as under `--recover restart`.
     #[test]
     fn exhausted_respawn_budget_is_a_hard_death() {
+        let plan = FaultPlan::default()
+            .with_kill_worker(1, 0)
+            .with_recover(RecoverMode::InRun);
         let cfg = TransportCfg {
-            kill_workers: vec![(1, 0)],
-            recover: RecoverMode::InRun,
             max_respawns: 0,
             ..TransportCfg::default()
         };
-        let res = std::panic::catch_unwind(|| healing_exchange(&cfg));
+        let res = std::panic::catch_unwind(|| healing_exchange(&plan, cfg));
         let payload = res.expect_err("kill with no budget must fail");
         let msg = payload_str(payload.as_ref());
         assert!(msg.contains("killed at collective 0"), "got: {msg}");
@@ -2880,16 +2759,13 @@ mod tests {
     /// that, so nothing but the wake can end rank 1's wait early.
     #[test]
     fn last_commit_wakes_waiting_peers() {
-        let cfg = TransportCfg {
-            recover: RecoverMode::InRun,
-            ..TransportCfg::default()
-        };
+        let plan = FaultPlan::default().with_recover(RecoverMode::InRun);
         let meter = LinkMeter::new();
         let start = Instant::now();
         for _ in 0..100 {
             run_workers::<(), (), (), _>(
                 2,
-                Transport::new(&meter, &cfg),
+                transport(&meter, &plan),
                 vec![(), ()],
                 |rank, _, router| {
                     if rank == 0 {

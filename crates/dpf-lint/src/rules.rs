@@ -10,7 +10,7 @@
 //! | `untimed-clock`    | warning | `Instant::now()` only in the sanctioned metrics/harness modules (§1.5 busy/elapsed stays centralized) |
 //! | `hot-path-alloc`   | warning | no `Vec::new`/`vec![`/`.collect()`/`.to_vec()` inside `*_into`/`*_exec` hot paths (PR 1 buffer-reuse discipline) |
 //! | `hot-path-clone`   | warning | no `.clone()` of a `DistArray` parameter inside `*_into`/`*_exec` hot paths (a clone is a whole-block copy) |
-//! | `metered-send`     | error   | raw channel sends in `spmd.rs` only inside the LinkMeter/envelope path (`Router::send` → `transmit`/`send_ctl`/`send_recovery`) |
+//! | `metered-send`     | error   | raw channel sends in `spmd.rs` only inside the LinkMeter/envelope path (`Router::send` → `transmit`/`send_ctl`) |
 //! | `unsafe-forbid`    | error   | the repo is `unsafe`-free; any new `unsafe` needs a `// SAFETY:` comment *and* an allow pragma |
 //! | `atomic-artifact`  | warning | no direct `fs::write`/`File::create` outside the atomic artifact writer (torn files break `--resume` and `dpf tables --campaign`) |
 //! | `collective-parity`| error   | a collective (barrier, `*_exec`, recovery rendezvous) under a rank-dependent branch needs a matching call on every sibling path (static SPMD deadlock) |
@@ -395,11 +395,11 @@ fn hot_path_clone(f: &SourceFile) -> Vec<Diagnostic> {
 // --------------------------------------------------------- metered-send
 
 /// Functions inside the transport that *are* the envelope path: the
-/// only places a raw channel `.send(` is legitimate. `send_recovery` is
-/// the recovery channel — replica pushes and rehydration forwards are
-/// metered on the dedicated recovery counters there, never as §1.5
-/// logical messages.
-const ENVELOPE_PATH: &[&str] = &["transmit", "send_ctl", "send_recovery"];
+/// only places a raw channel `.send(` is legitimate. `send_ctl` also
+/// carries the recovery traffic — replica pushes and rehydration forwards
+/// are metered on the dedicated recovery counters, never as §1.5 logical
+/// messages.
+const ENVELOPE_PATH: &[&str] = &["transmit", "send_ctl"];
 
 fn metered_send(f: &SourceFile) -> Vec<Diagnostic> {
     if !(f.path.ends_with("/spmd.rs") || f.path == "spmd.rs") {

@@ -15,8 +15,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use dpf_core::{
-    derive_seed, install_quiet_panic_hook, set_quiet_panics, Backend, BenchReport, BufferPool, Ctx,
-    DpfError, FaultPlan, Machine, ProblemClass, RecoverMode,
+    derive_seed, install_quiet_panic_hook, payload_str, set_quiet_panics, Backend, BenchReport,
+    BufferPool, Ctx, DpfError, FaultPlan, Machine, ProblemClass, RecoverMode,
 };
 
 use crate::benchmark::{BenchEntry, RunOutput, Size, Version};
@@ -395,18 +395,6 @@ pub struct GuardedResult {
     pub faults_injected: u64,
 }
 
-fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(e) = payload.downcast_ref::<DpfError>() {
-        e.to_string()
-    } else if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// A completed attempt's payload: the result plus the fault and in-run
 /// recovery accounting read from the attempt's own context.
 struct AttemptDone {
@@ -492,7 +480,7 @@ fn run_attempt(
                 let link_failed = payload
                     .downcast_ref::<DpfError>()
                     .is_some_and(|e| matches!(e, DpfError::LinkFailure { .. }));
-                (payload_to_string(payload.as_ref()), link_failed)
+                (payload_str(payload.as_ref()), link_failed)
             }));
         })
         .expect("spawn harness worker");

@@ -39,7 +39,7 @@ use std::fs::{self, File, OpenOptions};
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use dpf_core::DpfError;
+use dpf_core::{crc32, DpfError};
 
 use crate::schema::Json;
 
@@ -50,20 +50,6 @@ pub const JOURNAL_VERSION: u64 = 1;
 
 /// File name of the journal inside a campaign out-dir.
 pub const JOURNAL_FILE: &str = "journal.jsonl";
-
-/// CRC-32 (IEEE 802.3) — bitwise, same polynomial as the SPMD link
-/// layer's frame checksum.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 fn io_err(path: &Path, op: &str, e: std::io::Error) -> DpfError {
     DpfError::Artifact {
@@ -374,10 +360,5 @@ mod tests {
         discard(&path).unwrap();
         assert!(!path.exists());
         discard(&path).unwrap(); // second discard: no-op
-    }
-
-    #[test]
-    fn crc32_matches_the_standard_check_value() {
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
     }
 }
