@@ -39,11 +39,11 @@
 //!
 //! When the [`FaultPlan`] arms link faults (`--link-faults RATE`), every
 //! cross-worker frame consults a deterministic SplitMix64 hash of
-//! `(seed, src, dst, seq, attempt)` and may be dropped, duplicated,
-//! reordered, or corrupted *on the simulated wire*. The transport then
-//! guarantees exactly-once, per-link FIFO delivery on top of the lossy
-//! link: frames carry sequence numbers and a CRC32 header checksum, and
-//! receivers dedup/reassemble and send cumulative acks.
+//! `(seed, collective, src, dst, seq, attempt)` and may be dropped,
+//! duplicated, reordered, or corrupted *on the simulated wire*. The
+//! transport then guarantees exactly-once, per-link FIFO delivery on top
+//! of the lossy link: frames carry sequence numbers and a CRC32 header
+//! checksum, and receivers dedup/reassemble and send cumulative acks.
 //!
 //! The sender decides every loss itself, so it knows which frames it owes
 //! a repair (its *victims*) without waiting to be told. Simulated time is
@@ -538,14 +538,18 @@ fn header_crc(src: usize, dst: usize, seq: u64, payload_bytes: u64) -> u32 {
 }
 
 /// The deterministic per-transmission fault decision: a pure function of
-/// `(seed, src, dst, seq, attempt)`, so every run with the same fault seed
-/// sees the identical loss pattern regardless of thread timing. Repair
+/// `(seed, collective, src, dst, seq, attempt)`, so every run with the
+/// same fault seed sees the identical loss pattern regardless of thread
+/// timing. Sequence numbers restart in every collective, so the collective
+/// index keeps each collective's decisions independent of the last's; an
+/// in-run heal re-runs the same index and re-rolls identically. Repair
 /// transmissions (`attempt > 0`) only re-roll Drop/Corrupt: duplicating or
 /// reordering a retransmission adds nothing the first-attempt model
 /// doesn't already cover, and mapping those rolls to clean delivery keeps
 /// the retry budget meaningful.
 fn link_decide(
     plan: &FaultPlan,
+    collective: u64,
     src: usize,
     dst: usize,
     seq: u64,
@@ -555,6 +559,7 @@ fn link_decide(
         return None;
     }
     let mut h = splitmix64(plan.seed ^ 0xA076_1D64_78BD_642F);
+    h = splitmix64(h ^ collective);
     h = splitmix64(h ^ ((src as u64) << 32) ^ dst as u64);
     h = splitmix64(h ^ seq);
     h = splitmix64(h ^ attempt as u64);
@@ -880,6 +885,9 @@ impl SpmdBarrier {
 /// channel; a send fails only once its receiver's Router has been dropped.
 pub struct Router<'a, M> {
     rank: usize,
+    /// This collective's index in the context's meter: it keys the
+    /// link-fault decisions, the kill schedule and the replica epoch.
+    collective: u64,
     txs: &'a [Sender<(usize, Frame<M>)>],
     rx: Receiver<(usize, Frame<M>)>,
     pending: Vec<VecDeque<M>>,
@@ -963,7 +971,7 @@ impl<M: Send + Clone> Router<'_, M> {
             crc,
             msg,
         };
-        match link_decide(self.plan, self.rank, to, seq, 0) {
+        match link_decide(self.plan, self.collective, self.rank, to, seq, 0) {
             None => {
                 self.transmit(to, Frame::Data(env));
                 self.flush_held(to);
@@ -1195,7 +1203,7 @@ impl<M: Send + Clone> Router<'_, M> {
             (e.seq, e.payload_bytes, attempt, e.msg.clone())
         };
         self.meter.note_retransmit(payload_bytes);
-        match link_decide(self.plan, self.rank, to, seq, attempt) {
+        match link_decide(self.plan, self.collective, self.rank, to, seq, attempt) {
             Some(LinkFaultKind::Drop) => {
                 self.meter.note_fault(LinkFaultKind::Drop);
                 self.owe_repair(to, idx, attempt);
@@ -1789,7 +1797,6 @@ fn heal_round<M, W>(
     snapshot: &[u8],
     role: HealRole,
     epoch_mark: (u64, u64),
-    collective: u64,
 ) -> Result<(), Box<dyn Any + Send>>
 where
     M: Send + Clone,
@@ -1826,14 +1833,14 @@ where
     // Phase 3: rehydrate.
     for &v in &victims {
         if router.rank == (v + 1) % router.nprocs() && router.rank != v {
-            if let Err(detail) = router.forward_replica(v, collective) {
+            if let Err(detail) = router.forward_replica(v, router.collective) {
                 router.sup.record_death(router.rank, detail.clone(), true);
                 return Err(Box::new(detail));
             }
         }
     }
     if role == HealRole::Victim {
-        match router.await_replica(collective) {
+        match router.await_replica(router.collective) {
             Ok(data) => w.restore(&mut &data[..]),
             Err(e) => {
                 router.sup.record_death(router.rank, e.to_string(), true);
@@ -1864,7 +1871,6 @@ fn respawn<M, W, R, F>(
     w: &mut W,
     router: Router<'_, M>,
     f: &F,
-    collective: u64,
     epoch_mark: (u64, u64),
     respawns_left: u32,
     fired: Vec<bool>,
@@ -1876,25 +1882,14 @@ where
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {
     std::thread::scope(|s| {
-        s.spawn(move || {
-            drive(
-                w,
-                router,
-                f,
-                collective,
-                epoch_mark,
-                respawns_left,
-                fired,
-                true,
-            )
-        })
-        .join()
-        .unwrap_or_else(|_| {
-            Err(
-                Box::new("spmd respawned worker thread machinery panicked".to_string())
-                    as Box<dyn Any + Send>,
-            )
-        })
+        s.spawn(move || drive(w, router, f, epoch_mark, respawns_left, fired, true))
+            .join()
+            .unwrap_or_else(|_| {
+                Err(
+                    Box::new("spmd respawned worker thread machinery panicked".to_string())
+                        as Box<dyn Any + Send>,
+                )
+            })
     })
 }
 
@@ -1905,12 +1900,10 @@ where
 /// commit (all workers completed) or rewind through [`heal_round`] and
 /// try again. A healable death (injected kill or untyped body panic)
 /// converts this thread into a [`respawn`] relay instead of a hard abort.
-#[allow(clippy::too_many_arguments)]
 fn drive<M, W, R, F>(
     w: &mut W,
     mut router: Router<'_, M>,
     f: &F,
-    collective: u64,
     epoch_mark: (u64, u64),
     mut respawns_left: u32,
     mut fired: Vec<bool>,
@@ -1923,18 +1916,11 @@ where
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {
     set_quiet_panics(true);
-    let rank = router.rank;
+    let (rank, collective) = (router.rank, router.collective);
     let heal_armed = router.sup.heal_armed;
     let mut snapshot: Vec<u8> = Vec::new();
     if resume_as_victim {
-        heal_round(
-            &mut router,
-            w,
-            &snapshot,
-            HealRole::Victim,
-            epoch_mark,
-            collective,
-        )?;
+        heal_round(&mut router, w, &snapshot, HealRole::Victim, epoch_mark)?;
     }
     loop {
         if heal_armed {
@@ -1953,7 +1939,7 @@ where
                 scramble(w, &snapshot);
                 router.meter.note_respawn();
                 respawns_left -= 1;
-                return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
+                return respawn(w, router, f, epoch_mark, respawns_left, fired);
             }
             let msg =
                 format!("injected fault: spmd worker {rank} killed at collective {collective}");
@@ -1966,14 +1952,7 @@ where
                     match router.commit_wait() {
                         CommitOutcome::Committed => true,
                         CommitOutcome::Heal => {
-                            heal_round(
-                                &mut router,
-                                w,
-                                &snapshot,
-                                HealRole::Peer,
-                                epoch_mark,
-                                collective,
-                            )?;
+                            heal_round(&mut router, w, &snapshot, HealRole::Peer, epoch_mark)?;
                             continue;
                         }
                         CommitOutcome::Aborted => {
@@ -2001,14 +1980,7 @@ where
             }
             Err(payload) => {
                 if payload.is::<HealRewind>() {
-                    heal_round(
-                        &mut router,
-                        w,
-                        &snapshot,
-                        HealRole::Peer,
-                        epoch_mark,
-                        collective,
-                    )?;
+                    heal_round(&mut router, w, &snapshot, HealRole::Peer, epoch_mark)?;
                     continue;
                 }
                 // Typed DpfError payloads (link failures, backpressure,
@@ -2023,7 +1995,7 @@ where
                     scramble(w, &snapshot);
                     router.meter.note_respawn();
                     respawns_left -= 1;
-                    return respawn(w, router, f, collective, epoch_mark, respawns_left, fired);
+                    return respawn(w, router, f, epoch_mark, respawns_left, fired);
                 }
                 router
                     .sup
@@ -2088,6 +2060,7 @@ where
                 // its buffers come from and return to this thread's heap.
                 let router = Router {
                     rank,
+                    collective,
                     txs,
                     rx,
                     pending: (0..nprocs).map(|_| VecDeque::new()).collect(),
@@ -2106,7 +2079,6 @@ where
                     w,
                     router,
                     f,
-                    collective,
                     epoch_mark,
                     cfg.max_respawns,
                     fired,
@@ -2405,6 +2377,11 @@ mod tests {
         );
     }
 
+    /// Drops only, at a rate of one transmission in two.
+    fn half_dropped() -> FaultPlan {
+        lossy(0.5, 3).only_link(LinkFaultKind::Drop)
+    }
+
     /// Simulated losses are repaired in logical time: a sender retransmits
     /// each frame it lost before it next blocks, with no timer to wait
     /// out. 100 one-frame collectives at p = 2, with half of all
@@ -2412,9 +2389,7 @@ mod tests {
     /// costs exactly one retransmission.
     #[test]
     fn lost_frames_are_repaired_without_waiting() {
-        // Under seed 3 link 0 -> 1 drops its first frame's first two
-        // transmissions.
-        let plan = lossy(0.5, 3).only_link(LinkFaultKind::Drop);
+        let plan = half_dropped();
         let meter = LinkMeter::new();
         let start = Instant::now();
         for _ in 0..100 {
@@ -2426,6 +2401,28 @@ mod tests {
         assert!(
             took < Duration::from_secs(1),
             "100 lossy one-frame collectives took {took:?}"
+        );
+    }
+
+    /// Each collective rolls its own link faults. Sequence numbers restart
+    /// in every collective, so a decision that ignored the collective
+    /// would drop the one frame of every collective below alike, or of
+    /// none.
+    #[test]
+    fn each_collective_rolls_its_own_link_faults() {
+        let plan = half_dropped();
+        let meter = LinkMeter::new();
+        let mut dropped_in = 0;
+        for _ in 0..100 {
+            let before = meter.link_faults();
+            one_frame(&meter, &plan);
+            if meter.link_faults() > before {
+                dropped_in += 1;
+            }
+        }
+        assert!(
+            0 < dropped_in && dropped_in < 100,
+            "a drop fired in {dropped_in} of 100 collectives"
         );
     }
 
@@ -2613,8 +2610,8 @@ mod tests {
         let plan = FaultPlan::new(0.0, 1234).with_link_faults(0.5);
         let mut fired = 0;
         for seq in 0..200u64 {
-            let a = link_decide(&plan, 0, 1, seq, 0);
-            let b = link_decide(&plan, 0, 1, seq, 0);
+            let a = link_decide(&plan, 3, 0, 1, seq, 0);
+            let b = link_decide(&plan, 3, 0, 1, seq, 0);
             assert_eq!(a, b);
             if a.is_some() {
                 fired += 1;
@@ -2622,8 +2619,8 @@ mod tests {
         }
         assert!(fired > 50 && fired < 150, "rate wildly off: {fired}/200");
         // Self-links and disarmed plans never fault.
-        assert_eq!(link_decide(&plan, 2, 2, 0, 0), None);
-        assert_eq!(link_decide(&FaultPlan::default(), 0, 1, 0, 0), None);
+        assert_eq!(link_decide(&plan, 3, 2, 2, 0, 0), None);
+        assert_eq!(link_decide(&FaultPlan::default(), 3, 0, 1, 0, 0), None);
     }
 
     /// The exchange used by the healing tests: every worker's shard is a
