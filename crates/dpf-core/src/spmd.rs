@@ -48,13 +48,15 @@
 //! The sender decides every loss itself, so it knows which frames it owes
 //! a repair (its *victims*) without waiting to be told. Simulated time is
 //! logical: a victim is repaired at the sender's next service point — on
-//! entry to every blocking operation ([`Router::recv_from`],
-//! [`Router::barrier`], the teardown linger and the commit wait) and every
-//! `SEND_SERVICE_EVERY` sends — by retransmitting it until a transmission
-//! gets through or its retry budget is spent. No wall-clock timer drives a
-//! repair, and no worker blocks while it still owes a peer a frame. A
-//! frame is never repaired inside the `send` that lost it, so receivers
-//! still see drop gaps and reassemble across them.
+//! entry to [`Router::recv_from`] and [`Router::barrier`], every
+//! `SEND_SERVICE_EVERY` sends, and when the collective body returns —
+//! by retransmitting it until a transmission gets through or its retry
+//! budget is spent. No wall-clock timer drives a repair, and no worker
+//! blocks while it still owes a peer a frame. A frame is never repaired
+//! inside the `send` that lost it, so receivers still see drop gaps and
+//! reassemble across them. A budget spent on a body's last frames fails
+//! that body like any other, before the worker lingers or waits to
+//! commit.
 //!
 //! Because the decision function is pure, the entire retransmission
 //! history — and therefore every data-plane meter (messages, bytes,
@@ -1156,8 +1158,8 @@ impl<M: Send + Clone> Router<'_, M> {
 
     /// Put everything this worker owes its peers on the wire: release each
     /// held (reordered) frame and repair each lost one. Runs on entry to
-    /// every blocking operation, so no worker waits while a peer waits on
-    /// a frame only it can send.
+    /// every blocking operation and when the collective body returns, so
+    /// no worker waits while a peer waits on a frame only it can send.
     fn flush_owed(&mut self) {
         for to in 0..self.txs.len() {
             self.flush_held(to);
@@ -1447,23 +1449,20 @@ impl<M: Send + Clone> Router<'_, M> {
         out
     }
 
-    /// Teardown drain: after a worker's collective body returns it puts
-    /// its held and lost final frames on the wire, then services acks
-    /// until none of its own frames is unacked or held (see the module
-    /// docs for why nothing else needs it). Once a death is recorded it
-    /// instead stays until every worker has retired. Clean transports
-    /// without deaths return at once.
+    /// Teardown drain: after a worker's collective body returns (and
+    /// [`drive`] has put its held and lost final frames on the wire) it
+    /// services acks until none of its own frames is unacked (see the
+    /// module docs for why nothing else needs it). Once a death is
+    /// recorded it instead stays until every worker has retired. Clean
+    /// transports without deaths return at once.
     fn linger(&mut self) {
         self.clear_wait();
-        self.flush_owed();
         let mut deadline = None;
         loop {
             let settled = if self.sup.dead.load(Ordering::Acquire) > 0 {
                 self.sup.retired.load(Ordering::Acquire) >= self.txs.len()
             } else {
-                self.tx_links
-                    .iter()
-                    .all(|l| l.unacked.is_empty() && l.held.is_none())
+                self.tx_links.iter().all(|l| l.unacked.is_empty())
             };
             if settled {
                 return;
@@ -1612,16 +1611,14 @@ impl<M: Send + Clone> Router<'_, M> {
 
     /// End-of-body wait under in-run recovery: the epoch commits only
     /// once all workers have completed it (after which no victim can
-    /// appear, because a victim never completes the body). Like the
-    /// linger drain, the worker first puts its held and lost final frames
-    /// on the wire, then keeps servicing the transport, so peers' final
-    /// frames still get their acks. The worker whose commit completes the
-    /// count wakes every peer with a [`Frame::Committed`]; the
-    /// `HEAL_SLICE` poll remains only as the backstop that notices heals
-    /// and deaths.
+    /// appear, because a victim never completes the body). While
+    /// waiting, the worker keeps servicing the transport exactly like the
+    /// linger drain, so peers' final frames still get their acks. The
+    /// worker whose commit completes the count wakes every peer with a
+    /// [`Frame::Committed`]; the `HEAL_SLICE` poll remains only as the
+    /// backstop that notices heals and deaths.
     fn commit_wait(&mut self) -> CommitOutcome {
         self.clear_wait();
-        self.flush_owed();
         let n = self.txs.len();
         if self.sup.heal_committed.fetch_add(1, Ordering::AcqRel) + 1 == n {
             for to in (0..n).filter(|&to| to != self.rank) {
@@ -1946,7 +1943,15 @@ where
             router.sup.record_death(rank, msg.clone(), true);
             return Err(Box::new(msg));
         }
-        match catch_unwind(AssertUnwindSafe(|| f(rank, w, &mut router))) {
+        // The body's own frames are flushed inside the guard, so a frame
+        // whose budget runs out on the way fails the body like any other
+        // link failure, before this worker retires or waits to commit.
+        let body = catch_unwind(AssertUnwindSafe(|| {
+            let out = f(rank, w, &mut router);
+            router.flush_owed();
+            out
+        }));
+        match body {
             Ok(out) => {
                 let committed = if heal_armed {
                     match router.commit_wait() {
@@ -2491,6 +2496,40 @@ mod tests {
         match err {
             DpfError::LinkFailure { attempts, .. } => assert_eq!(*attempts, 3),
             other => panic!("expected LinkFailure, got {other}"),
+        }
+    }
+
+    /// A budget spent repairing a body's last frame fails that body with
+    /// the typed LinkFailure, also under in-run recovery, where the
+    /// worker would otherwise go on to wait for the epoch to commit.
+    #[test]
+    fn budget_spent_on_a_final_frame_is_typed() {
+        let plan = lossy(1.0, 7)
+            .only_link(LinkFaultKind::Drop)
+            .with_max_retransmits(1)
+            .with_recover(RecoverMode::InRun);
+        let meter = LinkMeter::new();
+        let res = std::panic::catch_unwind(|| {
+            run_workers::<u64, (), (), _>(
+                2,
+                transport(&meter, &plan),
+                vec![(); 2],
+                |rank, _w, router| {
+                    if rank == 0 {
+                        router.send(1, 8, 7);
+                    } else {
+                        router.recv_from(0);
+                    }
+                },
+            );
+        });
+        let payload = res.expect_err("a spent budget must fail the collective");
+        match payload.downcast_ref::<DpfError>() {
+            Some(DpfError::LinkFailure { attempts, .. }) => assert_eq!(*attempts, 2),
+            _ => panic!(
+                "expected LinkFailure, got {}",
+                payload_str(payload.as_ref())
+            ),
         }
     }
 
