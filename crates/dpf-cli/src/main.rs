@@ -45,9 +45,10 @@
 //!                                (repeatable: a schedule of kills;
 //!                                needs --backend spmd and R < --procs)
 //!   --recover in-run|restart|off what a worker death does: heal inside the
-//!                                run via buddy-replica respawn (in-run),
-//!                                restart the benchmark from the harness
-//!                                (restart, default), or fail hard (off)
+//!                                run by re-running the collective from
+//!                                its replicas (in-run), restart the
+//!                                benchmark from the harness (restart,
+//!                                default), or fail hard (off)
 //!   --timeout-secs N             wall-clock budget per attempt (default 300)
 //!   --retries N                  retry budget after a failed attempt
 //!   --checkpoint-every N         snapshot iterative kernels every N steps

@@ -211,12 +211,12 @@ pub(crate) type AxisStep<'a, T, A> = &'a (dyn Fn(&mut A, usize, &mut dyn FnMut(u
 /// of the p × ⌈p/64⌉ table holds one bit per worker that sends to worker
 /// `d`.
 ///
-/// The table is never reset, not even by an in-run heal's rewind. A
-/// worker's destinations are a pure function of the layouts, the index
-/// maps (`src_of`, `dst_of`, the stencil's offsets) and read-only index
-/// arrays, so a rewound epoch re-publishes the same bits, and `fetch_or`
-/// is idempotent. The rewind already resets the barrier's arrivals, so a
-/// row is read only after all p workers of the current attempt have
+/// The table is never reset, not even when an in-run heal re-runs the
+/// collective. A worker's destinations are a pure function of the
+/// layouts, the index maps (`src_of`, `dst_of`, the stencil's offsets)
+/// and read-only index arrays, so a re-run re-publishes the same bits,
+/// and `fetch_or` is idempotent. Each attempt waits at a fresh barrier,
+/// so a row is read only after all p workers of the current attempt have
 /// published.
 pub(crate) struct Handshake {
     words: usize,

@@ -12,9 +12,9 @@
 //! with K = 0 (`--checkpoint-every` unset) [`drive`] runs it bare.
 //!
 //! The same byte form serves the SPMD backend's in-run healing
-//! (`--recover in-run`): every worker captures its work item at each
-//! collective's entry and pushes the bytes to its buddy rank, and a
-//! respawned worker restores from them (see `spmd.rs`).
+//! (`--recover in-run`): `run_workers` captures every work item before
+//! a collective starts, and a heal restores each one from those bytes
+//! before running the collective again (see `spmd.rs`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 

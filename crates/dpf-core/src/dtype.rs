@@ -135,7 +135,7 @@ pub trait Elem: Copy + Send + Sync + Default + PartialEq + std::fmt::Debug + 'st
     /// Append the value's little-endian bytes (exactly
     /// [`Elem::WIRE_BYTES`] of them) to `out`. Bit-exact round-trip with
     /// [`Elem::get_le`] — NaN payloads and signed zeros survive — so
-    /// replica snapshots rehydrate to the identical value.
+    /// replica snapshots restore to the identical value.
     fn put_le(self, out: &mut Vec<u8>);
 
     /// Read one value back from the first [`Elem::WIRE_BYTES`] bytes of

@@ -129,11 +129,11 @@ pub enum DpfError {
         /// generation, pending sequence numbers, heartbeat ages).
         detail: String,
     },
-    /// A respawned worker's buddy replica failed its CRC check during
-    /// in-run recovery; the run falls back to harness-level restart
-    /// rather than rehydrating from corrupt bytes.
+    /// A dead worker's replica failed its CRC check during in-run
+    /// recovery; the run falls back to harness-level restart rather than
+    /// restoring from corrupt bytes.
     ReplicaCorrupt {
-        /// The rank whose state could not be rehydrated.
+        /// The rank whose state could not be restored.
         worker: usize,
         /// The epoch (collective) whose replica was corrupt.
         epoch: u64,
@@ -314,9 +314,10 @@ impl std::fmt::Display for LinkFaultKind {
 /// What the SPMD executor does when a worker dies mid-run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum RecoverMode {
-    /// Heal inside the run: park surviving peers at a recovery barrier,
-    /// respawn the dead rank, rehydrate its shard from the buddy replica,
-    /// rewind everyone to the last consistent epoch and resume.
+    /// Heal inside the run: once every worker of the collective has
+    /// finished, restore each work item from the replica taken at the
+    /// collective's start (the dead ranks' only after a CRC check) and
+    /// run the collective again.
     InRun,
     /// Propagate the death as [`DpfError::WorkerDied`] and let the
     /// harness retry the whole benchmark (the historical behavior, and
@@ -386,9 +387,9 @@ pub struct FaultPlan {
     /// What the SPMD executor does when a worker dies (see
     /// [`RecoverMode`]); defaults to harness-level restart.
     pub recover: RecoverMode,
-    /// Chaos knob: corrupt every buddy-replica checksum so in-run
-    /// rehydration is forced onto its corrupt-replica fallback path
-    /// (typed [`DpfError::ReplicaCorrupt`] → harness restart).
+    /// Chaos knob: corrupt every replica checksum so an in-run heal is
+    /// forced onto its corrupt-replica fallback path (typed
+    /// [`DpfError::ReplicaCorrupt`] → harness restart).
     pub replica_corrupt: bool,
 }
 
@@ -470,7 +471,7 @@ impl FaultPlan {
         self
     }
 
-    /// Corrupt every buddy-replica checksum (targeted fallback tests).
+    /// Corrupt every replica checksum (targeted fallback tests).
     pub fn with_replica_corrupt(mut self) -> Self {
         self.replica_corrupt = true;
         self

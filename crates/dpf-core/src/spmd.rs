@@ -31,8 +31,9 @@
 //! * [`run_workers`] — runs the worker set on parked executor threads
 //!   and the calling thread, each worker building its own [`Router`] over
 //!   one shared sender table and borrowing its own work item; supervises
-//!   them (a panicked worker is recorded and its peers are released with
-//!   a typed [`DpfError::WorkerDied`]), waits for all of them, and
+//!   them (a panicked worker is recorded and the peers that need it are
+//!   released with a typed [`DpfError::WorkerDied`]), waits for all of
+//!   them, and either re-runs the collective (in-run healing, below) or
 //!   re-raises the most informative failure on the caller.
 //!
 //! # Reliable delivery over unreliable links
@@ -55,8 +56,7 @@
 //! blocks while it still owes a peer a frame. A frame is never repaired
 //! inside the `send` that lost it, so receivers still see drop gaps and
 //! reassemble across them. A budget spent on a body's last frames fails
-//! that body like any other, before the worker lingers or waits to
-//! commit.
+//! that body like any other, before the worker lingers.
 //!
 //! Because the decision function is pure, the entire retransmission
 //! history — and therefore every data-plane meter (messages, bytes,
@@ -75,6 +75,19 @@
 //! death is recorded does a finished worker wait for the whole set to
 //! retire.
 //!
+//! # Worker deaths
+//!
+//! A worker that fails records its death and wakes every peer with a
+//! no-op control frame. A peer blocked in [`Router::recv_from`] gives up
+//! only once the worker it waits on is recorded dead, and only after one
+//! last drain of its channel, which holds everything the dead worker
+//! sent before it died; a peer at [`Router::barrier`] gives up on any
+//! death; a frame to a dead worker is dropped rather than failing its
+//! sender. So each survivor runs exactly as far as its own program and
+//! the dead workers' program order let it, and which failure a
+//! collective reports — the first root cause in rank order — does not
+//! depend on thread timing.
+//!
 //! # Deadlock diagnostics
 //!
 //! Blocking operations publish a [`WaitState`] and watch a global progress
@@ -90,48 +103,31 @@
 //!
 //! # In-run self-healing (`--recover in-run`)
 //!
-//! Under [`RecoverMode::InRun`] a worker death no longer aborts the
-//! collective. Every collective is one *epoch*: at epoch entry — before
-//! any communication — each worker serializes its mutable shard (the
-//! [`Checkpoint::capture`] bytes of its work item, the same snapshot form
-//! the iterative kernels' in-attempt rollback uses) and pushes the
-//! snapshot, epoch-tagged and CRC'd, to its buddy rank (`rank+1 mod p`)
-//! as recovery traffic.
-//! Because the snapshot is taken before the first send of the epoch, the
-//! set of p snapshots is a globally consistent cut by construction.
+//! Under [`RecoverMode::InRun`] (with more than one worker) a worker
+//! death re-runs the collective instead of failing it. Every collective
+//! is one *epoch*: before any worker starts, [`run_workers`] captures
+//! each work item's [`Checkpoint`] bytes with a CRC — its *replica*, the
+//! same snapshot form the iterative kernels' in-attempt rollback uses.
+//! Nothing has been sent yet, so the p replicas are a globally
+//! consistent cut by construction.
 //!
-//! When a worker dies (an injected `--kill-worker` entry or a non-typed
-//! body panic), its driver registers a heal request instead of a hard
-//! death; [`Router::check_deaths`] then parks every surviving worker at a
-//! three-phase recovery rendezvous rather than panicking it:
-//!
-//! 1. **Quiesce** — all p drivers (the victim is represented by a freshly
-//!    respawned thread) arrive at the recovery barrier, so every doomed
-//!    in-flight frame is already sitting in some receiver's channel.
-//! 2. **Rewind** — each driver drains its own channel (keeping replica
-//!    frames, discarding doomed data/ack traffic), resets its
-//!    sequence/reassembly state, and restores its shard from the local
-//!    epoch snapshot; rank 0 rolls the logical §1.5 meters back to the
-//!    epoch mark and resets the collective barrier.
-//! 3. **Rehydrate** — buddies forward the victims' replicas; each victim
-//!    verifies the CRC (a mismatch is a typed
-//!    [`DpfError::ReplicaCorrupt`] that falls back to harness restart)
-//!    and restores its shard from the replica bytes.
-//!
-//! Then every worker re-runs the epoch body from the start. Sequence
-//! numbers restart from zero, so the deterministic link-fault decisions
-//! re-roll identically and the healed run's results *and* logical §1.5
-//! meters are byte-identical to a clean run's. All recovery traffic
-//! (replica pushes, rehydration forwards, respawns, rewound epochs) is
-//! metered on dedicated [`LinkMeter`] counters, never on the logical
-//! messages/bytes the paper's model counts.
-//!
-//! A worker that finishes the epoch body waits until all p have (the
-//! *commit*): only then can no victim appear, because a victim never
-//! completes the body. The worker whose commit completes the count wakes
-//! every peer with a no-op control frame, so a clean epoch costs no
-//! polling; a waiting worker still polls in `HEAL_SLICE` steps, but only
-//! to notice a heal or a death.
+//! Workers take no part in healing: a scheduled kill (`--kill-worker`)
+//! or an untyped body panic is an ordinary death, and the peers abort as
+//! they do after any death. After the join, if no root failure is a
+//! typed [`DpfError`] and every dead rank is within
+//! [`TransportCfg::max_respawns`], the caller scrambles each dead rank's
+//! work item and restores it from its replica once the CRC verifies (a
+//! mismatch is a typed [`DpfError::ReplicaCorrupt`] that falls back to
+//! harness restart), restores every other rank from its replica, rolls
+//! the logical §1.5 meters back to the epoch mark, and runs the
+//! collective again: fresh channels, barrier and supervision under the
+//! same collective index. Sequence numbers restart from zero, so the
+//! deterministic link-fault decisions re-roll identically and the healed
+//! run's results *and* logical §1.5 meters are byte-identical to a clean
+//! run's. Each kill-schedule entry fires at most once across attempts.
+//! Respawns and rewound epochs are counted on their own [`LinkMeter`]
+//! counters, never on the logical messages/bytes the paper's model
+//! counts.
 
 // The transport legitimately reads the wall clock: heartbeat stall
 // detection and hard-timeout deadlines are the backstops for genuine
@@ -170,12 +166,9 @@ const SERVICE_SLICE: Duration = Duration::from_millis(25);
 /// protocol nor overflows receiver-side reassembly windows with frames
 /// queued behind an unrepaired gap.
 const SEND_SERVICE_EVERY: u32 = 64;
-/// XOR mask applied to a frame's checksum to simulate payload corruption.
+/// XOR mask applied to a checksum to simulate corruption: a frame's on
+/// the simulated wire, or every replica's under `replica_corrupt`.
 const CRC_MANGLE: u32 = 0xA5A5_5A5A;
-/// Poll slice while parked at the recovery rendezvous, and the backstop
-/// with which a worker in commit-wait notices heals and deaths (the last
-/// committer wakes it when the epoch commits).
-const HEAL_SLICE: Duration = Duration::from_millis(2);
 /// Default per-collective respawn budget under in-run recovery; a rank
 /// that keeps dying past this budget hard-fails the collective so the
 /// harness-level restart path takes over.
@@ -254,10 +247,6 @@ pub struct LinkMeter {
     duplicates_discarded: AtomicU64,
     crc_rejects: AtomicU64,
     collectives: AtomicU64,
-    replicas_pushed: AtomicU64,
-    replica_bytes: AtomicU64,
-    rehydrations: AtomicU64,
-    rehydrate_bytes: AtomicU64,
     respawns: AtomicU64,
     epochs_rewound: AtomicU64,
 }
@@ -387,18 +376,6 @@ impl LinkMeter {
     }
 
     #[inline]
-    fn note_replica_push(&self, bytes: u64) {
-        self.replicas_pushed.fetch_add(1, Ordering::Relaxed);
-        self.replica_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
-    fn note_rehydration(&self, bytes: u64) {
-        self.rehydrations.fetch_add(1, Ordering::Relaxed);
-        self.rehydrate_bytes.fetch_add(bytes, Ordering::Relaxed);
-    }
-
-    #[inline]
     fn note_respawn(&self) {
         self.respawns.fetch_add(1, Ordering::Relaxed);
     }
@@ -409,40 +386,19 @@ impl LinkMeter {
     }
 
     /// Roll the logical counters back to an epoch mark. Only called by
-    /// rank 0's driver during a recovery rewind, while every other driver
-    /// is parked at the recovery barrier (so no concurrent `record`).
+    /// [`run_workers`] between attempts, when every worker of the
+    /// collective has finished (so no concurrent `record`).
     fn rollback_logical(&self, mark: (u64, u64)) {
         self.messages.store(mark.0, Ordering::Relaxed);
         self.payload_bytes.store(mark.1, Ordering::Relaxed);
     }
 
-    /// Epoch-start shard snapshots pushed to buddy ranks (recovery
-    /// traffic — never counted as logical §1.5 messages).
-    pub fn replicas_pushed(&self) -> u64 {
-        self.replicas_pushed.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of epoch-start shard snapshots pushed to buddy ranks.
-    pub fn replica_bytes(&self) -> u64 {
-        self.replica_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Replica forwards performed to rehydrate respawned workers.
-    pub fn rehydrations(&self) -> u64 {
-        self.rehydrations.load(Ordering::Relaxed)
-    }
-
-    /// Bytes forwarded to rehydrate respawned workers.
-    pub fn rehydrate_bytes(&self) -> u64 {
-        self.rehydrate_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Worker threads respawned in-run after a death.
+    /// Dead workers restored from their replicas by an in-run heal.
     pub fn respawns(&self) -> u64 {
         self.respawns.load(Ordering::Relaxed)
     }
 
-    /// Recovery rounds that rewound an epoch to its consistent snapshot.
+    /// In-run heals: collectives rewound to their replicas and re-run.
     pub fn epochs_rewound(&self) -> u64 {
         self.epochs_rewound.load(Ordering::Relaxed)
     }
@@ -586,9 +542,10 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// What travels on a channel: data frames plus the ack control plane.
-/// Control frames ride the same (lossless) channel but are never metered
-/// as logical messages and are never themselves subjected to link faults.
+/// What travels on a channel: data frames plus the control plane (acks
+/// and wakes). Control frames ride the same (lossless) channel but are
+/// never metered as logical messages and are never themselves subjected
+/// to link faults.
 enum Frame<M> {
     Data(Envelope<M>),
     /// A data frame the simulated wire duplicated: the receiver accepts
@@ -599,30 +556,10 @@ enum Frame<M> {
     Ack {
         upto: u64,
     },
-    /// A shard snapshot on the recovery channel: the epoch-start replica a
-    /// worker pushes to its buddy, and the same bytes forwarded back to a
-    /// respawned victim during rehydration. Metered on the recovery
-    /// counters only, never as a logical message, and never subjected to
-    /// link faults (recovery must not depend on the wire under test).
-    Replica {
-        epoch: u64,
-        owner: usize,
-        crc: u32,
-        data: Vec<u8>,
-    },
-    /// The epoch has committed: sent under in-run recovery by the worker
-    /// whose commit completes the count, to wake peers blocked in
-    /// [`Router::commit_wait`]. Carries nothing and changes no state.
-    Committed,
-}
-
-/// A buddy-held shard snapshot, keyed by owner rank in the receiver's
-/// replica store.
-#[derive(Clone)]
-struct ReplicaEntry {
-    epoch: u64,
-    crc: u32,
-    data: Vec<u8>,
+    /// Sent by a dying worker to every peer, so a receiver asleep on its
+    /// channel rechecks deaths at once. Carries nothing and changes no
+    /// state.
+    Wake,
 }
 
 /// Sender-side retransmission state for one in-flight frame.
@@ -701,26 +638,10 @@ struct Supervision {
     heartbeats: Vec<AtomicU64>,
     waits: Vec<PlMutex<Option<WaitState>>>,
     diagnosed: AtomicBool,
-    /// In-run healing engaged for this collective (`--recover in-run`
-    /// with more than one worker).
-    heal_armed: bool,
-    /// Victims registered for the current recovery round and not yet
-    /// rehydrated; nonzero turns every blocking operation's death check
-    /// into a park-at-the-recovery-barrier instead of a hard abort.
-    heal_pending: AtomicUsize,
-    /// Ranks awaiting respawn+rehydration in the current round.
-    heal_victims: PlMutex<Vec<usize>>,
-    /// Drivers that completed the epoch body in the current attempt; the
-    /// epoch commits — finally — once all `n` have (no victim can appear
-    /// after that, since a victim never completes the body).
-    heal_committed: AtomicUsize,
-    /// The three-phase recovery rendezvous barrier (quiesce → rewind →
-    /// rehydrate), reused across rounds.
-    heal_bar: SpmdBarrier,
 }
 
 impl Supervision {
-    fn new(n: usize, heal_armed: bool) -> Self {
+    fn new(n: usize) -> Self {
         Supervision {
             start: Instant::now(),
             progress: AtomicU64::new(0),
@@ -731,11 +652,6 @@ impl Supervision {
             heartbeats: (0..n).map(|_| AtomicU64::new(0)).collect(),
             waits: (0..n).map(|_| PlMutex::new(None)).collect(),
             diagnosed: AtomicBool::new(false),
-            heal_armed,
-            heal_pending: AtomicUsize::new(0),
-            heal_victims: PlMutex::new(Vec::new()),
-            heal_committed: AtomicUsize::new(0),
-            heal_bar: SpmdBarrier::new(n),
         }
     }
 
@@ -771,26 +687,20 @@ impl Supervision {
         self.bump();
     }
 
-    /// Register a healable death: the rank joins the current recovery
-    /// round's victim set instead of the hard-death registry, and blocked
-    /// peers park at the recovery barrier instead of aborting.
-    fn record_heal(&self, rank: usize) {
-        self.heal_victims.lock().push(rank);
-        self.heal_pending.fetch_add(1, Ordering::AcqRel);
-        self.bump();
-    }
-
-    /// First hard death on record, if any.
+    /// First death on record, if any.
     fn first_dead(&self) -> Option<usize> {
+        if self.dead.load(Ordering::Acquire) == 0 {
+            return None;
+        }
         self.deaths.lock().first().map(|&(rank, _)| rank)
     }
-}
 
-/// Panic payload used to unwind a surviving worker out of its collective
-/// body and into the recovery rendezvous when a peer's death is healable.
-/// Never escapes [`run_workers`]: the driver catches it and re-enters the
-/// epoch loop after the rewind.
-struct HealRewind;
+    /// True once `rank`'s death is on record. Everything `rank` sent
+    /// before it died is on its receivers' channels by then.
+    fn is_dead(&self, rank: usize) -> bool {
+        self.dead.load(Ordering::Acquire) > 0 && self.deaths.lock().iter().any(|&(r, _)| r == rank)
+    }
+}
 
 /// Snapshot of the progress counter used by blocking loops to decide when
 /// the system has stalled.
@@ -810,8 +720,8 @@ impl StallWatch {
 
 /// A reusable barrier for `n` workers: generation-counted, so the same
 /// object serves every round of a collective. Its waiters poll it in
-/// slices ([`Router::barrier`], the recovery rendezvous) so they can keep
-/// servicing the transport and watching for stalls and deaths.
+/// slices ([`Router::barrier`]) so they can keep servicing the transport
+/// and watching for stalls and deaths.
 struct SpmdBarrier {
     state: Mutex<(usize, u64)>,
     cv: Condvar,
@@ -863,17 +773,6 @@ impl SpmdBarrier {
     fn arrived(&self) -> usize {
         self.state.lock().expect("spmd barrier poisoned").0
     }
-
-    /// Discard partial arrivals at the current generation (recovery
-    /// rewind: every worker re-runs the epoch body, so any arrivals from
-    /// the doomed attempt must be forgotten). The generation counter is
-    /// left alone — `arrive`/`poll` are relative to whatever generation
-    /// they observe, so rewound workers synchronize correctly from any
-    /// starting generation. Only called while every worker is parked at
-    /// the recovery barrier.
-    fn reset_arrivals(&self) {
-        self.state.lock().expect("spmd barrier poisoned").0 = 0;
-    }
 }
 
 /// A worker's communication endpoint: senders to every rank (self
@@ -888,7 +787,7 @@ impl SpmdBarrier {
 pub struct Router<'a, M> {
     rank: usize,
     /// This collective's index in the context's meter: it keys the
-    /// link-fault decisions, the kill schedule and the replica epoch.
+    /// link-fault decisions, which an in-run heal's re-run repeats.
     collective: u64,
     txs: &'a [Sender<(usize, Frame<M>)>],
     rx: Receiver<(usize, Frame<M>)>,
@@ -901,10 +800,6 @@ pub struct Router<'a, M> {
     cfg: &'a TransportCfg,
     barrier: &'a SpmdBarrier,
     sup: &'a Supervision,
-    /// Buddy-held shard snapshots keyed by owner rank. Survives recovery
-    /// rewinds (it is the recovery state) and dies with the Router at the
-    /// end of the collective.
-    replica_store: Vec<Option<ReplicaEntry>>,
 }
 
 impl<M: Send + Clone> Router<'_, M> {
@@ -1014,7 +909,9 @@ impl<M: Send + Clone> Router<'_, M> {
     /// from other senders. Before it blocks the worker puts everything it
     /// owes its peers on the wire; while blocked it keeps servicing the
     /// transport (acks, peer frames), publishes its wait state for the
-    /// stall detector, and aborts with a diagnosis instead of hanging.
+    /// stall detector, and aborts with a diagnosis instead of hanging. It
+    /// gives up on `from` only once `from` is recorded dead and a last
+    /// drain has not brought the message.
     pub fn recv_from(&mut self, from: usize) -> M {
         if let Some(m) = self.pending[from].pop_front() {
             self.sup.bump();
@@ -1025,6 +922,9 @@ impl<M: Send + Clone> Router<'_, M> {
         let deadline = Instant::now() + self.cfg.hard_timeout;
         let mut watch = StallWatch::new(self.sup);
         loop {
+            // Read before the drain: once `from` is recorded dead, the
+            // drain takes in everything it sent.
+            let gone = self.sup.is_dead(from);
             self.service(None);
             if let Some(m) = self.pending[from].pop_front() {
                 self.clear_wait();
@@ -1032,7 +932,9 @@ impl<M: Send + Clone> Router<'_, M> {
                 self.sup.bump();
                 return m;
             }
-            self.check_deaths();
+            if gone {
+                self.abort_on(from);
+            }
             self.publish_wait(WaitState::Recv {
                 peer: from,
                 expected: self.rx_links[from].expected,
@@ -1063,7 +965,8 @@ impl<M: Send + Clone> Router<'_, M> {
 
     /// Wait on the collective's reusable barrier, first putting everything
     /// this worker owes its peers on the wire, then servicing the
-    /// transport and watching for stalls while blocked.
+    /// transport and watching for stalls while blocked. Any death aborts
+    /// the wait unless the barrier has already released.
     pub fn barrier(&mut self) {
         self.heartbeat();
         self.flush_owed();
@@ -1074,12 +977,23 @@ impl<M: Send + Clone> Router<'_, M> {
         let deadline = Instant::now() + self.cfg.hard_timeout;
         let mut watch = StallWatch::new(self.sup);
         loop {
-            if self.barrier.poll(gen, Duration::from_millis(5)) {
+            // Read before the poll: a worker that died after passing this
+            // generation released it first, so if the poll still finds it
+            // unreleased, some dead worker never arrives.
+            let died = self.sup.first_dead();
+            let slice = if died.is_some() {
+                Duration::ZERO
+            } else {
+                Duration::from_millis(5)
+            };
+            if self.barrier.poll(gen, slice) {
                 self.clear_wait();
                 self.sup.bump();
                 return;
             }
-            self.check_deaths();
+            if let Some(worker) = died {
+                self.abort_on(worker);
+            }
             self.service(None);
             self.publish_wait(WaitState::Barrier { generation: gen });
             self.stall_check(&mut watch);
@@ -1110,41 +1024,27 @@ impl<M: Send + Clone> Router<'_, M> {
         *self.sup.waits[self.rank].lock() = None;
     }
 
-    /// Release this worker from its blocking loop when a peer has died:
-    /// a hard death aborts with a typed [`DpfError::WorkerDied`]; a
-    /// healable death (in-run recovery armed) unwinds with the private
-    /// [`HealRewind`] marker, which the driver catches to park this
-    /// worker at the recovery rendezvous instead of failing the run.
-    fn check_deaths(&self) {
-        if self.sup.dead.load(Ordering::Acquire) > 0 {
-            if let Some(worker) = self.sup.first_dead() {
-                self.clear_wait();
-                std::panic::panic_any(DpfError::WorkerDied {
-                    worker,
-                    waiter: self.rank,
-                });
-            }
-        }
-        if self.sup.heal_armed && self.sup.heal_pending.load(Ordering::Acquire) > 0 {
-            self.clear_wait();
-            std::panic::panic_any(HealRewind);
-        }
+    /// Abort this worker's blocking wait because `worker` died.
+    fn abort_on(&self, worker: usize) -> ! {
+        self.clear_wait();
+        std::panic::panic_any(DpfError::WorkerDied {
+            worker,
+            waiter: self.rank,
+        });
     }
 
-    /// Put a data frame on the wire. A send error means the peer's
-    /// receiver is gone: diagnose it as a death if one is recorded, else
-    /// panic.
+    /// Put a data frame on the wire. A frame to a worker recorded dead is
+    /// dropped, so the sender runs on as if it had been delivered; any
+    /// other send error means a live peer left early: panic.
     fn transmit(&self, to: usize, frame: Frame<M>) {
-        if self.txs[to].send((self.rank, frame)).is_err() {
-            self.check_deaths();
+        if self.txs[to].send((self.rank, frame)).is_err() && !self.sup.is_dead(to) {
             panic!("spmd worker {}: peer worker {to} hung up", self.rank);
         }
     }
 
-    /// Send a control frame (an ack, a commit wake) or a recovery frame (a
-    /// shard replica). Both ride the lossless channel, are never metered
-    /// as logical messages and never meet a link fault. Losing one to a
-    /// dead peer is harmless (the death path releases everyone), so
+    /// Send a control frame (an ack, a wake). It rides the lossless
+    /// channel, is never metered as a logical message and never meets a
+    /// link fault. Losing one to a peer that has left is harmless, so
     /// errors are ignored.
     fn send_ctl(&self, to: usize, frame: Frame<M>) {
         let _ = self.txs[to].send((self.rank, frame));
@@ -1268,15 +1168,7 @@ impl<M: Send + Clone> Router<'_, M> {
                     link.unacked.pop_front();
                 }
             }
-            Frame::Committed => {}
-            Frame::Replica {
-                epoch,
-                owner,
-                crc,
-                data,
-            } => {
-                self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
-            }
+            Frame::Wake => {}
         }
     }
 
@@ -1477,198 +1369,19 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    // ---- in-run recovery (`--recover in-run`) ----------------------------
-
-    /// Push this worker's epoch-start shard snapshot to its buddy rank
-    /// (`rank+1 mod p`), CRC'd and epoch-tagged, metered on the replica
-    /// counters.
-    fn push_replica(&mut self, epoch: u64, snapshot: &[u8]) {
-        let buddy = (self.rank + 1) % self.nprocs();
-        if buddy == self.rank {
-            return;
-        }
-        let mut crc = crc32(snapshot);
-        if self.plan.replica_corrupt {
-            crc ^= CRC_MANGLE;
-        }
-        self.meter.note_replica_push(snapshot.len() as u64);
-        self.send_ctl(
-            buddy,
-            Frame::Replica {
-                epoch,
-                owner: self.rank,
-                crc,
-                data: snapshot.to_vec(),
-            },
-        );
-    }
-
-    /// Forward the buddy-held replica of `victim` back to its respawned
-    /// worker (rehydration phase), metered on the rehydrate counters.
-    fn forward_replica(&mut self, victim: usize, epoch: u64) -> Result<(), String> {
-        match self.replica_store[victim].clone() {
-            Some(entry) if entry.epoch == epoch => {
-                self.meter.note_rehydration(entry.data.len() as u64);
-                self.send_ctl(
-                    victim,
-                    Frame::Replica {
-                        epoch,
-                        owner: victim,
-                        crc: entry.crc,
-                        data: entry.data,
-                    },
-                );
-                Ok(())
-            }
-            _ => Err(format!(
-                "spmd worker {}: no epoch-{epoch} replica held for victim worker {victim}",
-                self.rank
-            )),
-        }
-    }
-
-    /// A respawned victim blocks here until its buddy's replica forward
-    /// arrives, then verifies the CRC. Only replica frames can be in
-    /// flight during the rehydration phase (every doomed data/control
-    /// frame was drained at the rewind), so anything else is dropped.
-    fn await_replica(&mut self, epoch: u64) -> Result<Vec<u8>, DpfError> {
-        let deadline = Instant::now() + self.cfg.hard_timeout;
-        loop {
-            if let Some(entry) = self.replica_store[self.rank].take() {
-                if entry.epoch == epoch {
-                    if crc32(&entry.data) != entry.crc {
-                        return Err(DpfError::ReplicaCorrupt {
-                            worker: self.rank,
-                            epoch,
-                        });
-                    }
-                    return Ok(entry.data);
-                }
-            }
-            if let Ok((
-                _,
-                Frame::Replica {
-                    epoch,
-                    owner,
-                    crc,
-                    data,
-                },
-            )) = self.rx.recv_timeout(HEAL_SLICE)
-            {
-                self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
-            }
-            if self.sup.dead.load(Ordering::Acquire) > 0 || Instant::now() >= deadline {
-                return Err(DpfError::ReplicaCorrupt {
-                    worker: self.rank,
-                    epoch,
-                });
-            }
-        }
-    }
-
-    /// Rewind phase: drain this worker's channel completely — keeping
-    /// replica frames, discarding the doomed attempt's data/ack
-    /// traffic — and reset all per-link transport state so the re-run
-    /// starts from sequence zero on every link (which also re-rolls the
-    /// deterministic link-fault decisions identically to a clean run).
-    fn drain_for_heal(&mut self) {
-        while let Ok((_, frame)) = self.rx.try_recv() {
-            if let Frame::Replica {
-                epoch,
-                owner,
-                crc,
-                data,
-            } = frame
-            {
-                self.replica_store[owner] = Some(ReplicaEntry { epoch, crc, data });
-            }
-        }
-        let n = self.txs.len();
-        self.pending = (0..n).map(|_| VecDeque::new()).collect();
-        self.tx_links = (0..n).map(|_| TxLink::new()).collect();
-        self.rx_links = (0..n).map(|_| RxLink::new()).collect();
-        self.ops_since_service = 0;
+    /// Record this worker's death, caused by `payload`, and wake every
+    /// peer so one asleep on its channel notices at once. `retire` is
+    /// false when the worker already retired (it died lingering), so the
+    /// retirement count is not bumped twice. Returns the payload.
+    fn die(&self, payload: Box<dyn Any + Send>, retire: bool) -> Box<dyn Any + Send> {
         self.clear_wait();
-    }
-
-    /// Park at the recovery rendezvous barrier. Returns `Err(())` when a
-    /// hard death is recorded (or the wait times out) — the round cannot
-    /// complete and the caller aborts with a typed payload.
-    fn heal_bar_wait(&mut self) -> Result<(), ()> {
-        let Some(gen) = self.sup.heal_bar.arrive() else {
-            return Ok(());
-        };
-        let deadline = Instant::now() + self.cfg.hard_timeout;
-        loop {
-            if self.sup.heal_bar.poll(gen, HEAL_SLICE) {
-                return Ok(());
-            }
-            if self.sup.dead.load(Ordering::Acquire) > 0 || Instant::now() >= deadline {
-                return Err(());
-            }
+        self.sup
+            .record_death(self.rank, payload_str(payload.as_ref()), retire);
+        for to in (0..self.nprocs()).filter(|&to| to != self.rank) {
+            self.send_ctl(to, Frame::Wake);
         }
+        payload
     }
-
-    /// End-of-body wait under in-run recovery: the epoch commits only
-    /// once all workers have completed it (after which no victim can
-    /// appear, because a victim never completes the body). While
-    /// waiting, the worker keeps servicing the transport exactly like the
-    /// linger drain, so peers' final frames still get their acks. The
-    /// worker whose commit completes the count wakes every peer with a
-    /// [`Frame::Committed`]; the `HEAL_SLICE` poll remains only as the
-    /// backstop that notices heals and deaths.
-    fn commit_wait(&mut self) -> CommitOutcome {
-        self.clear_wait();
-        let n = self.txs.len();
-        if self.sup.heal_committed.fetch_add(1, Ordering::AcqRel) + 1 == n {
-            for to in (0..n).filter(|&to| to != self.rank) {
-                self.send_ctl(to, Frame::Committed);
-            }
-        }
-        self.sup.bump();
-        let deadline = Instant::now() + self.cfg.hard_timeout;
-        loop {
-            if self.sup.dead.load(Ordering::Acquire) > 0 {
-                return CommitOutcome::Aborted;
-            }
-            if self.sup.heal_pending.load(Ordering::Acquire) > 0 {
-                return CommitOutcome::Heal;
-            }
-            if self.sup.heal_committed.load(Ordering::Acquire) >= n {
-                return CommitOutcome::Committed;
-            }
-            self.service(Some(HEAL_SLICE));
-            if Instant::now() >= deadline {
-                return CommitOutcome::Aborted;
-            }
-        }
-    }
-
-    /// The typed payload for a worker that must give up on a recovery
-    /// round: the first recorded hard death if there is one, else a
-    /// timeout diagnosis.
-    fn heal_abort_payload(&self) -> Box<dyn Any + Send> {
-        match self.sup.first_dead() {
-            Some(worker) => Box::new(DpfError::WorkerDied {
-                worker,
-                waiter: self.rank,
-            }),
-            None => Box::new(format!(
-                "spmd worker {}: recovery rendezvous timed out after {:?}",
-                self.rank, self.cfg.hard_timeout
-            )),
-        }
-    }
-}
-
-/// What [`Router::commit_wait`] resolved to.
-enum CommitOutcome {
-    /// Every worker completed the epoch body: the result is final.
-    Committed,
-    /// A victim registered while waiting: rewind and re-run the epoch.
-    Heal,
-    /// A hard death (or timeout) was recorded: abort the collective.
-    Aborted,
 }
 
 /// Walk the single-successor wait graph and return the first cycle found.
@@ -1747,314 +1460,99 @@ pub fn payload_str(payload: &(dyn Any + Send)) -> String {
     }
 }
 
-/// A driver's role in a recovery round.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum HealRole {
-    /// Respawned in place of a dead rank: rehydrates from the buddy's
-    /// replica in phase 3.
-    Victim,
-    /// Survivor: rewinds its own work item from its local epoch-start
-    /// snapshot in phase 2.
-    Peer,
-}
-
 /// Restore `w` from a snapshot whose bytes have been deliberately
-/// garbled. A respawned victim's work item is scrambled *before* the
-/// recovery round so that rehydration from the buddy replica is provably
-/// load-bearing — if the restore in phase 3 were skipped or wrong, the
-/// healed results could not come out byte-identical to a clean run.
+/// garbled. A dead worker's work item is scrambled before an in-run heal
+/// restores it from its replica, so that the restore is provably
+/// load-bearing — if it were skipped or wrong, the healed results could
+/// not come out byte-identical to a clean run.
 fn scramble<W: Checkpoint>(w: &mut W, snapshot: &[u8]) {
     let garbled: Vec<u8> = snapshot.iter().map(|b| b ^ 0xFF).collect();
     w.restore(&mut &garbled[..]);
 }
 
-/// The three-phase recovery rendezvous, run by every driver (peers and
-/// respawned victims alike) once a round is open:
-///
-/// 1. **Quiesce** — park at the dedicated recovery barrier. When it
-///    releases, every doomed frame of the abandoned attempt is already
-///    sitting in some receiver's channel: unbounded mpsc sends complete
-///    synchronously, and each park happens-after that driver's last send.
-/// 2. **Rewind** — drain the own channel (keeping replica frames,
-///    discarding the doomed data/control traffic), reset all per-link
-///    transport state to sequence zero, restore peers' work items from
-///    their epoch-start snapshots; rank 0 additionally rolls the logical
-///    meters back to the epoch mark, resets the collective barrier's
-///    partial arrivals and re-zeroes the commit counter.
-/// 3. **Rehydrate** — buddies forward their held replicas to the
-///    victims; each victim CRC-verifies and restores. Rank 0 closes the
-///    round (clears the victim set and pending count) before the final
-///    barrier releases everyone back into the epoch body.
-///
-/// Any hard death observed while parked aborts the round with a typed
-/// payload; the run then falls back to harness-level restart semantics.
-fn heal_round<M, W>(
-    router: &mut Router<'_, M>,
-    w: &mut W,
-    snapshot: &[u8],
-    role: HealRole,
-    epoch_mark: (u64, u64),
-) -> Result<(), Box<dyn Any + Send>>
-where
-    M: Send + Clone,
-    W: Checkpoint,
-{
-    let abort = |router: &Router<'_, M>| -> Result<(), Box<dyn Any + Send>> {
-        let payload = router.heal_abort_payload();
-        router
-            .sup
-            .record_death(router.rank, payload_str(payload.as_ref()), true);
-        Err(payload)
-    };
-    // Phase 1: quiesce.
-    if router.heal_bar_wait().is_err() {
-        return abort(router);
-    }
-    // Phase 2: rewind. The victim set is read before rank 0 clears it in
-    // phase 3; every driver passes this read before arriving at the
-    // phase-2 barrier below.
-    let victims: Vec<usize> = router.sup.heal_victims.lock().clone();
-    router.drain_for_heal();
-    if role == HealRole::Peer {
-        w.restore(&mut &snapshot[..]);
-    }
-    if router.rank == 0 {
-        router.meter.rollback_logical(epoch_mark);
-        router.barrier.reset_arrivals();
-        router.sup.heal_committed.store(0, Ordering::Release);
-        router.meter.note_epoch_rewound();
-    }
-    if router.heal_bar_wait().is_err() {
-        return abort(router);
-    }
-    // Phase 3: rehydrate.
-    for &v in &victims {
-        if router.rank == (v + 1) % router.nprocs() && router.rank != v {
-            if let Err(detail) = router.forward_replica(v, router.collective) {
-                router.sup.record_death(router.rank, detail.clone(), true);
-                return Err(Box::new(detail));
-            }
+/// The ranks a collective's kill schedule kills in this attempt: each
+/// rank's first entry for `collective` not yet `fired`. Each entry fires
+/// at most once, so the re-run after a heal does not re-kill a rank.
+fn due_kills(plan: &FaultPlan, collective: u64, fired: &mut [bool]) -> Vec<usize> {
+    let mut doomed = Vec::new();
+    for (i, &(rank, at)) in plan.kill_workers.iter().enumerate() {
+        if at == collective && !fired[i] && !doomed.contains(&rank) {
+            fired[i] = true;
+            doomed.push(rank);
         }
     }
-    if role == HealRole::Victim {
-        match router.await_replica(router.collective) {
-            Ok(data) => w.restore(&mut &data[..]),
-            Err(e) => {
-                router.sup.record_death(router.rank, e.to_string(), true);
-                return Err(Box::new(e));
-            }
-        }
-    }
-    if router.rank == 0 {
-        // Close the round before releasing anyone: once the final barrier
-        // opens, resumed workers consult `heal_pending` in their death
-        // checks again.
-        router.sup.heal_victims.lock().clear();
-        router.sup.heal_pending.store(0, Ordering::Release);
-    }
-    if router.heal_bar_wait().is_err() {
-        return abort(router);
-    }
-    Ok(())
+    doomed
 }
 
-/// Hand the dead rank's seat to a fresh thread. The dying driver's thread
-/// blocks on the join and relays the replacement's result, so
-/// `run_workers` still sees exactly one result per rank. The recursion
-/// back into [`drive`] is the same monomorphized instantiation, bounded
-/// by the respawn budget. Respawns are rare, so the replacement runs on a
-/// scoped thread of its own rather than a parked executor thread.
-fn respawn<M, W, R, F>(
-    w: &mut W,
-    router: Router<'_, M>,
-    f: &F,
-    epoch_mark: (u64, u64),
-    respawns_left: u32,
-    fired: Vec<bool>,
-) -> Result<R, Box<dyn Any + Send>>
-where
-    M: Send + Clone,
-    W: Send + Checkpoint,
-    R: Send,
-    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
-{
-    std::thread::scope(|s| {
-        s.spawn(move || drive(w, router, f, epoch_mark, respawns_left, fired, true))
-            .join()
-            .unwrap_or_else(|_| {
-                Err(
-                    Box::new("spmd respawned worker thread machinery panicked".to_string())
-                        as Box<dyn Any + Send>,
-                )
-            })
-    })
-}
-
-/// One worker's supervised epoch loop. Without in-run healing this is a
-/// single pass: run the body, retire, linger. With healing armed, each
-/// iteration of the loop is one *attempt* at the epoch: capture + push
-/// the shard replica, honor any scheduled kill, run the body, and either
-/// commit (all workers completed) or rewind through [`heal_round`] and
-/// try again. A healable death (injected kill or untyped body panic)
-/// converts this thread into a [`respawn`] relay instead of a hard abort.
+/// One worker's share of an attempt: die at once if `killed`, else run
+/// the body, retire and linger. A failure is recorded as this worker's
+/// death, and its payload is the worker's result.
 fn drive<M, W, R, F>(
     w: &mut W,
     mut router: Router<'_, M>,
     f: &F,
-    epoch_mark: (u64, u64),
-    mut respawns_left: u32,
-    mut fired: Vec<bool>,
-    resume_as_victim: bool,
+    killed: bool,
 ) -> Result<R, Box<dyn Any + Send>>
 where
     M: Send + Clone,
-    W: Send + Checkpoint,
-    R: Send,
-    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
+    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R,
 {
     set_quiet_panics(true);
-    let (rank, collective) = (router.rank, router.collective);
-    let heal_armed = router.sup.heal_armed;
-    let mut snapshot: Vec<u8> = Vec::new();
-    if resume_as_victim {
-        heal_round(&mut router, w, &snapshot, HealRole::Victim, epoch_mark)?;
+    let rank = router.rank;
+    if killed {
+        let msg = format!(
+            "injected fault: spmd worker {rank} killed at collective {}",
+            router.collective
+        );
+        return Err(router.die(Box::new(msg), true));
     }
-    loop {
-        if heal_armed {
-            snapshot.clear();
-            w.capture(&mut snapshot);
-            router.push_replica(collective, &snapshot);
-        }
-        // Scheduled kill gate: each schedule entry fires at most once, so
-        // the re-run after a heal does not re-kill the respawned worker.
-        let due = (0..fired.len())
-            .find(|&i| !fired[i] && router.plan.kill_workers[i] == (rank, collective));
-        if let Some(i) = due {
-            fired[i] = true;
-            if heal_armed && respawns_left > 0 {
-                router.sup.record_heal(rank);
-                scramble(w, &snapshot);
-                router.meter.note_respawn();
-                respawns_left -= 1;
-                return respawn(w, router, f, epoch_mark, respawns_left, fired);
-            }
-            let msg =
-                format!("injected fault: spmd worker {rank} killed at collective {collective}");
-            router.sup.record_death(rank, msg.clone(), true);
-            return Err(Box::new(msg));
-        }
-        // The body's own frames are flushed inside the guard, so a frame
-        // whose budget runs out on the way fails the body like any other
-        // link failure, before this worker retires or waits to commit.
-        let body = catch_unwind(AssertUnwindSafe(|| {
-            let out = f(rank, w, &mut router);
-            router.flush_owed();
-            out
-        }));
-        match body {
-            Ok(out) => {
-                let committed = if heal_armed {
-                    match router.commit_wait() {
-                        CommitOutcome::Committed => true,
-                        CommitOutcome::Heal => {
-                            heal_round(&mut router, w, &snapshot, HealRole::Peer, epoch_mark)?;
-                            continue;
-                        }
-                        CommitOutcome::Aborted => {
-                            let payload = router.heal_abort_payload();
-                            router
-                                .sup
-                                .record_death(rank, payload_str(payload.as_ref()), true);
-                            return Err(payload);
-                        }
-                    }
-                } else {
-                    true
-                };
-                debug_assert!(committed);
-                router.sup.retire(rank);
-                return match catch_unwind(AssertUnwindSafe(|| router.linger())) {
-                    Ok(()) => Ok(out),
-                    Err(payload) => {
-                        router
-                            .sup
-                            .record_death(rank, payload_str(payload.as_ref()), false);
-                        Err(payload)
-                    }
-                };
-            }
-            Err(payload) => {
-                if payload.is::<HealRewind>() {
-                    heal_round(&mut router, w, &snapshot, HealRole::Peer, epoch_mark)?;
-                    continue;
-                }
-                // Typed DpfError payloads (link failures, backpressure,
-                // deadlock diagnoses, peer-death echoes) are hard faults:
-                // respawning would not change the outcome, and the
-                // harness owns that recovery policy. Untyped panics — the
-                // injected kills and generic body bugs — are healable.
-                let healable =
-                    heal_armed && respawns_left > 0 && payload.downcast_ref::<DpfError>().is_none();
-                if healable {
-                    router.sup.record_heal(rank);
-                    scramble(w, &snapshot);
-                    router.meter.note_respawn();
-                    respawns_left -= 1;
-                    return respawn(w, router, f, epoch_mark, respawns_left, fired);
-                }
-                router
-                    .sup
-                    .record_death(rank, payload_str(payload.as_ref()), true);
-                return Err(payload);
+    // The body's own frames are flushed inside the guard, so a frame
+    // whose budget runs out on the way fails the body like any other
+    // link failure, before this worker retires.
+    let body = catch_unwind(AssertUnwindSafe(|| {
+        let out = f(rank, w, &mut router);
+        router.flush_owed();
+        out
+    }));
+    match body {
+        Ok(out) => {
+            router.sup.retire(rank);
+            match catch_unwind(AssertUnwindSafe(|| router.linger())) {
+                Ok(()) => Ok(out),
+                Err(payload) => Err(router.die(payload, false)),
             }
         }
+        Err(payload) => Err(router.die(payload, true)),
     }
 }
 
-/// Run `nprocs` workers, one per virtual processor: the last on the
-/// calling thread, the others on parked executor threads. Each worker
-/// receives its rank, a borrow of its element of `work` (the worker's own
-/// array blocks and outputs) and a [`Router`] wired to every peer, which
-/// it builds, drives and drops on its own thread. Returns the workers'
-/// results in rank order; `work` is freed here, on the caller.
-///
-/// Workers are supervised: a panicking worker is caught, its death is
-/// recorded so blocked peers abort with a typed [`DpfError::WorkerDied`],
-/// and after every worker has finished the most informative failure —
-/// the root cause, preferring any non-`WorkerDied` payload — is re-raised
-/// on the caller. Finished workers linger until their own frames are
-/// acked, so faults on final frames are still repaired.
-///
-/// Under `--recover in-run` (with more than one worker) healable deaths
-/// do not abort: the collective rewinds to its start, the dead rank is
-/// respawned and rehydrated from its buddy's replica, and the epoch
-/// re-runs — see the module docs and [`Checkpoint`].
-pub fn run_workers<M, W, R, F>(
-    nprocs: usize,
+/// Each worker's result of one attempt, in rank order.
+type Results<R> = Vec<Option<Result<R, Box<dyn Any + Send>>>>;
+
+/// One attempt at collective `collective`: fresh channels, barrier and
+/// supervision, and one worker per work item — the last on the calling
+/// thread, the others on parked executor threads. The ranks in `doomed`
+/// die before running the body.
+fn attempt<M, W, R, F>(
     transport: Transport<'_>,
-    mut work: Vec<W>,
-    f: F,
-) -> Vec<R>
+    collective: u64,
+    work: &mut [W],
+    f: &F,
+    doomed: &[usize],
+) -> Results<R>
 where
     M: Send + Clone,
-    W: Send + Checkpoint,
+    W: Send,
     R: Send,
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
 {
-    assert_eq!(work.len(), nprocs, "one work item per worker");
-    install_quiet_panic_hook();
     let Transport { meter, plan, cfg } = transport;
-    let collective = meter.begin_collective();
-    let heal_armed = plan.recover == RecoverMode::InRun && nprocs > 1;
-    // The logical-meter rollback point for epoch rewinds: §1.5 counters
-    // as they stood before any worker of this collective sent anything.
-    let epoch_mark = (meter.messages(), meter.payload_bytes());
+    let nprocs = work.len();
     let barrier = SpmdBarrier::new(nprocs);
-    let sup = Supervision::new(nprocs, heal_armed);
+    let sup = Supervision::new(nprocs);
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
-    let mut results: Vec<Option<Result<R, Box<dyn Any + Send>>>> =
-        (0..nprocs).map(|_| None).collect();
-    let (txs, cfg, barrier, sup, f) = (&txs[..], &cfg, &barrier, &sup, &f);
+    let mut results: Results<R> = (0..nprocs).map(|_| None).collect();
+    let (txs, cfg, barrier, sup) = (&txs[..], &cfg, &barrier, &sup);
     let jobs: Vec<executor::Job<'_>> = rxs
         .into_iter()
         .zip(work.iter_mut().zip(results.iter_mut()))
@@ -2077,18 +1575,8 @@ where
                     cfg,
                     barrier,
                     sup,
-                    replica_store: (0..nprocs).map(|_| None).collect(),
                 };
-                let fired = vec![false; plan.kill_workers.len()];
-                *slot = Some(drive(
-                    w,
-                    router,
-                    f,
-                    epoch_mark,
-                    cfg.max_respawns,
-                    fired,
-                    false,
-                ));
+                *slot = Some(drive(w, router, f, doomed.contains(&rank)));
             }) as executor::Job<'_>
         })
         .collect();
@@ -2097,30 +1585,115 @@ where
     let quiet = QUIET_PANICS.with(Cell::get);
     executor::run(jobs);
     set_quiet_panics(quiet);
-    let mut oks = Vec::with_capacity(nprocs);
-    let mut root: Option<Box<dyn Any + Send>> = None;
-    let mut secondary: Option<Box<dyn Any + Send>> = None;
-    for result in results {
-        match result.expect("spmd worker thread machinery panicked") {
-            Ok(r) => oks.push(r),
-            Err(payload) => {
-                let is_secondary = payload
-                    .downcast_ref::<DpfError>()
-                    .is_some_and(|e| matches!(e, DpfError::WorkerDied { .. }));
-                if is_secondary {
-                    if secondary.is_none() {
-                        secondary = Some(payload);
+    results
+}
+
+/// Run `nprocs` workers, one per virtual processor: the last on the
+/// calling thread, the others on parked executor threads. Each worker
+/// receives its rank, a borrow of its element of `work` (the worker's own
+/// array blocks and outputs) and a [`Router`] wired to every peer, which
+/// it builds, drives and drops on its own thread. Returns the workers'
+/// results in rank order; `work` is freed here, on the caller.
+///
+/// Workers are supervised: a panicking worker is caught, its death is
+/// recorded so the peers that need it abort with a typed
+/// [`DpfError::WorkerDied`], and after every worker has finished the most
+/// informative failure — the root cause, preferring any non-`WorkerDied`
+/// payload — is re-raised on the caller. Finished workers linger until
+/// their own frames are acked, so faults on final frames are still
+/// repaired.
+///
+/// Under `--recover in-run` (with more than one worker) a death whose
+/// root causes are all untyped — scheduled kills and body panics — within
+/// the respawn budget is healed instead: every work item is restored
+/// from the replica taken before the first attempt and the collective
+/// runs again — see the module docs and [`Checkpoint`].
+pub fn run_workers<M, W, R, F>(
+    nprocs: usize,
+    transport: Transport<'_>,
+    mut work: Vec<W>,
+    f: F,
+) -> Vec<R>
+where
+    M: Send + Clone,
+    W: Send + Checkpoint,
+    R: Send,
+    F: Fn(usize, &mut W, &mut Router<'_, M>) -> R + Sync,
+{
+    assert_eq!(work.len(), nprocs, "one work item per worker");
+    install_quiet_panic_hook();
+    let Transport { meter, plan, cfg } = transport;
+    let collective = meter.begin_collective();
+    let heal_armed = plan.recover == RecoverMode::InRun && nprocs > 1;
+    // Each work item's replica — its CRC and bytes — taken before any
+    // worker runs: a consistent cut of the work items.
+    let mangle = if plan.replica_corrupt { CRC_MANGLE } else { 0 };
+    let replicas: Vec<(u32, Vec<u8>)> = if heal_armed {
+        work.iter()
+            .map(|w| {
+                let mut bytes = Vec::new();
+                w.capture(&mut bytes);
+                (crc32(&bytes) ^ mangle, bytes)
+            })
+            .collect()
+    } else {
+        Vec::new()
+    };
+    // The logical-meter rollback point for a heal: §1.5 counters as they
+    // stood before any worker of this collective sent anything.
+    let epoch_mark = (meter.messages(), meter.payload_bytes());
+    let mut fired = vec![false; plan.kill_workers.len()];
+    let mut respawned = vec![0u32; replicas.len()];
+    loop {
+        let doomed = due_kills(plan, collective, &mut fired);
+        let results = attempt(transport, collective, &mut work, &f, &doomed);
+        let mut oks = Vec::with_capacity(nprocs);
+        let mut root: Option<Box<dyn Any + Send>> = None;
+        let mut secondary: Option<Box<dyn Any + Send>> = None;
+        let mut victims = Vec::new();
+        let mut typed_root = false;
+        for (rank, result) in results.into_iter().enumerate() {
+            match result.expect("spmd worker thread machinery panicked") {
+                Ok(r) => oks.push(r),
+                Err(payload) => match payload.downcast_ref::<DpfError>() {
+                    Some(DpfError::WorkerDied { .. }) => {
+                        secondary.get_or_insert(payload);
                     }
-                } else if root.is_none() {
-                    root = Some(payload);
-                }
+                    cause => {
+                        typed_root |= cause.is_some();
+                        victims.push(rank);
+                        root.get_or_insert(payload);
+                    }
+                },
             }
         }
+        let Some(payload) = root.or(secondary) else {
+            return oks;
+        };
+        let healable = heal_armed
+            && !typed_root
+            && !victims.is_empty()
+            && victims.iter().all(|&v| respawned[v] < cfg.max_respawns);
+        if !healable {
+            std::panic::resume_unwind(payload);
+        }
+        for (rank, (w, (crc, bytes))) in work.iter_mut().zip(&replicas).enumerate() {
+            if victims.contains(&rank) {
+                scramble(w, bytes);
+                if crc32(bytes) != *crc {
+                    std::panic::resume_unwind(Box::new(DpfError::ReplicaCorrupt {
+                        worker: rank,
+                        epoch: collective,
+                    }));
+                }
+                respawned[rank] += 1;
+                meter.note_respawn();
+            }
+            w.restore(&mut &bytes[..]);
+        }
+        meter.rollback_logical(epoch_mark);
+        meter.note_epoch_rewound();
     }
-    if let Some(payload) = root.or(secondary) {
-        std::panic::resume_unwind(payload);
-    }
-    oks
 }
 
 #[cfg(test)]
@@ -2500,8 +2073,8 @@ mod tests {
     }
 
     /// A budget spent repairing a body's last frame fails that body with
-    /// the typed LinkFailure, also under in-run recovery, where the
-    /// worker would otherwise go on to wait for the epoch to commit.
+    /// the typed LinkFailure, also under in-run recovery, which does not
+    /// heal a typed failure.
     #[test]
     fn budget_spent_on_a_final_frame_is_typed() {
         let plan = lossy(1.0, 7)
@@ -2533,8 +2106,8 @@ mod tests {
         }
     }
 
-    /// A killed worker is recorded, its blocked peers abort with a typed
-    /// WorkerDied, and the kill (the root cause) wins propagation.
+    /// A killed worker is recorded, the peer blocked on it aborts with a
+    /// typed WorkerDied, and the kill (the root cause) wins propagation.
     #[test]
     fn killed_worker_releases_blocked_peers() {
         let plan = FaultPlan::default().with_kill_worker(1, 0);
@@ -2664,8 +2237,8 @@ mod tests {
 
     /// The exchange used by the healing tests: every worker's shard is a
     /// vector it mutates with values received from every peer, so a
-    /// mid-run death corrupts real state that only the buddy replica can
-    /// bring back.
+    /// mid-run death leaves real state that only the replica can bring
+    /// back.
     fn healing_exchange(
         plan: &FaultPlan,
         cfg: TransportCfg,
@@ -2748,8 +2321,8 @@ mod tests {
         assert_eq!(meter.epochs_rewound(), 1);
     }
 
-    /// A corrupted buddy replica must not produce wrong answers: the
-    /// victim's rehydration fails its CRC check and the collective aborts
+    /// A corrupted replica must not produce wrong answers: the dead
+    /// worker's replica fails its CRC check and the collective aborts
     /// with a typed ReplicaCorrupt (the harness then falls back to a full
     /// restart).
     #[test]
@@ -2786,45 +2359,8 @@ mod tests {
         assert!(msg.contains("killed at collective 0"), "got: {msg}");
     }
 
-    /// Under in-run recovery the last worker to commit wakes the others,
-    /// so an epoch with nothing to do waits out no poll slice: 100
-    /// near-empty collectives at p = 2 finish far inside 100 ms, where a
-    /// first committer left to poll would sleep one `HEAL_SLICE` in each
-    /// (200 ms in all). Rank 1 drains its channel (rank 0's replica and
-    /// one message) and commits first; rank 0 commits only once it sees
-    /// that, so nothing but the wake can end rank 1's wait early.
-    #[test]
-    fn last_commit_wakes_waiting_peers() {
-        let plan = FaultPlan::default().with_recover(RecoverMode::InRun);
-        let meter = LinkMeter::new();
-        let start = Instant::now();
-        for _ in 0..100 {
-            run_workers::<(), (), (), _>(
-                2,
-                transport(&meter, &plan),
-                vec![(), ()],
-                |rank, _, router| {
-                    if rank == 0 {
-                        router.send(1, 0, ());
-                        while router.sup.heal_committed.load(Ordering::Acquire) == 0 {
-                            std::thread::yield_now();
-                        }
-                    } else {
-                        router.recv_from(0);
-                    }
-                },
-            );
-        }
-        let took = start.elapsed();
-        assert_eq!(meter.collectives(), 100);
-        assert!(
-            took < Duration::from_millis(100),
-            "100 near-empty in-run collectives took {took:?}"
-        );
-    }
-
     /// Shard serialization composes structurally and round-trips through
-    /// capture/restore, including the scramble used on respawned victims.
+    /// capture/restore, including the scramble applied to dead workers.
     #[test]
     fn shard_state_round_trips() {
         let original: (Vec<usize>, Option<usize>) = (vec![7, 0, usize::MAX], Some(42));

@@ -3,7 +3,7 @@
 //!
 //! * collective-parity — inside `run_workers` worker closures and the
 //!   `*_exec` protocol layer, a collective operation (barrier, the
-//!   `*_exec` protocols, the recovery rendezvous) reached under a
+//!   `*_exec` protocols, the sparse-exchange handshake) reached under a
 //!   rank-dependent branch with no matching call on the sibling branch
 //!   is a *static* deadlock: every worker must arrive or none may. The
 //!   runtime heartbeat detector only sees this class as a 2-second
@@ -30,7 +30,6 @@ use std::collections::BTreeMap;
 /// Operations where every worker of the gang must participate.
 const COLLECTIVES: &[&str] = &[
     "barrier",
-    "heal_bar_wait",
     "fold_exec",
     "pull_exec",
     "route_exec",

@@ -106,9 +106,9 @@ pub enum RunOutcome {
     /// Every attempt exceeded the wall-clock budget.
     TimedOut,
     /// The first attempt completed, but only because the SPMD backend
-    /// healed worker deaths *inside* the run (`--recover in-run`):
-    /// dead ranks were respawned and rehydrated from buddy replicas
-    /// without restarting the benchmark. Distinct from
+    /// healed worker deaths *inside* the run (`--recover in-run`): each
+    /// collective a worker died in was restored from its replicas and
+    /// run again, without restarting the benchmark. Distinct from
     /// [`RunOutcome::Recovered`], which is harness-level restart.
     Healed {
         /// Worker respawns performed across the run.

@@ -88,6 +88,28 @@ fn link_failed_rows_fail_the_suite() {
     );
 }
 
+/// With repair disabled, the sweep fails the same rows naming the same
+/// links on every run: a worker gives up only on a peer recorded dead,
+/// after draining what that peer sent, so which failure a row reports
+/// does not depend on thread timing. It runs on the default 32
+/// processors, where timing-dependent attribution shows within a few
+/// runs; at 8 it rarely does.
+#[test]
+fn repair_disabled_sweep_names_the_same_links_every_run() {
+    let mut cfg = lossy_cfg(0.02, 7, 0);
+    cfg.machine = SuiteConfig::default().machine;
+    cfg.faults.max_retransmits = 0;
+    let first = run_suite(&cfg);
+    assert!(first.failures() > 0, "no link failed:\n{}", first.summary());
+    for _ in 0..3 {
+        assert_eq!(
+            run_suite(&cfg).summary(),
+            first.summary(),
+            "the failed links changed between runs"
+        );
+    }
+}
+
 /// The retry harness recovers from a link failure when the final attempt
 /// runs with injection disarmed: outcome is Recovered, not LinkFailed.
 #[test]

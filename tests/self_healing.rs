@@ -1,6 +1,7 @@
-//! Self-healing SPMD, end to end: a worker killed mid-run is respawned
-//! in place, rehydrated from its buddy's replica, and the healed run is
-//! bit-identical — results *and* §1.5 logical metrics — to a clean one.
+//! Self-healing SPMD, end to end: a collective in which a worker is
+//! killed mid-run is re-run from the replicas taken at its start, and the
+//! healed run is bit-identical — results *and* §1.5 logical metrics — to
+//! a clean one.
 //! Corrupted replicas must fall back to harness restart (never wrong
 //! answers), and the chaos soak must be a pure function of its seed.
 
@@ -36,25 +37,29 @@ fn logical_fingerprint(res: &dpf::suite::GuardedResult) -> String {
     )
 }
 
-fn healed_matches_clean(name: &str, nprocs: usize, kill: (usize, u64)) {
+/// Run `name` clean and again with each `(rank, collective)` of `kills`
+/// scheduled under in-run recovery; the healed run must report exactly
+/// `(respawns, epochs_rewound)` and match the clean one.
+fn healed_matches_clean(name: &str, nprocs: usize, kills: &[(usize, u64)], expect: (u64, u64)) {
     let entry = dpf::find(name).unwrap();
     let clean = run_guarded(&entry, Version::Basic, &spmd_cfg(nprocs));
     assert_eq!(clean.outcome, RunOutcome::Completed, "{name} clean run");
 
     let mut cfg = spmd_cfg(nprocs);
-    cfg.faults = cfg
-        .faults
-        .with_kill_worker(kill.0, kill.1)
-        .with_recover(RecoverMode::InRun);
+    cfg.faults.recover = RecoverMode::InRun;
+    for &(rank, collective) in kills {
+        cfg.faults = cfg.faults.with_kill_worker(rank, collective);
+    }
     let healed = run_guarded(&entry, Version::Basic, &cfg);
     match healed.outcome {
         RunOutcome::Healed {
             respawns,
             epochs_rewound,
-        } => {
-            assert!(respawns >= 1, "{name}: kill must cost at least one respawn");
-            assert!(epochs_rewound >= 1, "{name}: heal must rewind an epoch");
-        }
+        } => assert_eq!(
+            (respawns, epochs_rewound),
+            expect,
+            "{name}: (respawns, epochs rewound)"
+        ),
         other => panic!("{name}: expected in-run heal, got {other}"),
     }
     assert_eq!(healed.attempts, 1, "{name}: healing is not a restart");
@@ -67,17 +72,25 @@ fn healed_matches_clean(name: &str, nprocs: usize, kill: (usize, u64)) {
 
 #[test]
 fn kill_mid_run_heals_bit_identically_small_procs() {
-    healed_matches_clean("diff-1D", 4, (1, 2));
+    healed_matches_clean("diff-1D", 4, &[(1, 2)], (1, 1));
 }
 
 #[test]
 fn kill_mid_run_heals_bit_identically_64_worker_oversubscription() {
-    healed_matches_clean("diff-1D", 64, (37, 3));
+    healed_matches_clean("diff-1D", 64, &[(37, 3)], (1, 1));
 }
 
-/// A corrupted buddy replica must never rehydrate: the CRC check turns
-/// the heal into a typed `ReplicaCorrupt` abort, and the harness falls
-/// back to checkpoint/restart — one retry, right answer, reported as
+/// Three deaths in two collectives: ranks 1 and 2 (a rank and the next
+/// one) die together in collective 40 and are healed by one re-run, and
+/// rank 3, which runs on the calling thread, dies in collective 41.
+#[test]
+fn several_kills_heal_with_one_rewind_per_collective() {
+    healed_matches_clean("diff-1D", 4, &[(1, 40), (2, 40), (3, 41)], (3, 2));
+}
+
+/// A corrupted replica must never be restored: the CRC check turns the
+/// heal into a typed `ReplicaCorrupt` abort, and the harness falls back
+/// to checkpoint/restart — one retry, right answer, reported as
 /// `recovered` (restart), not `healed` (in-run).
 #[test]
 fn corrupt_replica_falls_back_to_harness_restart() {
