@@ -234,12 +234,18 @@ impl Layout {
     /// ends. Communication accounting loops use this to replace a
     /// per-element [`Layout::owner_id_flat`] (rank divmods each) with one
     /// id computation per block segment.
+    ///
+    /// The walk decodes the start once. After that it divides nothing: it
+    /// advances the row's leading-axis index like an odometer at each row
+    /// end, carrying each axis's block owner and the row's owner id with
+    /// it.
     pub fn for_each_owner_segment(
         &self,
         start: usize,
         len: usize,
         mut f: impl FnMut(usize, usize, usize),
     ) {
+        debug_assert!(start + len <= self.len(), "segment range past the array");
         if len == 0 {
             return;
         }
@@ -248,17 +254,54 @@ impl Layout {
             f(start, len, 0);
             return;
         }
-        let n_last = self.shape[self.rank() - 1];
-        let b_last = self.blocks[self.rank() - 1];
+        let last = self.rank() - 1;
+        let (n_last, b_last) = (self.shape[last], self.blocks[last]);
+        // Index and block owner of the current row along each leading
+        // axis, and the row's owner id with the last axis's owner at 0.
+        let mut idx = vec![0usize; last];
+        let mut own = vec![0usize; last];
+        let mut row_id = 0usize;
+        let (mut row, mut radix) = (start / n_last, self.procs[last]);
+        for d in (0..last).rev() {
+            idx[d] = row % self.shape[d];
+            own[d] = self.owner(d, idx[d]);
+            row_id += own[d] * radix;
+            row /= self.shape[d];
+            radix *= self.procs[d];
+        }
+        let mut j = start % n_last;
+        let mut o = j / b_last;
         let end = start + len;
         let mut pos = start;
-        while pos < end {
-            let j = pos % n_last;
-            let to_row_end = n_last - j;
-            let to_boundary = b_last - (j % b_last);
-            let seg = to_row_end.min(to_boundary).min(end - pos);
-            f(pos, seg, self.owner_id_flat(pos));
+        loop {
+            let seg = (((o + 1) * b_last).min(n_last) - j).min(end - pos);
+            f(pos, seg, row_id + o);
             pos += seg;
+            if pos == end {
+                return;
+            }
+            j += seg;
+            if j < n_last {
+                o += 1;
+                continue;
+            }
+            j = 0;
+            o = 0;
+            let mut radix = self.procs[last];
+            for d in (0..last).rev() {
+                idx[d] += 1;
+                if idx[d] < self.shape[d] {
+                    if idx[d] == (own[d] + 1) * self.blocks[d] {
+                        own[d] += 1;
+                        row_id += radix;
+                    }
+                    break;
+                }
+                row_id -= own[d] * radix;
+                idx[d] = 0;
+                own[d] = 0;
+                radix *= self.procs[d];
+            }
         }
     }
 
@@ -494,9 +537,30 @@ mod tests {
             (vec![8, 6], vec![PAR, PAR], 8),
             (vec![3, 5, 7], vec![PAR, SER, PAR], 6),
             (vec![9, 9], vec![SER, SER], 4),
+            // qcd-kernel's link field: split along its last axis at p = 2,
+            // over three parallel axes at p = 12.
+            (
+                vec![4, 3, 3, 6, 6, 6, 6],
+                vec![SER, SER, SER, PAR, PAR, PAR, PAR],
+                2,
+            ),
+            (
+                vec![4, 3, 3, 6, 6, 6, 6],
+                vec![SER, SER, SER, PAR, PAR, PAR, PAR],
+                12,
+            ),
         ] {
             let l = Layout::new(&m(p), &shape, &axes);
-            for (start, len) in [(0usize, l.len()), (3, l.len() - 5), (l.len() - 1, 1)] {
+            let n_last = shape[shape.len() - 1];
+            // Whole, trimmed, last-element and mid-row multi-row ranges.
+            let mid = (l.len() / 3 + n_last / 2).min(l.len() - 1);
+            let mid_row = (mid, (l.len() - mid).min(l.len() / 2).max(1));
+            for (start, len) in [
+                (0usize, l.len()),
+                (3, l.len() - 5),
+                (l.len() - 1, 1),
+                mid_row,
+            ] {
                 let mut covered = start;
                 l.for_each_owner_segment(start, len, |s0, slen, owner| {
                     assert_eq!(s0, covered, "segments must be contiguous");

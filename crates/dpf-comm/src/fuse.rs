@@ -6,9 +6,9 @@
 //! arrays (per-chunk scratch comes from the `Ctx` buffer pool), and
 //! shift+compute stencils evaluate interior cells by reading the source
 //! at an offset — only genuinely off-processor halo cells take the
-//! exchange path (on the SPMD backend a distributed-axis shift is
-//! assembled through the same pull protocol the eager `cshift` uses, so
-//! channel traffic is identical).
+//! exchange path (on the SPMD backend a distributed-axis shift runs the
+//! same neighbour slab exchange the eager `cshift` uses, so channel
+//! traffic is identical).
 //!
 //! Metric transparency is the contract: evaluation replays exactly the
 //! FLOP charges and logical communication records the equivalent eager
@@ -260,7 +260,7 @@ fn lower<'a, T: Elem>(ctx: &Ctx, e: &Expr<'a, T>, shape: &[usize], lay: &Layout)
             let child_lay = child.layout().unwrap_or(lay);
             if ctx.spmd() && child_lay.procs_on(*axis) > 1 {
                 // Distributed axis under SPMD: the halo cells live on
-                // neighbouring workers, so run the same pull exchange the
+                // neighbouring workers, so run the same slab exchange the
                 // eager cshift uses (real channel traffic), then treat the
                 // exchanged block as plain data. The logical record was
                 // already made by `record_pass`.
@@ -324,7 +324,7 @@ fn materialize<T: Elem>(ctx: &Ctx, e: &Expr<'_, T>, shape: &[usize], lay: &Layou
     buf
 }
 
-/// Run the eager pull-exchange for one distributed-axis shift node and
+/// Run the eager shift exchange for one distributed-axis shift node and
 /// return the shifted block as a pooled buffer. Uses the identical
 /// `shifted_into` path as eager `cshift`/`eoshift`, so SPMD channel
 /// traffic (and worker scheduling) match the eager chain.

@@ -19,7 +19,7 @@
 //! validated (and off-processor elements counted) on the host first, so
 //! worker threads cannot panic on bad input.
 
-use crate::spmd::{pull_exec, route_exec, Src};
+use crate::spmd::{pull_exec, route_exec};
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, DpfError, Elem, Num};
 use rayon::prelude::*;
@@ -251,7 +251,7 @@ fn gather_as<T: Elem>(
                 src.as_slice(),
                 &dst_layout,
                 out.as_mut_slice(),
-                &|flat| Src::Flat(idx_s[flat] as usize),
+                &|flat| idx_s[flat] as usize,
             );
         });
         off
@@ -373,7 +373,7 @@ pub fn gather_nd<T: Elem>(
                 src.as_slice(),
                 &dst_layout,
                 out.as_mut_slice(),
-                &|k| Src::Flat(flat_of(k)),
+                &|k| flat_of(k),
             );
         });
         off

@@ -5,11 +5,12 @@
 //! a local memory move and records no communication. Off-processor volume
 //! is computed from the block map via
 //! [`Layout::offproc_per_lane`](dpf_array::Layout::offproc_per_lane).
-//! Under the SPMD backend the shifted lanes are assembled by each
-//! destination worker pulling the boundary elements from the neighbouring
-//! blocks' owners over the channels.
+//! Under the SPMD backend a shift along a distributed axis is a
+//! neighbour slab exchange ([`shift_exec`]): each worker sends the owners
+//! on its axis line the slabs of its block they read, one frame per run,
+//! and copies the rest of its output within its own block.
 
-use crate::spmd::{pull_exec, Src};
+use crate::spmd::shift_exec;
 use dpf_array::{DistArray, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem};
 use rayon::prelude::*;
@@ -120,43 +121,18 @@ pub(crate) fn shifted_into<T: Elem>(
         a.rank()
     );
     assert_eq!(a.shape(), out.shape(), "shift output shape mismatch");
+    if ctx.spmd() && a.layout().procs_on(axis) > 1 && a.layout() == out.layout() {
+        let fill = match boundary {
+            Boundary::Cyclic => None,
+            Boundary::Fill(v) => Some(v),
+        };
+        let (src, dst) = (a.as_slice(), out.as_mut_slice());
+        ctx.busy(|| shift_exec(ctx, a.layout(), src, dst, axis, shift, fill));
+        return;
+    }
     let shape = a.shape();
     let n = shape[axis];
     let inner: usize = shape[axis + 1..].iter().product();
-    if ctx.spmd() && a.layout().procs_on(axis) > 1 && a.layout() == out.layout() {
-        // Pull protocol: the owner of each output lane fetches its source
-        // lane from the neighbouring block's owner.
-        let out_layout = out.layout().clone();
-        ctx.busy(|| {
-            pull_exec(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                &out_layout,
-                out.as_mut_slice(),
-                &|flat| {
-                    let o = flat / (n * inner);
-                    let i = (flat / inner) % n;
-                    let k = flat % inner;
-                    let j = i as isize + shift;
-                    match boundary {
-                        Boundary::Cyclic => {
-                            let j = j.rem_euclid(n as isize) as usize;
-                            Src::Flat((o * n + j) * inner + k)
-                        }
-                        Boundary::Fill(fill) => {
-                            if j < 0 || j >= n as isize {
-                                Src::Fill(fill)
-                            } else {
-                                Src::Flat((o * n + j as usize) * inner + k)
-                            }
-                        }
-                    }
-                },
-            );
-        });
-        return;
-    }
     ctx.busy(|| {
         let src = a.as_slice();
         let dst = out.as_mut_slice();

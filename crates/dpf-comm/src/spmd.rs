@@ -13,14 +13,19 @@
 //! [`Checkpoint`](dpf_core::Checkpoint), the snapshot trait the
 //! iterative kernels also roll back with, and [`Segs`] captures nothing.
 //!
-//! Four reusable protocols cover the primitives:
+//! Five reusable protocols cover the primitives:
 //!
 //! * [`pull_exec`] — owner-computes-output: each worker maps its output
 //!   flats to source flats, requests the off-block ones from their owners
-//!   (`Req` round) and receives the values (`Vals` round). Used by the
-//!   shifts, spread/broadcast, gather/get/gather_nd and transpose; the
-//!   stencil halo exchange shares its request/reply half
-//!   ([`pull_remote`]).
+//!   (`Req` round) and receives the values (`Vals` round). Used by
+//!   spread/broadcast, gather/get/gather_nd and transpose; the stencil
+//!   halo exchange shares its request/reply half ([`pull_remote`]).
+//! * [`shift_exec`] — a neighbour slab exchange for CSHIFT/EOSHIFT along
+//!   a distributed axis: each worker cuts its output range along the axis
+//!   into at most three runs, each reading one source block or the fill,
+//!   sends the other owners on its axis line the rows of its block their
+//!   runs read, copies its own runs and unpacks the frames it receives.
+//!   Rows are addressed by index; nothing is looked up per element.
 //! * [`route_exec`] — owner-computes-source: each worker routes
 //!   `(src_flat, dst_flat, value)` triples to the destination owners; the
 //!   receiver sorts by source flat before applying, which reproduces the
@@ -61,9 +66,19 @@
 //! finishes its serve loop and sends every reply a receive loop waits
 //! for. The route protocol is the pull without the reply round.
 //!
-//! Every protocol is acyclic (requests always precede replies; a fold's
-//! frames all go one way, to the folder, which sends nothing; pipeline
-//! chains are linear), so the per-sender FIFO order the router
+//! A shift needs neither the request round nor the handshake. The pull
+//! has them because a source owner cannot know what is wanted from it;
+//! for a shift, sender and receiver derive the same runs from the layout,
+//! the shift and the boundary alone. So each worker sends all its frames,
+//! then copies its own runs, then receives. This cannot deadlock either:
+//! sends never block, no worker receives before it has sent everything,
+//! and every frame a worker waits for is one its sender derived and sent
+//! unconditionally. Every frame sent is received, because both sides cut
+//! runs with the same function.
+//!
+//! Every protocol is acyclic (requests always precede replies; a shift
+//! sends everything before it receives; a fold's frames all go one way,
+//! to the folder, which sends nothing; pipeline chains are linear), so the per-sender FIFO order the router
 //! guarantees makes deadlock impossible by construction — and the
 //! router's timeouts turn any future protocol bug into a diagnosed panic
 //! rather than a hang. Every protocol also receives every message it
@@ -84,6 +99,7 @@
 
 use dpf_array::Layout;
 use dpf_core::{Checkpoint, Ctx, Elem, Router};
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker's read-only view of its blocks of one array: the flat
@@ -193,14 +209,6 @@ pub(crate) fn split_mut<'a, T>(
         out[o].pieces.push((s, seg));
     }
     out
-}
-
-/// Where an output element's value comes from in a pull protocol.
-pub(crate) enum Src<T> {
-    /// Read the source array at this flat offset.
-    Flat(usize),
-    /// A boundary/fill value needing no communication.
-    Fill(T),
 }
 
 /// One [`axis_exec`] step: advance the lane state `A` past the element at
@@ -321,16 +329,16 @@ pub(crate) fn pull_remote<T: Elem>(
 }
 
 /// Owner-computes-output pull: every worker maps each of its output flats
-/// through `src_of`, reads sources in its own block directly, fetches the
-/// off-block ones from their owners over the channels, and writes only
-/// its own blocks of `out_data`.
+/// through `src_of` to a source flat, reads sources in its own block
+/// directly, fetches the off-block ones from their owners over the
+/// channels, and writes only its own blocks of `out_data`.
 pub(crate) fn pull_exec<T: Elem>(
     ctx: &Ctx,
     src_layout: &Layout,
     src_data: &[T],
     out_layout: &Layout,
     out_data: &mut [T],
-    src_of: &(dyn Fn(usize) -> Src<T> + Sync),
+    src_of: &(dyn Fn(usize) -> usize + Sync),
 ) {
     let p = ctx.nprocs();
     let work: Vec<_> = split_ref(src_layout, src_data, p)
@@ -348,17 +356,13 @@ pub(crate) fn pull_exec<T: Elem>(
             let mut places: Vec<Vec<usize>> = (0..p).map(|_| Vec::new()).collect();
             for (start, len) in out.ranges() {
                 for flat in start..start + len {
-                    match src_of(flat) {
-                        Src::Fill(v) => out.set(flat, v),
-                        Src::Flat(s) => {
-                            let owner = src_layout.owner_id_flat(s);
-                            if owner == rank {
-                                out.set(flat, src.get(s));
-                            } else {
-                                reqs[owner].push(s);
-                                places[owner].push(flat);
-                            }
-                        }
+                    let s = src_of(flat);
+                    let owner = src_layout.owner_id_flat(s);
+                    if owner == rank {
+                        out.set(flat, src.get(s));
+                    } else {
+                        reqs[owner].push(s);
+                        places[owner].push(flat);
                     }
                 }
             }
@@ -367,6 +371,260 @@ pub(crate) fn pull_exec<T: Elem>(
                 for (flat, val) in flats.into_iter().zip(v) {
                     out.set(flat, val);
                 }
+            }
+        },
+    );
+}
+
+/// A worker's block box in a layout: its processor-grid coordinates and
+/// the `[lo, hi)` index range it owns along each axis.
+struct BlockBox {
+    coords: Vec<usize>,
+    lo: Vec<usize>,
+    hi: Vec<usize>,
+}
+
+impl BlockBox {
+    /// The box of worker `wrank`, or `None` for a worker past the grid or
+    /// one whose box is empty (a ragged grid).
+    fn of(layout: &Layout, wrank: usize) -> Option<Self> {
+        let rank = layout.rank();
+        let mut coords = vec![0usize; rank];
+        let mut r = wrank;
+        for d in (0..rank).rev() {
+            coords[d] = r % layout.procs_on(d);
+            r /= layout.procs_on(d);
+        }
+        if r > 0 {
+            return None; // idle virtual processor for this layout
+        }
+        let lo: Vec<usize> = (0..rank).map(|d| coords[d] * layout.block(d)).collect();
+        let hi: Vec<usize> = (0..rank)
+            .map(|d| ((coords[d] + 1) * layout.block(d)).min(layout.shape()[d]))
+            .collect();
+        (0..rank)
+            .all(|d| lo[d] < hi[d])
+            .then_some(BlockBox { coords, lo, hi })
+    }
+}
+
+/// The grid-rank distance between neighbouring blocks along `axis`: the
+/// processor count over the axes after it.
+fn line_stride(layout: &Layout, axis: usize) -> usize {
+    (axis + 1..layout.rank())
+        .map(|d| layout.procs_on(d))
+        .product()
+}
+
+/// One run of a worker's output range along a shift axis: `len` axis
+/// positions from `out`, read from one source block at axis positions
+/// from `src`, or the end-off fill where `src` is `None`.
+struct Run {
+    out: usize,
+    len: usize,
+    src: Option<usize>,
+}
+
+/// Cut the output range `[lo, hi)` of a shift by `shift` along an axis of
+/// extent `n` and block `b` into [`Run`]s. The range is one block long at
+/// most, so there are at most three runs, and no source block feeds two
+/// of them: re-entering a block would take a range of at least
+/// `n - b + 2` positions, more than `b` for every block map over two or
+/// more processors.
+fn axis_runs(
+    lo: usize,
+    hi: usize,
+    n: usize,
+    b: usize,
+    shift: isize,
+    cyclic: bool,
+) -> impl Iterator<Item = Run> {
+    let mut i = lo;
+    std::iter::from_fn(move || {
+        if i >= hi {
+            return None;
+        }
+        let j = i as isize + shift;
+        let j = if cyclic { j.rem_euclid(n as isize) } else { j };
+        let (len, src) = if j < 0 {
+            ((hi - i).min(j.unsigned_abs()), None)
+        } else if j as usize >= n {
+            (hi - i, None)
+        } else {
+            let j = j as usize;
+            let block_end = ((j / b + 1) * b).min(n);
+            ((hi - i).min(block_end - j), Some(j))
+        };
+        let run = Run { out: i, len, src };
+        i += len;
+        Some(run)
+    })
+}
+
+/// The row geometry of a shift along `axis` between boxes that share
+/// every extent but the axis one: the boxes on one axis line of the grid.
+/// A worker's [`Segs`]/[`SegsMut`] pieces are exactly its box rows in
+/// row-major order, since owner segments are cut at last-axis block
+/// boundaries and at row ends, so a row is addressed by its index.
+struct ShiftRows {
+    /// The shift runs along the last axis, within rows.
+    in_row: bool,
+    /// Rows in a box.
+    count: usize,
+    /// Elements per row.
+    row_len: usize,
+    /// Box extent product over the axes before `axis`.
+    outer: usize,
+    /// Rows per axis position: the box extent product over the axes
+    /// between `axis` and the last.
+    inner: usize,
+}
+
+impl ShiftRows {
+    fn new(bx: &BlockBox, axis: usize) -> Self {
+        let last = bx.lo.len() - 1;
+        let extent = |d: usize| bx.hi[d] - bx.lo[d];
+        ShiftRows {
+            in_row: axis == last,
+            count: (0..last).map(extent).product(),
+            row_len: extent(last),
+            outer: (0..axis).map(extent).product(),
+            inner: (axis + 1..last).map(extent).product(),
+        }
+    }
+
+    /// The rows a run of `len` axis positions covers when it starts `dx`
+    /// into a destination box of axis extent `de` and reads from `sx`
+    /// into a source box of axis extent `se`: its `(dst_row, src_row)`
+    /// pairs in row-major order, and the element windows it copies within
+    /// each destination and source row.
+    fn run_rows(
+        &self,
+        dx: usize,
+        sx: usize,
+        len: usize,
+        de: usize,
+        se: usize,
+    ) -> (
+        impl Iterator<Item = (usize, usize)> + '_,
+        Range<usize>,
+        Range<usize>,
+    ) {
+        let (slabs, per_slab) = if self.in_row {
+            (1, self.count)
+        } else {
+            (self.outer, len * self.inner)
+        };
+        let pairs = (0..slabs).flat_map(move |o| {
+            let (d0, s0) = if self.in_row {
+                (0, 0)
+            } else {
+                ((o * de + dx) * self.inner, (o * se + sx) * self.inner)
+            };
+            (0..per_slab).map(move |r| (d0 + r, s0 + r))
+        });
+        if self.in_row {
+            (pairs, dx..dx + len, sx..sx + len)
+        } else {
+            (pairs, 0..self.row_len, 0..self.row_len)
+        }
+    }
+}
+
+/// Neighbour slab exchange for a shift by `shift` along a distributed
+/// `axis` of `layout`, the layout of both arrays: `fill` is the end-off
+/// fill value, `None` for a circular shift. Every worker derives from the
+/// layout alone which source blocks its output runs read ([`axis_runs`])
+/// and which owners on its axis line read its own block, so it needs no
+/// request round and no handshake. It sends each such owner one frame per
+/// run holding the values read from its block, in the receiver's row
+/// order; then copies its own runs and fills the fill runs; then receives
+/// and unpacks the frames its remote runs read. Nothing is looked up per
+/// element.
+pub(crate) fn shift_exec<T: Elem>(
+    ctx: &Ctx,
+    layout: &Layout,
+    src_data: &[T],
+    out_data: &mut [T],
+    axis: usize,
+    shift: isize,
+    fill: Option<T>,
+) {
+    let p = ctx.nprocs();
+    let work: Vec<_> = split_ref(layout, src_data, p)
+        .into_iter()
+        .zip(split_mut(layout, out_data, p))
+        .collect();
+    let (n, b) = (layout.shape()[axis], layout.block(axis));
+    let line_stride = line_stride(layout, axis);
+    let esize = T::DTYPE.size() as u64;
+    dpf_core::run_workers(
+        p,
+        ctx.transport(),
+        work,
+        |wrank, (src, out), router: &mut Router<'_, Vec<T>>| {
+            let Some(bx) = BlockBox::of(layout, wrank) else {
+                return; // owns nothing: sends and receives nothing
+            };
+            let rows = ShiftRows::new(&bx, axis);
+            debug_assert!(src.pieces.len() == rows.count && out.pieces.len() == rows.count);
+            let me = bx.coords[axis];
+            // Axis extent, grid rank and output runs of block `k` of this
+            // worker's axis line.
+            let extent = |k: usize| ((k + 1) * b).min(n).saturating_sub(k * b);
+            let peer = |k: usize| wrank - me * line_stride + k * line_stride;
+            let runs = |k: usize| axis_runs(k * b, k * b + extent(k), n, b, shift, fill.is_none());
+            // Sends first: every run of another block on the line that
+            // reads this block gets one frame.
+            for k in (0..layout.procs_on(axis)).filter(|&k| k != me) {
+                for run in runs(k) {
+                    let Some(j) = run.src.filter(|&j| j / b == me) else {
+                        continue;
+                    };
+                    let (pairs, _, cols) =
+                        rows.run_rows(run.out % b, j % b, run.len, extent(k), extent(me));
+                    let mut vals = Vec::new();
+                    for (_, r) in pairs {
+                        vals.extend_from_slice(&src.pieces[r].1[cols.clone()]);
+                    }
+                    router.send(peer(k), vals.len() as u64 * esize, vals);
+                }
+            }
+            // Then the runs that need no channel, then the remote ones.
+            let de = extent(me);
+            for run in runs(me) {
+                match run.src {
+                    None => {
+                        let v = fill.expect("only an end-off shift has fill runs");
+                        let (pairs, cols, _) = rows.run_rows(run.out % b, 0, run.len, de, 0);
+                        for (r, _) in pairs {
+                            out.pieces[r].1[cols.clone()].fill(v);
+                        }
+                    }
+                    Some(j) if j / b == me => {
+                        let (pairs, dcols, scols) =
+                            rows.run_rows(run.out % b, j % b, run.len, de, de);
+                        for (d, s) in pairs {
+                            out.pieces[d].1[dcols.clone()]
+                                .copy_from_slice(&src.pieces[s].1[scols.clone()]);
+                        }
+                    }
+                    Some(_) => {}
+                }
+            }
+            for run in runs(me) {
+                let Some(j) = run.src.filter(|&j| j / b != me) else {
+                    continue;
+                };
+                let vals = router.recv_from(peer(j / b));
+                let (pairs, cols, _) =
+                    rows.run_rows(run.out % b, j % b, run.len, de, extent(j / b));
+                let mut at = 0;
+                for (d, _) in pairs {
+                    out.pieces[d].1[cols.clone()].copy_from_slice(&vals[at..at + cols.len()]);
+                    at += cols.len();
+                }
+                debug_assert_eq!(at, vals.len(), "a shift frame is unpacked whole");
             }
         },
     );
@@ -552,68 +810,30 @@ pub(crate) fn axis_exec<T: Elem, A: Send + Sync + Clone>(
 ) -> Vec<(usize, A)> {
     let p = ctx.nprocs();
     let rank = layout.rank();
-    let procs: Vec<usize> = (0..rank).map(|d| layout.procs_on(d)).collect();
-    let grid: usize = procs.iter().product::<usize>().max(1);
-    let blocks = layout.blocks().to_vec();
-    let shape = layout.shape().to_vec();
+    let shape = layout.shape();
     let strides = layout.strides();
+    let line_stride = line_stride(layout, axis);
     let work: Vec<Option<SegsMut<'_, T>>> = match out_data {
         Some(d) => split_mut(layout, d, p).into_iter().map(Some).collect(),
         None => (0..p).map(|_| None).collect(),
     };
-    let rank_of = |c: &[usize]| -> usize {
-        let mut id = 0usize;
-        for (d, &ci) in c.iter().enumerate() {
-            id = id * procs[d] + ci;
-        }
-        id
-    };
     let init = &init;
-    let procs = &procs;
-    let blocks = &blocks;
-    let shape = &shape;
     let strides = &strides;
-    let rank_of = &rank_of;
     let results = dpf_core::run_workers(
         p,
         ctx.transport(),
         work,
         move |wrank, out, router: &mut Router<'_, Vec<A>>| {
             let mut finals: Vec<(usize, A)> = Vec::new();
-            if wrank >= grid {
-                return finals; // idle virtual processor for this layout
-            }
-            // Grid coordinates and this worker's box.
-            let mut c = vec![0usize; rank];
-            let mut r = wrank;
-            for d in (0..rank).rev() {
-                c[d] = r % procs[d];
-                r /= procs[d];
-            }
-            let mut lo = vec![0usize; rank];
-            let mut hi = vec![0usize; rank];
-            for d in 0..rank {
-                lo[d] = c[d] * blocks[d];
-                hi[d] = ((c[d] + 1) * blocks[d]).min(shape[d]);
-                if lo[d] >= hi[d] {
-                    return finals; // ragged grid: this box is empty
-                }
-            }
+            let Some(BlockBox { coords, lo, hi }) = BlockBox::of(layout, wrank) else {
+                return finals;
+            };
             let lanes_local: usize = (0..rank)
                 .filter(|&d| d != axis)
                 .map(|d| hi[d] - lo[d])
                 .product();
-            let pred = (c[axis] > 0).then(|| {
-                let mut pc = c.clone();
-                pc[axis] -= 1;
-                rank_of(&pc)
-            });
-            let succ = (c[axis] + 1 < procs[axis] && (c[axis] + 1) * blocks[axis] < shape[axis])
-                .then(|| {
-                    let mut sc = c.clone();
-                    sc[axis] += 1;
-                    rank_of(&sc)
-                });
+            let pred = (coords[axis] > 0).then(|| wrank - line_stride);
+            let succ = (hi[axis] < shape[axis]).then(|| wrank + line_stride);
             // Lane carries arrive in the canonical lane order: the
             // row-major odometer over the non-axis dimensions of the box,
             // which predecessor and successor share.

@@ -9,7 +9,7 @@
 //! Off-processor volume models a broadcast tree along the new axis's grid
 //! dimension: `q − 1` copies of the source leave the owning processors.
 
-use crate::spmd::{broadcast_scalar_exec, pull_exec, Src};
+use crate::spmd::{broadcast_scalar_exec, pull_exec};
 use dpf_array::{AxisKind, DistArray, Layout};
 use dpf_core::{CommPattern, Ctx, Elem};
 
@@ -109,7 +109,7 @@ fn replicate<T: Elem>(
                 &|flat| {
                     let o = flat / (ncopies * inner);
                     let k = flat % inner;
-                    Src::Flat(o * inner + k)
+                    o * inner + k
                 },
             );
         });

@@ -11,7 +11,7 @@
 //! predicate of the pull is the same one `count_moves` models, so metered
 //! and modeled bytes agree exactly.
 
-use crate::spmd::{pull_exec, Src};
+use crate::spmd::pull_exec;
 use dpf_array::{DistArray, MAX_RANK, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, DpfError, Elem};
 use rayon::prelude::*;
@@ -74,7 +74,7 @@ pub fn transpose_axes<T: Elem>(ctx: &Ctx, a: &DistArray<T>, d0: usize, d1: usize
                         rem /= new_shape[k];
                         src_flat += i * src_strides[order[k]];
                     }
-                    Src::Flat(src_flat)
+                    src_flat
                 },
             );
         });

@@ -32,6 +32,7 @@ const COLLECTIVES: &[&str] = &[
     "barrier",
     "fold_exec",
     "pull_exec",
+    "shift_exec",
     "route_exec",
     "axis_exec",
     "broadcast_scalar_exec",

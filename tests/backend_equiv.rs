@@ -152,6 +152,38 @@ proptest! {
     }
 
     #[test]
+    fn shifts_match_nd(
+        dims in prop::collection::vec(1usize..9, 4..5),
+        shift in -20isize..20,
+        p in 1usize..13,
+    ) {
+        // The link-field layouts of boson and qcd-kernel, a serial middle
+        // axis, and an all-parallel rank 4. Extents below the grid leave
+        // blocks empty; shifts reach past one block and past the extent.
+        for axes in [
+            &[SER, PAR, PAR][..],
+            &[SER, PAR, PAR, PAR],
+            &[PAR, SER, PAR],
+            &[PAR, PAR, PAR, PAR],
+        ] {
+            let shape = &dims[..axes.len()];
+            check(p, |ctx| {
+                let a = DistArray::<i32>::from_fn(ctx, shape, axes, |i| {
+                    i.iter().fold(0, |acc, &x| acc * 10 + x as i32)
+                });
+                (0..axes.len())
+                    .map(|axis| {
+                        (
+                            cshift(ctx, &a, axis, shift).to_vec(),
+                            eoshift(ctx, &a, axis, shift, -1).to_vec(),
+                        )
+                    })
+                    .collect::<Vec<_>>()
+            });
+        }
+    }
+
+    #[test]
     fn spread_and_broadcast_match(n in 1usize..24, copies in 1usize..6, p in 1usize..9) {
         check(p, |ctx| {
             let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
@@ -402,6 +434,30 @@ fn dot_above_parallel_threshold_is_bit_identical() {
     }
 }
 
+/// qcd-kernel's rank-7 link field, split along its last axis at p = 2
+/// and over several parallel axes beyond: every axis, both shift kinds,
+/// shifts within one block and past it.
+#[test]
+fn rank7_link_field_shifts_match() {
+    let shape = [4usize, 3, 3, 6, 6, 6, 6];
+    let axes = [SER, SER, SER, PAR, PAR, PAR, PAR];
+    for p in [2usize, 3, 6, 12, 64] {
+        check(p, |ctx| {
+            let a = DistArray::<f64>::from_fn(ctx, &shape, &axes, |i| {
+                f(i.iter().fold(0, |acc, &x| acc * 7 + x))
+            });
+            let mut out = Vec::new();
+            for axis in 0..shape.len() {
+                for shift in [1isize, -1, 4] {
+                    out.push(cshift(ctx, &a, axis, shift).to_vec());
+                    out.push(eoshift(ctx, &a, axis, shift, 0.5).to_vec());
+                }
+            }
+            out
+        });
+    }
+}
+
 /// More virtual processors than this machine has cores: the SPMD executor
 /// must still terminate (no deadlock) and agree with the virtual backend.
 #[test]
@@ -460,6 +516,10 @@ fn benchmark_comm_metrics_are_backend_invariant() {
         "fft",
         "pcr",
         "step4",
+        "qcd-kernel",
+        "boson",
+        "mdcell",
+        "rp",
         "ellip-2D",
         "diff-3D",
         "pic-simple",
@@ -611,9 +671,11 @@ fn spmd_backend_moves_real_bytes() {
 /// something, and a worker's own block never crosses a channel: at
 /// p = 8 each operation below is one collective with exactly these
 /// message and payload counts, where a frame to every ordered pair of
-/// workers would take 56 per round for the same payload. A reduction
-/// sends one frame from each other owner to the folder, carrying one
-/// element-sized value per element.
+/// workers would take 56 per round for the same payload. A shift sends
+/// one value frame per run of a neighbour's output that reads another
+/// block, with no request frames. A reduction sends one frame from each
+/// other owner to the folder, carrying one element-sized value per
+/// element.
 #[test]
 fn sparse_exchange_sends_only_non_empty_frames() {
     fn frames<T: PartialEq + std::fmt::Debug>(op: impl Fn(&Ctx) -> T) -> (u64, u64) {
@@ -626,7 +688,18 @@ fn sparse_exchange_sends_only_non_empty_frames() {
         let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         cshift(ctx, &a, 0, 1).to_vec()
     });
-    assert_eq!(cshifted, (16, 64), "cshift by +1");
+    assert_eq!(cshifted, (8, 64), "cshift by +1");
+    let far = frames(|ctx| {
+        let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
+        cshift(ctx, &a, 0, 700).to_vec()
+    });
+    assert_eq!(far, (16, 32768), "cshift by 700: two source blocks each");
+    let eoshifted = frames(|ctx| {
+        let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
+        assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
+        eoshift(ctx, &m, 1, -3, 0.0).to_vec()
+    });
+    assert_eq!(eoshifted, (6, 2304), "eoshift by -3 along axis 1 of 32x32");
     let scattered = frames(|ctx| {
         let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| i[0] as i32);
