@@ -99,7 +99,7 @@ pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoverySta
     let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
         // RHS: the 3-point stencil with Dirichlet-0 ends. The buffer is
         // fully rewritten each step, so it needs no snapshot.
-        stencil_into(ctx, u, &rhs_pts, StencilBoundary::Fixed(0.0), &mut sys.rhs);
+        stencil_into(ctx, u, &rhs_pts, StencilBoundary::Fill(0.0), &mut sys.rhs);
         // Substructured tridiagonal solve; recycle the previous field's
         // storage into the buffer pool.
         std::mem::replace(u, pcr_solve(ctx, &sys)).recycle(ctx);

@@ -93,12 +93,12 @@ pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoverySta
     let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
         // Half step 1: explicit in the parallel direction (3-pt stencil),
         // implicit along the serial rows.
-        stencil_into(ctx, u, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs);
+        stencil_into(ctx, u, &expl_pts, StencilBoundary::Fill(0.0), &mut rhs);
         let half = implicit_rows(ctx, &rhs, lam);
         // Transpose (AAPC) and repeat for the other direction.
         let ht = transpose(ctx, &half);
         half.recycle(ctx);
-        stencil_into(ctx, &ht, &expl_pts, StencilBoundary::Fixed(0.0), &mut rhs_t);
+        stencil_into(ctx, &ht, &expl_pts, StencilBoundary::Fill(0.0), &mut rhs_t);
         let full_t = implicit_rows(ctx, &rhs_t, lam);
         ht.recycle(ctx);
         std::mem::replace(u, transpose(ctx, &full_t)).recycle(ctx);

@@ -57,7 +57,7 @@ pub fn run(ctx: &Ctx, p: &Params) -> Result<(DistArray<f64>, Verify, RecoverySta
     let stats = drive(&mut u, p.steps, every, MAX_RESTORES, |u, _| {
         // 7-point stencil; the out-of-range reads never affect the result
         // because only the interior section is written back.
-        let updated = stencil(ctx, u, &pts, StencilBoundary::Fixed(0.0));
+        let updated = stencil(ctx, u, &pts, StencilBoundary::Fill(0.0));
         let inner = updated.section(ctx, &interior);
         u.set_section(ctx, &interior, &inner);
         Step::Continue

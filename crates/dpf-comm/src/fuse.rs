@@ -18,7 +18,7 @@
 //! fused-vs-eager proptest suite (`tests/fused_equiv.rs`) holds results
 //! and recorded metrics bit-identical on both backends.
 
-use crate::shift::{self, Boundary};
+use crate::shift;
 use dpf_array::expr::{BinaryFn, Expr, ShiftBoundary, UnaryFn};
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem};
@@ -265,7 +265,7 @@ fn lower<'a, T: Elem>(ctx: &Ctx, e: &Expr<'a, T>, shape: &[usize], lay: &Layout)
                 // exchanged block as plain data. The logical record was
                 // already made by `record_pass`.
                 return Plan::Data(Store::Owned(exchange_shift(
-                    ctx, child, shape, lay, *axis, *amount, boundary,
+                    ctx, child, shape, lay, *axis, *amount, *boundary,
                 )));
             }
             let src = match child.as_ref() {
@@ -335,24 +335,20 @@ fn exchange_shift<T: Elem>(
     lay: &Layout,
     axis: usize,
     amount: isize,
-    boundary: &ShiftBoundary<T>,
+    boundary: ShiftBoundary<T>,
 ) -> Vec<T> {
-    let b = match boundary {
-        ShiftBoundary::Cyclic => Boundary::Cyclic,
-        ShiftBoundary::Fill(v) => Boundary::Fill(*v),
-    };
     let mut out = DistArray::<T>::scratch(ctx, shape, lay.axes());
     match child {
         Expr::Leaf(a) => {
             assert_eq!(a.shape(), shape, "fused leaf shape mismatch");
-            shift::shifted_into(ctx, a, axis, amount, b, &mut out);
+            shift::shifted_into(ctx, a, axis, amount, boundary, &mut out);
         }
         other => {
             let mut src = DistArray::<T>::scratch(ctx, shape, lay.axes());
             let plan = lower(ctx, other, shape, lay);
             run_plan(ctx, &plan, src.as_mut_slice());
             retire(ctx, plan);
-            shift::shifted_into(ctx, &src, axis, amount, b, &mut out);
+            shift::shifted_into(ctx, &src, axis, amount, boundary, &mut out);
             src.recycle(ctx);
         }
     }

@@ -11,6 +11,7 @@
 //! and copies the rest of its output within its own block.
 
 use crate::spmd::shift_exec;
+use dpf_array::expr::ShiftBoundary;
 use dpf_array::{DistArray, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem};
 use rayon::prelude::*;
@@ -19,7 +20,7 @@ use rayon::prelude::*;
 /// (CMF/HPF convention: positive shift moves data toward lower indices).
 pub fn cshift<T: Elem>(ctx: &Ctx, a: &DistArray<T>, axis: usize, shift: isize) -> DistArray<T> {
     record_shift(ctx, a, axis, shift, CommPattern::Cshift);
-    let mut out = shifted(ctx, a, axis, shift, Boundary::Cyclic);
+    let mut out = shifted(ctx, a, axis, shift, ShiftBoundary::Cyclic);
     ctx.faults.inject_slice("cshift", out.as_mut_slice());
     out
 }
@@ -34,7 +35,7 @@ pub fn cshift_into<T: Elem>(
     out: &mut DistArray<T>,
 ) {
     record_shift(ctx, a, axis, shift, CommPattern::Cshift);
-    shifted_into(ctx, a, axis, shift, Boundary::Cyclic, out);
+    shifted_into(ctx, a, axis, shift, ShiftBoundary::Cyclic, out);
     ctx.faults.inject_slice("cshift", out.as_mut_slice());
 }
 
@@ -48,7 +49,7 @@ pub fn eoshift<T: Elem>(
     fill: T,
 ) -> DistArray<T> {
     record_shift(ctx, a, axis, shift, CommPattern::Eoshift);
-    let mut out = shifted(ctx, a, axis, shift, Boundary::Fill(fill));
+    let mut out = shifted(ctx, a, axis, shift, ShiftBoundary::Fill(fill));
     ctx.faults.inject_slice("eoshift", out.as_mut_slice());
     out
 }
@@ -64,7 +65,7 @@ pub fn eoshift_into<T: Elem>(
     out: &mut DistArray<T>,
 ) {
     record_shift(ctx, a, axis, shift, CommPattern::Eoshift);
-    shifted_into(ctx, a, axis, shift, Boundary::Fill(fill), out);
+    shifted_into(ctx, a, axis, shift, ShiftBoundary::Fill(fill), out);
     ctx.faults.inject_slice("eoshift", out.as_mut_slice());
 }
 
@@ -88,17 +89,12 @@ pub(crate) fn record_shift<T: Elem>(
     );
 }
 
-pub(crate) enum Boundary<T> {
-    Cyclic,
-    Fill(T),
-}
-
 fn shifted<T: Elem>(
     ctx: &Ctx,
     a: &DistArray<T>,
     axis: usize,
     shift: isize,
-    boundary: Boundary<T>,
+    boundary: ShiftBoundary<T>,
 ) -> DistArray<T> {
     // Every output lane is fully overwritten below, so a pooled scratch
     // buffer (possibly holding stale data) is safe.
@@ -107,12 +103,15 @@ fn shifted<T: Elem>(
     out
 }
 
+/// Shift `a` by `shift` along `axis` into `out`, recording and injecting
+/// nothing: the data movement of the eager shifts, the fused shift nodes
+/// and the stencil's CSHIFT composition.
 pub(crate) fn shifted_into<T: Elem>(
     ctx: &Ctx,
     a: &DistArray<T>,
     axis: usize,
     shift: isize,
-    boundary: Boundary<T>,
+    boundary: ShiftBoundary<T>,
     out: &mut DistArray<T>,
 ) {
     assert!(
@@ -123,8 +122,8 @@ pub(crate) fn shifted_into<T: Elem>(
     assert_eq!(a.shape(), out.shape(), "shift output shape mismatch");
     if ctx.spmd() && a.layout().procs_on(axis) > 1 && a.layout() == out.layout() {
         let fill = match boundary {
-            Boundary::Cyclic => None,
-            Boundary::Fill(v) => Some(v),
+            ShiftBoundary::Cyclic => None,
+            ShiftBoundary::Fill(v) => Some(v),
         };
         let (src, dst) = (a.as_slice(), out.as_mut_slice());
         ctx.busy(|| shift_exec(ctx, a.layout(), src, dst, axis, shift, fill));
@@ -145,11 +144,11 @@ pub(crate) fn shifted_into<T: Elem>(
             let base = o * n * inner;
             let j = i as isize + shift;
             match boundary {
-                Boundary::Cyclic => {
+                ShiftBoundary::Cyclic => {
                     let j = j.rem_euclid(n as isize) as usize;
                     d.copy_from_slice(&src[base + j * inner..base + (j + 1) * inner]);
                 }
-                Boundary::Fill(fill) => {
+                ShiftBoundary::Fill(fill) => {
                     if j < 0 || j >= n as isize {
                         d.fill(fill);
                     } else {

@@ -18,10 +18,10 @@
 //! * [`pull_exec`] — owner-computes-output: each worker maps its output
 //!   flats to source flats, requests the off-block ones from their owners
 //!   (`Req` round) and receives the values (`Vals` round). Used by
-//!   spread/broadcast, gather/get/gather_nd and transpose; the stencil
-//!   halo exchange shares its request/reply half ([`pull_remote`]).
+//!   spread/broadcast, gather/get/gather_nd and transpose.
 //! * [`shift_exec`] — a neighbour slab exchange for CSHIFT/EOSHIFT along
-//!   a distributed axis: each worker cuts its output range along the axis
+//!   a distributed axis, and so for each shift of the stencil's CSHIFT
+//!   composition: each worker cuts its output range along the axis
 //!   into at most three runs, each reading one source block or the fill,
 //!   sends the other owners on its axis line the rows of its block their
 //!   runs read, copies its own runs and unpacks the frames it receives.
@@ -104,52 +104,52 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A worker's read-only view of its blocks of one array: the flat
 /// segments it owns, ascending.
-pub(crate) struct Segs<'a, T> {
+struct Segs<'a, T> {
     pieces: Vec<(usize, &'a [T])>,
 }
 
 impl<T: Copy> Segs<'_, T> {
     /// Value at a flat offset this worker owns.
     #[inline]
-    pub(crate) fn get(&self, flat: usize) -> T {
+    fn get(&self, flat: usize) -> T {
         let i = self.pieces.partition_point(|p| p.0 <= flat);
         let (start, slice) = self.pieces[i - 1];
         slice[flat - start]
     }
 
     /// The `(start, len)` of every owned segment, ascending.
-    pub(crate) fn ranges(&self) -> Vec<(usize, usize)> {
+    fn ranges(&self) -> Vec<(usize, usize)> {
         self.pieces.iter().map(|p| (p.0, p.1.len())).collect()
     }
 }
 
 /// A worker's mutable view of its blocks of one array.
-pub(crate) struct SegsMut<'a, T> {
+struct SegsMut<'a, T> {
     pieces: Vec<(usize, &'a mut [T])>,
 }
 
 impl<T: Copy> SegsMut<'_, T> {
     /// Write a flat offset this worker owns.
     #[inline]
-    pub(crate) fn set(&mut self, flat: usize, v: T) {
+    fn set(&mut self, flat: usize, v: T) {
         *self.get_mut(flat) = v;
     }
 
     /// Mutable slot at a flat offset this worker owns.
     #[inline]
-    pub(crate) fn get_mut(&mut self, flat: usize) -> &mut T {
+    fn get_mut(&mut self, flat: usize) -> &mut T {
         let i = self.pieces.partition_point(|p| p.0 <= flat);
         let (start, slice) = &mut self.pieces[i - 1];
         &mut slice[flat - *start]
     }
 
     /// The `(start, len)` of every owned segment, ascending.
-    pub(crate) fn ranges(&self) -> Vec<(usize, usize)> {
+    fn ranges(&self) -> Vec<(usize, usize)> {
         self.pieces.iter().map(|p| (p.0, p.1.len())).collect()
     }
 
     /// Fill every owned element with `v`.
-    pub(crate) fn fill(&mut self, v: T) {
+    fn fill(&mut self, v: T) {
         for piece in &mut self.pieces {
             piece.1.fill(v);
         }
@@ -181,7 +181,7 @@ impl<T: Elem> Checkpoint for SegsMut<'_, T> {
 }
 
 /// Split a shared slice into per-worker [`Segs`] views per `layout`.
-pub(crate) fn split_ref<'a, T>(layout: &Layout, data: &'a [T], nprocs: usize) -> Vec<Segs<'a, T>> {
+fn split_ref<'a, T>(layout: &Layout, data: &'a [T], nprocs: usize) -> Vec<Segs<'a, T>> {
     let mut out: Vec<Segs<'a, T>> = (0..nprocs).map(|_| Segs { pieces: Vec::new() }).collect();
     layout.for_each_owner_segment(0, layout.len(), |s, l, o| {
         out[o].pieces.push((s, &data[s..s + l]));
@@ -192,11 +192,7 @@ pub(crate) fn split_ref<'a, T>(layout: &Layout, data: &'a [T], nprocs: usize) ->
 /// Split a mutable slice into per-worker [`SegsMut`] views per `layout`.
 /// Owner segments cover the flat range contiguously in ascending order, so
 /// the slice splits left to right without overlap.
-pub(crate) fn split_mut<'a, T>(
-    layout: &Layout,
-    data: &'a mut [T],
-    nprocs: usize,
-) -> Vec<SegsMut<'a, T>> {
+fn split_mut<'a, T>(layout: &Layout, data: &'a mut [T], nprocs: usize) -> Vec<SegsMut<'a, T>> {
     let mut table: Vec<(usize, usize, usize)> = Vec::new();
     layout.for_each_owner_segment(0, layout.len(), |s, l, o| table.push((s, l, o)));
     let mut out: Vec<SegsMut<'a, T>> = (0..nprocs)
@@ -221,19 +217,19 @@ pub(crate) type AxisStep<'a, T, A> = &'a (dyn Fn(&mut A, usize, &mut dyn FnMut(u
 ///
 /// The table is never reset, not even when an in-run heal re-runs the
 /// collective. A worker's destinations are a pure function of the
-/// layouts, the index maps (`src_of`, `dst_of`, the stencil's offsets)
-/// and read-only index arrays, so a re-run re-publishes the same bits,
+/// layouts, the index maps (`src_of`, `dst_of`) and read-only index
+/// arrays, so a re-run re-publishes the same bits,
 /// and `fetch_or` is idempotent. Each attempt waits at a fresh barrier,
 /// so a row is read only after all p workers of the current attempt have
 /// published.
-pub(crate) struct Handshake {
+struct Handshake {
     words: usize,
     bits: Vec<AtomicU64>,
 }
 
 impl Handshake {
     /// An empty table for `p` workers.
-    pub(crate) fn new(p: usize) -> Self {
+    fn new(p: usize) -> Self {
         let words = p.div_ceil(64);
         Handshake {
             words,
@@ -250,7 +246,7 @@ impl Handshake {
     /// with nothing to send: it is a barrier. Relaxed atomics suffice,
     /// because the barrier's mutex orders every worker's `fetch_or`
     /// before any worker's read.
-    pub(crate) fn sparse_send<M: Send + Clone>(
+    fn sparse_send<M: Send + Clone>(
         &self,
         router: &mut Router<'_, M>,
         frames: impl IntoIterator<Item = (usize, u64, M)>,
@@ -280,52 +276,11 @@ impl Handshake {
 /// values in request order. `Clone` lets the resilient transport keep a
 /// retransmission copy of in-flight frames under link-fault injection.
 #[derive(Clone)]
-pub(crate) enum PullMsg<T> {
+enum PullMsg<T> {
     /// Source flat offsets the sender needs from the receiver's blocks.
     Req(Vec<usize>),
     /// The requested values, in request order.
     Vals(Vec<T>),
-}
-
-/// The request/reply half of a pull, shared by [`pull_exec`] and the
-/// stencil halo exchange: `reqs[q]` lists the source flats this worker
-/// needs from worker `q` (empty for itself and for every peer it needs
-/// nothing from). Sends the non-empty requests, runs the handshake,
-/// serves the requests its row names from `src`, and returns the values
-/// from each peer in request order (empty where nothing was asked).
-pub(crate) fn pull_remote<T: Elem>(
-    router: &mut Router<'_, PullMsg<T>>,
-    handshake: &Handshake,
-    src: &Segs<'_, T>,
-    reqs: Vec<Vec<usize>>,
-) -> Vec<Vec<T>> {
-    let esize = T::DTYPE.size() as u64;
-    let asked: Vec<bool> = reqs.iter().map(|r| !r.is_empty()).collect();
-    let frames = reqs
-        .into_iter()
-        .enumerate()
-        .filter(|(_, r)| !r.is_empty())
-        .map(|(q, r)| (q, 0, PullMsg::Req(r)));
-    for q in handshake.sparse_send(router, frames) {
-        let PullMsg::Req(r) = router.recv_from(q) else {
-            unreachable!("pull protocol: Req must precede Vals");
-        };
-        let vals: Vec<T> = r.iter().map(|&s| src.get(s)).collect();
-        router.send(q, vals.len() as u64 * esize, PullMsg::Vals(vals));
-    }
-    asked
-        .into_iter()
-        .enumerate()
-        .map(|(q, asked)| {
-            if !asked {
-                return Vec::new();
-            }
-            let PullMsg::Vals(v) = router.recv_from(q) else {
-                unreachable!("pull protocol: Req must precede Vals");
-            };
-            v
-        })
-        .collect()
 }
 
 /// Owner-computes-output pull: every worker maps each of its output flats
@@ -345,6 +300,7 @@ pub(crate) fn pull_exec<T: Elem>(
         .into_iter()
         .zip(split_mut(out_layout, out_data, p))
         .collect();
+    let esize = T::DTYPE.size() as u64;
     let handshake = Handshake::new(p);
     dpf_core::run_workers(
         p,
@@ -366,8 +322,25 @@ pub(crate) fn pull_exec<T: Elem>(
                     }
                 }
             }
-            let vals = pull_remote(router, &handshake, src, reqs);
-            for (flats, v) in places.into_iter().zip(vals) {
+            let frames = reqs
+                .into_iter()
+                .enumerate()
+                .filter(|(_, r)| !r.is_empty())
+                .map(|(q, r)| (q, 0, PullMsg::Req(r)));
+            for q in handshake.sparse_send(router, frames) {
+                let PullMsg::Req(r) = router.recv_from(q) else {
+                    unreachable!("pull protocol: Req must precede Vals");
+                };
+                let vals: Vec<T> = r.iter().map(|&s| src.get(s)).collect();
+                router.send(q, vals.len() as u64 * esize, PullMsg::Vals(vals));
+            }
+            for (q, flats) in places.into_iter().enumerate() {
+                if flats.is_empty() {
+                    continue;
+                }
+                let PullMsg::Vals(v) = router.recv_from(q) else {
+                    unreachable!("pull protocol: Req must precede Vals");
+                };
                 for (flat, val) in flats.into_iter().zip(v) {
                     out.set(flat, val);
                 }

@@ -9,29 +9,24 @@
 //! halo exchange — for each stencil point with a non-zero axis offset, the
 //! block-boundary elements of that axis cross processors once.
 //!
-//! Under the SPMD backend each worker collects the set of off-block
-//! source elements its outputs touch (the halo, deduplicated across
-//! stencil points) and fetches it from the owners in one request/reply
-//! round, exchanging frames only with the neighbour blocks it reads. It
-//! then evaluates its own outputs in the same per-point accumulation
-//! order as the host loop, so results match bit for bit while only the
-//! halo crosses the channels.
+//! Under the SPMD backend the driver runs that CSHIFT composition. Each
+//! point reads the source shifted by one unrecorded shift per non-zero
+//! offset component, chained for a multi-axis point: a neighbour slab
+//! exchange along a distributed axis, a local lane copy along a serial
+//! one. The weighted source is then added into the output in the host
+//! loop's per-point accumulation order, so results match bit for bit
+//! while only the block-boundary slabs cross the channels.
 
-use crate::spmd::{pull_remote, split_mut, split_ref, Handshake, PullMsg};
+use crate::shift::shifted_into;
+use dpf_array::expr::ShiftBoundary;
 use dpf_array::{DistArray, MAX_RANK, PAR_THRESHOLD};
-use dpf_core::{CommPattern, Ctx, Elem, Num, Router};
+use dpf_core::{CommPattern, Ctx, Elem, Num};
 use rayon::prelude::*;
-use std::collections::{BTreeMap, BTreeSet};
 
-/// Boundary handling for a stencil application.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub enum StencilBoundary<T> {
-    /// Periodic (CSHIFT-style) boundaries.
-    Cyclic,
-    /// Out-of-range neighbours read the given value (Dirichlet via
-    /// conditionalized EOSHIFT).
-    Fixed(T),
-}
+/// Boundary handling for a stencil application: `Cyclic` wraps every
+/// axis (CSHIFT); `Fill(v)` reads `v` wherever a point leaves the array
+/// (Dirichlet via EOSHIFT).
+pub type StencilBoundary<T> = ShiftBoundary<T>;
 
 /// One stencil point: an offset per axis and a weight.
 #[derive(Clone, Debug, PartialEq)]
@@ -115,7 +110,7 @@ pub fn stencil_into<T: Num>(
                 let j = if j < 0 || j >= shape[d] as isize {
                     match boundary {
                         StencilBoundary::Cyclic => j.rem_euclid(shape[d] as isize) as usize,
-                        StencilBoundary::Fixed(fill) => {
+                        StencilBoundary::Fill(fill) => {
                             acc += p.weight * fill;
                             continue 'points;
                         }
@@ -130,105 +125,7 @@ pub fn stencil_into<T: Num>(
         *slot = acc;
     };
     if ctx.spmd() && a.layout().is_distributed() && out.layout() == a.layout() {
-        let layout = a.layout();
-        let out_layout = out.layout().clone();
-        let shape = &shape;
-        let strides = &strides;
-        ctx.busy(|| {
-            let p = ctx.nprocs();
-            let work: Vec<_> = split_ref(layout, a.as_slice(), p)
-                .into_iter()
-                .zip(split_mut(&out_layout, out.as_mut_slice(), p))
-                // dpf-lint: allow(hot-path-alloc, reason = "O(p) worker-view table built once per collective, same as the spmd.rs exec drivers")
-                .collect();
-            let handshake = Handshake::new(p);
-            dpf_core::run_workers(
-                p,
-                ctx.transport(),
-                work,
-                |wrank, (src, dst), router: &mut Router<'_, PullMsg<T>>| {
-                    // Source flat a point reads for an output flat; None
-                    // means the fixed boundary value (no communication).
-                    let src_off = |flat: usize, pt: &StencilPoint<T>| -> Option<usize> {
-                        let mut idx = [0usize; MAX_RANK];
-                        let mut rem = flat;
-                        for d in (0..rank).rev() {
-                            idx[d] = rem % shape[d];
-                            rem /= shape[d];
-                        }
-                        let mut off = 0usize;
-                        for d in 0..rank {
-                            let j = idx[d] as isize + pt.offset[d];
-                            let j = if j < 0 || j >= shape[d] as isize {
-                                match boundary {
-                                    StencilBoundary::Cyclic => {
-                                        j.rem_euclid(shape[d] as isize) as usize
-                                    }
-                                    StencilBoundary::Fixed(_) => return None,
-                                }
-                            } else {
-                                j as usize
-                            };
-                            off += j * strides[d];
-                        }
-                        Some(off)
-                    };
-                    // Collect the halo: off-block sources, deduplicated.
-                    let mut needed: Vec<BTreeSet<usize>> =
-                        (0..p).map(|_| BTreeSet::new()).collect();
-                    for (start, len) in dst.ranges() {
-                        for flat in start..start + len {
-                            for pt in points {
-                                if let Some(off) = src_off(flat, pt) {
-                                    let owner = layout.owner_id_flat(off);
-                                    if owner != wrank {
-                                        needed[owner].insert(off);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // The halo exchange is a pull's request/reply half: a
-                    // request goes only to a neighbour block this worker
-                    // reads from, and the handshake tells each worker which
-                    // neighbours will ask it — one barrier, no empty frames.
-                    let reqs = needed
-                        .iter()
-                        .map(|set| set.iter().copied().collect())
-                        .collect();
-                    let vals = pull_remote(router, &handshake, src, reqs);
-                    let mut halo: BTreeMap<usize, T> = BTreeMap::new();
-                    for (set, v) in needed.into_iter().zip(vals) {
-                        halo.extend(set.into_iter().zip(v));
-                    }
-                    // Evaluate own outputs in the host loop's per-point
-                    // accumulation order.
-                    for (start, len) in dst.ranges() {
-                        for flat in start..start + len {
-                            let mut acc = T::zero();
-                            for pt in points {
-                                match src_off(flat, pt) {
-                                    Some(off) => {
-                                        let v = if layout.owner_id_flat(off) == wrank {
-                                            src.get(off)
-                                        } else {
-                                            halo[&off]
-                                        };
-                                        acc += pt.weight * v;
-                                    }
-                                    None => {
-                                        if let StencilBoundary::Fixed(fill) = boundary {
-                                            acc += pt.weight * fill;
-                                        }
-                                    }
-                                }
-                            }
-                            dst.set(flat, acc);
-                        }
-                    }
-                },
-            );
-        });
+        compose_shifts(ctx, a, points, boundary, out);
     } else {
         // Interior/boundary split: a cell all of whose stencil reads stay
         // in range needs no index decode, no wrap test and no boundary
@@ -320,6 +217,39 @@ pub fn stencil_into<T: Num>(
     ctx.faults.inject_slice("stencil", out.as_mut_slice());
 }
 
+/// The SPMD stencil: zero `out`, then for each point in order add
+/// `w · src[i]` into it, where `src` is `a` itself for an all-zero offset
+/// or `a` shifted by one [`shifted_into`] per non-zero offset component,
+/// chained through two pooled scratch arrays. That is the host loop's
+/// per-element accumulation order, and a chain of per-axis shifts reads
+/// what the host loop's per-axis wrap or fill reads.
+fn compose_shifts<T: Num>(
+    ctx: &Ctx,
+    a: &DistArray<T>,
+    points: &[StencilPoint<T>],
+    boundary: StencilBoundary<T>,
+    out: &mut DistArray<T>,
+) {
+    let mut shifted = DistArray::<T>::scratch(ctx, a.shape(), a.layout().axes());
+    let mut next = DistArray::<T>::scratch(ctx, a.shape(), a.layout().axes());
+    ctx.busy(|| out.as_mut_slice().fill(T::zero()));
+    for pt in points {
+        let mut src = a;
+        for (axis, &o) in pt.offset.iter().enumerate().filter(|(_, &o)| o != 0) {
+            shifted_into(ctx, src, axis, o, boundary, &mut next);
+            std::mem::swap(&mut shifted, &mut next);
+            src = &shifted;
+        }
+        ctx.busy(|| {
+            for (o, &s) in out.as_mut_slice().iter_mut().zip(src.as_slice()) {
+                *o += pt.weight * s;
+            }
+        });
+    }
+    shifted.recycle(ctx);
+    next.recycle(ctx);
+}
+
 /// Record the halo volume of a stencil: per point, the number of elements
 /// whose owner differs from the owner of the offset position (per-axis
 /// block-boundary fractions combined by inclusion–exclusion, exact for
@@ -398,7 +328,7 @@ mod tests {
         let ctx = ctx(2);
         let a = DistArray::<f64>::from_vec(&ctx, &[3], &[PAR], vec![1., 2., 3.]);
         let pts = star_stencil(1, 0.0, 1.0);
-        let out = stencil(&ctx, &a, &pts, StencilBoundary::Fixed(10.0));
+        let out = stencil(&ctx, &a, &pts, StencilBoundary::Fill(10.0));
         // out[0] = fill + a[1] = 12; out[1] = a[0]+a[2] = 4; out[2] = a[1]+fill = 12.
         assert_eq!(out.to_vec(), vec![12.0, 4.0, 12.0]);
     }
@@ -447,10 +377,10 @@ mod tests {
         let a = mk(&ctx_a);
         let b = mk(&ctx_b);
         let pts = star_stencil(2, -4.0, 1.0);
-        let expected = stencil(&ctx_a, &a, &pts, StencilBoundary::Fixed(2.5));
+        let expected = stencil(&ctx_a, &a, &pts, StencilBoundary::Fill(2.5));
 
         let mut out = DistArray::<f64>::zeros(&ctx_b, &[6, 7], &[PAR, PAR]);
-        stencil_into(&ctx_b, &b, &pts, StencilBoundary::Fixed(2.5), &mut out);
+        stencil_into(&ctx_b, &b, &pts, StencilBoundary::Fill(2.5), &mut out);
         assert_eq!(out.to_vec(), expected.to_vec());
         assert_eq!(ctx_a.instr.flops(), ctx_b.instr.flops());
         assert_eq!(ctx_a.instr.comm_snapshot(), ctx_b.instr.comm_snapshot());

@@ -2186,6 +2186,7 @@ mod tests {
             ..TransportCfg::default()
         };
         let meter = LinkMeter::new();
+        let sent = std::sync::Barrier::new(2);
         let res = std::panic::catch_unwind(|| {
             run_workers::<u64, (), (), _>(
                 2,
@@ -2196,11 +2197,12 @@ mod tests {
                         for i in 0..32u64 {
                             router.send(0, 8, i);
                         }
+                        sent.wait();
                     } else {
-                        // Draining one message forces a service pass over
-                        // everything already on the wire.
-                        router.recv_from(1);
-                        std::thread::sleep(Duration::from_millis(50));
+                        // Every frame is on the wire before the receive,
+                        // so its first service pass takes in all 32 and
+                        // the fifth overflows the pending queue.
+                        sent.wait();
                         router.recv_from(1);
                     }
                 },

@@ -37,7 +37,6 @@ const COLLECTIVES: &[&str] = &[
     "axis_exec",
     "broadcast_scalar_exec",
     "sparse_send",
-    "pull_remote",
     "run_workers",
 ];
 

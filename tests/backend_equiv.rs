@@ -14,7 +14,7 @@ use dpf::comm::{
     max_all, maxloc_abs, min_all, product_all, scan_add, scan_add_exclusive, scatter,
     scatter_combine, scatter_nd_combine, segmented_copy_scan, segmented_scan_add, send, sort_keys,
     spread, star_stencil, stencil, sum_all, sum_axis, sum_masked, transpose, transpose_axes,
-    Combine, StencilBoundary,
+    Combine, StencilBoundary, StencilPoint,
 };
 use dpf::core::{Backend, Ctx, FaultPlan, LinkFaultKind, Machine};
 use proptest::prelude::*;
@@ -358,7 +358,7 @@ proptest! {
             let pts = star_stencil(1, -2.0, 1.0);
             (
                 stencil(ctx, &a, &pts, StencilBoundary::Cyclic).to_vec(),
-                stencil(ctx, &a, &pts, StencilBoundary::Fixed(0.25)).to_vec(),
+                stencil(ctx, &a, &pts, StencilBoundary::Fill(0.25)).to_vec(),
             )
         });
     }
@@ -370,6 +370,42 @@ proptest! {
             let pts = star_stencil(2, -4.0, 1.0);
             stencil(ctx, &a, &pts, StencilBoundary::Cyclic).to_vec()
         });
+    }
+
+    #[test]
+    fn stencil_matches_nd(
+        dims in prop::collection::vec(1usize..10, 3..4),
+        offs in prop::collection::vec(-16isize..17, 6..19),
+        p in 1usize..13,
+    ) {
+        // Random point sets behind a centre point, on diff-2D's layouts
+        // (its transposed call runs on [SER, PAR]) and an all-parallel
+        // rank 3. A component drawn past ±12 reads as 0, so single-axis
+        // points and diagonal ones (chained shifts) both occur; the others
+        // reach past a block and past the extent. Results are compared
+        // bit for bit.
+        for axes in [&[PAR, PAR][..], &[PAR, SER], &[SER, PAR], &[PAR, PAR, PAR]] {
+            let rank = axes.len();
+            let shape = &dims[..rank];
+            let mut pts = vec![StencilPoint::new(&vec![0; rank], -1.5)];
+            for (k, off) in offs.chunks_exact(rank).enumerate() {
+                let off: Vec<isize> = off
+                    .iter()
+                    .map(|&o| if o.abs() > 12 { 0 } else { o })
+                    .collect();
+                pts.push(StencilPoint::new(&off, 0.25 + k as f64 * 0.5));
+            }
+            check(p, |ctx| {
+                let a = DistArray::<f64>::from_fn(ctx, shape, axes, |i| {
+                    f(i.iter().fold(0, |acc, &x| acc * 11 + x))
+                });
+                let bits = |b| -> Vec<u64> {
+                    let out = stencil(ctx, &a, &pts, b);
+                    out.to_vec().iter().map(|x| x.to_bits()).collect()
+                };
+                (bits(StencilBoundary::Cyclic), bits(StencilBoundary::Fill(0.25)))
+            });
+        }
     }
 
     #[test]
@@ -669,38 +705,42 @@ fn spmd_backend_moves_real_bytes() {
 
 /// The pull and route protocols send a frame only when it carries
 /// something, and a worker's own block never crosses a channel: at
-/// p = 8 each operation below is one collective with exactly these
-/// message and payload counts, where a frame to every ordered pair of
-/// workers would take 56 per round for the same payload. A shift sends
-/// one value frame per run of a neighbour's output that reads another
-/// block, with no request frames. A reduction sends one frame from each
-/// other owner to the folder, carrying one element-sized value per
-/// element.
+/// p = 8 each operation below runs the given number of collectives with
+/// exactly these message and payload counts, where a frame to every
+/// ordered pair of workers would take 56 per round for the same payload.
+/// A shift sends one value frame per run of a neighbour's output that
+/// reads another block, with no request frames; a stencil is one such
+/// shift per non-zero offset component. A reduction sends one frame
+/// from each other owner to the folder, carrying one element-sized value
+/// per element.
 #[test]
 fn sparse_exchange_sends_only_non_empty_frames() {
-    fn frames<T: PartialEq + std::fmt::Debug>(op: impl Fn(&Ctx) -> T) -> (u64, u64) {
+    fn frames<T: PartialEq + std::fmt::Debug>(
+        collectives: u64,
+        op: impl Fn(&Ctx) -> T,
+    ) -> (u64, u64) {
         let (_, s) = check(8, op);
-        assert_eq!(s.link.collectives(), 1, "expected one collective");
+        assert_eq!(s.link.collectives(), collectives, "collective count");
         (s.link.messages(), s.link.payload_bytes())
     }
     let n = 4096;
-    let cshifted = frames(|ctx| {
+    let cshifted = frames(1, |ctx| {
         let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         cshift(ctx, &a, 0, 1).to_vec()
     });
     assert_eq!(cshifted, (8, 64), "cshift by +1");
-    let far = frames(|ctx| {
+    let far = frames(1, |ctx| {
         let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         cshift(ctx, &a, 0, 700).to_vec()
     });
     assert_eq!(far, (16, 32768), "cshift by 700: two source blocks each");
-    let eoshifted = frames(|ctx| {
+    let eoshifted = frames(1, |ctx| {
         let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
         assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
         eoshift(ctx, &m, 1, -3, 0.0).to_vec()
     });
     assert_eq!(eoshifted, (6, 2304), "eoshift by -3 along axis 1 of 32x32");
-    let scattered = frames(|ctx| {
+    let scattered = frames(1, |ctx| {
         let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| i[0] as i32);
         let mut dst = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
@@ -708,12 +748,12 @@ fn sparse_exchange_sends_only_non_empty_frames() {
         dst.to_vec()
     });
     assert_eq!(scattered, (0, 0), "scatter with the identity index");
-    let transposed = frames(|ctx| {
+    let transposed = frames(1, |ctx| {
         let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
         transpose(ctx, &m).to_vec()
     });
     assert_eq!(transposed, (24, 6144), "transpose of 32x32");
-    let stenciled = frames(|ctx| {
+    let stenciled = frames(4, |ctx| {
         let m = DistArray::<f64>::from_fn(ctx, &[32, 32], &[PAR, PAR], |i| f(i[0] * 32 + i[1]));
         assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
         stencil(
@@ -726,21 +766,23 @@ fn sparse_exchange_sends_only_non_empty_frames() {
     });
     assert_eq!(
         stenciled,
-        (48, 3072),
-        "5-point cyclic stencil on the 2x4 grid"
+        (32, 3072),
+        "5-point cyclic stencil on the 2x4 grid: four shifts"
     );
-    let gathered = frames(|ctx| {
+    let gathered = frames(1, |ctx| {
         let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
         let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| ((7 * i[0] + 3) % n) as i32);
         gather(ctx, &src, &idx).to_vec()
     });
     assert_eq!(gathered, (96, 28096), "gather with index (7i+3) mod 4096");
-    let summed = frames(|ctx| {
+    let summed = frames(1, |ctx| {
         let m = par_array(ctx, &[32, 32], f);
         assert_eq!((m.layout().procs_on(0), m.layout().procs_on(1)), (2, 4));
         sum_all(ctx, &m)
     });
     assert_eq!(summed, (7, 7168), "sum_all of 32x32 on the 2x4 grid");
-    let dotted = frames(|ctx| dot(ctx, &par_array(ctx, &[n], f), &par_array(ctx, &[n], f)));
+    let dotted = frames(1, |ctx| {
+        dot(ctx, &par_array(ctx, &[n], f), &par_array(ctx, &[n], f))
+    });
     assert_eq!(dotted, (7, 28672), "dot of two f64[4096]");
 }

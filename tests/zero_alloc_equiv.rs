@@ -119,7 +119,7 @@ proptest! {
         let boundary = if cyclic == 1 {
             StencilBoundary::Cyclic
         } else {
-            StencilBoundary::Fixed(1.5)
+            StencilBoundary::Fill(1.5)
         };
         let want = stencil(&ca, &a, &pts, boundary);
         let mut got = DistArray::<f64>::zeros(&cb, &[rows, cols], &[PAR, SER]);
