@@ -32,13 +32,14 @@ pub type UnaryFn<T> = Arc<dyn Fn(T) -> T + Send + Sync>;
 /// A shared binary elementwise closure.
 pub type BinaryFn<T> = Arc<dyn Fn(T, T) -> T + Send + Sync>;
 
-/// Boundary handling of a deferred shift node.
+/// Boundary handling of a shift: of a deferred shift node, of the eager
+/// `cshift`/`eoshift` and, as `dpf-comm`'s `StencilBoundary`, of every
+/// shift in a stencil's CSHIFT composition.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub enum ShiftBoundary<T> {
-    /// Periodic wrap-around — the deferred counterpart of `cshift`.
+    /// Periodic wrap-around (`cshift`).
     Cyclic,
-    /// End-off: vacated positions read the fill value — the deferred
-    /// counterpart of `eoshift`.
+    /// End-off: vacated positions read the fill value (`eoshift`).
     Fill(T),
 }
 
