@@ -21,7 +21,7 @@
 use crate::shift;
 use dpf_array::expr::{BinaryFn, Expr, ShiftBoundary, UnaryFn};
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
-use dpf_core::{CommPattern, Ctx, Elem};
+use dpf_core::{Ctx, Elem};
 use rayon::prelude::*;
 
 /// Elements evaluated per inner step: small enough that the working set
@@ -135,19 +135,7 @@ fn record_pass<T: Elem>(ctx: &Ctx, e: &Expr<'_, T>, shape: &[usize], lay: &Layou
             child,
         } => {
             record_pass::<T>(ctx, child, shape, lay);
-            let l = child.layout().unwrap_or(lay);
-            let pattern = match boundary {
-                ShiftBoundary::Cyclic => CommPattern::Cshift,
-                ShiftBoundary::Fill(_) => CommPattern::Eoshift,
-            };
-            let offproc = l.offproc_per_lane(*axis, *amount) * l.lanes(*axis);
-            ctx.record_comm(
-                pattern,
-                shape.len(),
-                shape.len(),
-                len,
-                (offproc * T::DTYPE.size()) as u64,
-            );
+            shift::record_shift(ctx, child.layout().unwrap_or(lay), *axis, *amount, boundary);
         }
         Expr::Bcast { axis, child, .. } => {
             let mut inner = shape.to_vec();
@@ -172,11 +160,7 @@ fn inject_pass<T: Elem>(ctx: &Ctx, e: &Expr<'_, T>, out: &mut [T]) {
             boundary, child, ..
         } => {
             inject_pass(ctx, child, out);
-            let site = match boundary {
-                ShiftBoundary::Cyclic => "cshift",
-                ShiftBoundary::Fill(_) => "eoshift",
-            };
-            ctx.faults.inject_slice(site, out);
+            ctx.faults.inject_slice(shift::shift_kind(boundary).1, out);
         }
         Expr::Bcast { child, .. } => inject_pass(ctx, child, out),
     }

@@ -11,13 +11,17 @@
 //! last-written value (deterministically, in flat source order here);
 //! combining scatters apply `+`, `max` or `min` at collisions.
 //!
-//! Under the SPMD backend the gathers pull their sources from the owning
-//! workers ([`crate::spmd::pull_exec`]) and the scatter family routes
-//! `(src, dst, value)` triples to the destination owners
-//! ([`crate::spmd::route_exec`]), which apply them in global source order
-//! — the same collision semantics as the serial loops. Indices are
-//! validated (and off-processor elements counted) on the host first, so
-//! worker threads cannot panic on bad input.
+//! Each family has one body over a flat index map that the caller
+//! supplies and that validates every index. A gather validates, counts
+//! and moves in one (parallel) host pass; under the SPMD backend it
+//! validates and counts on the host, then pulls every output element from
+//! its source owner ([`crate::spmd::pull_exec`]). A scatter validates and
+//! counts over the source's owner segments, then applies its combining
+//! rule in flat source order ([`crate::spmd::route_exec`]): serially on
+//! the host, or under SPMD by routing `(src, dst, value)` triples to the
+//! destination owners, which apply them in global source order. Either
+//! way the indices are validated on the host first, so worker threads
+//! cannot panic on bad input.
 
 use crate::spmd::{pull_exec, route_exec};
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
@@ -38,48 +42,57 @@ pub enum Combine {
     Min,
 }
 
-/// Validate a flat slice of 1-D destination indices and count how many
-/// land on a different virtual processor than their (flat-consecutive)
-/// source positions, in one parallel pass.
-///
-/// Bounds validation runs unconditionally — including for fully serial
-/// layouts, where the seed implementation skipped it together with the
-/// owner accounting. Owner ids are only computed when some layout is
-/// distributed: the source side advances per block segment
-/// ([`Layout::for_each_owner_segment`]) and the destination side is a
-/// single divide by the precomputed 1-D block extent.
-fn validate_count_to_1d(src_layout: &Layout, dst_layout: &Layout, idx: &[i32], label: &str) -> u64 {
-    let n = dst_layout.shape()[0] as i32;
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    let dblock = dst_layout.block(0);
-    let count_chunk = |start: usize, chunk: &[i32]| -> u64 {
-        let mut off = 0u64;
-        if distributed {
-            src_layout.for_each_owner_segment(start, chunk.len(), |seg0, seg_len, sown| {
-                for &d in &chunk[seg0 - start..seg0 - start + seg_len] {
-                    assert!(d >= 0 && d < n, "{label} {d} out of bounds {n}");
-                    if (d as usize) / dblock != sown {
-                        off += 1;
-                    }
+impl Combine {
+    /// Combine `v` into `slot`.
+    #[inline]
+    fn apply<T: Num + PartialOrd>(self, slot: &mut T, v: T) {
+        match self {
+            Combine::Add => *slot += v,
+            Combine::Max => {
+                if v > *slot {
+                    *slot = v;
                 }
-            });
-        } else {
-            for &d in chunk {
-                assert!(d >= 0 && d < n, "{label} {d} out of bounds {n}");
+            }
+            Combine::Min => {
+                if v < *slot {
+                    *slot = v;
+                }
             }
         }
+    }
+}
+
+/// The validating map of a flat 1-D index array into extent `n`.
+fn index_map<'a>(idx: &'a [i32], n: usize, label: &'a str) -> impl Fn(usize) -> usize + Sync + 'a {
+    let n = n as i32;
+    move |k| {
+        let d = idx[k];
+        assert!(d >= 0 && d < n, "{label} {d} out of bounds {n}");
+        d as usize
+    }
+}
+
+/// The validating map of per-axis coordinate arrays to flat offsets of
+/// `layout`'s shape.
+fn coord_map<'a>(
+    coords: &[&'a DistArray<i32>],
+    layout: &Layout,
+    label: &'a str,
+) -> impl Fn(usize) -> usize + Sync + 'a {
+    let coords: Vec<&[i32]> = coords.iter().map(|c| c.as_slice()).collect();
+    let (shape, strides) = (layout.shape().to_vec(), layout.strides());
+    move |k| {
+        let mut off = 0usize;
+        for (d, c) in coords.iter().enumerate() {
+            let i = c[k];
+            assert!(
+                i >= 0 && (i as usize) < shape[d],
+                "{label} {i} out of extent {}",
+                shape[d]
+            );
+            off += i as usize * strides[d];
+        }
         off
-    };
-    // The rayon dispatch only pays off with real worker parallelism; on a
-    // single-core host the chunked reduce made gather@4M ~0.94x of the
-    // seed loop (BENCH_1), so fall back to the serial sweep there.
-    if idx.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-        idx.par_chunks(ROUTE_CHUNK)
-            .enumerate()
-            .map(|(c, chunk)| count_chunk(c * ROUTE_CHUNK, chunk))
-            .reduce(|| 0u64, |a, b| a + b)
-    } else {
-        count_chunk(0, idx)
     }
 }
 
@@ -211,6 +224,84 @@ pub fn get<T: Elem>(ctx: &Ctx, src: &DistArray<T>, idx: &DistArray<i32>) -> Dist
     gather_as(ctx, src, idx, CommPattern::Get)
 }
 
+/// The body of the gathers: `out[k] = src[src_of(k)]` for every output
+/// flat `k`, recorded as `pattern` with the elements whose source owner,
+/// `src_owner` of their source flat, differs from their output owner.
+/// `src_of` validates its index.
+fn gather_into<T: Elem>(
+    ctx: &Ctx,
+    pattern: CommPattern,
+    src: &DistArray<T>,
+    out: &mut DistArray<T>,
+    src_of: impl Fn(usize) -> usize + Sync,
+    src_owner: impl Fn(usize) -> usize + Sync,
+) {
+    let (src_layout, dst_layout) = (src.layout(), out.layout().clone());
+    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
+    // Both passes walk the output's owner segments, so the output owner is
+    // found once per segment.
+    let offproc = if ctx.spmd() && distributed {
+        // Validate + count on the host so the workers cannot panic, then
+        // pull every output element from its source owner.
+        let off = ctx.busy(|| {
+            let mut off = 0u64;
+            dst_layout.for_each_owner_segment(0, out.len(), |seg0, seg_len, down| {
+                for k in seg0..seg0 + seg_len {
+                    off += (src_owner(src_of(k)) != down) as u64;
+                }
+            });
+            off
+        });
+        let (s, o) = (src.as_slice(), out.as_mut_slice());
+        ctx.busy(|| pull_exec(ctx, src_layout, s, &dst_layout, o, &src_of));
+        off
+    } else {
+        // Validation, ownership accounting and data movement fused into
+        // one pass, parallel over output chunks. The rayon dispatch only
+        // pays off with real worker parallelism; on a single-core host
+        // the chunked reduce made gather@4M ~0.94x of the seed loop
+        // (BENCH_1), so fall back to the serial sweep there.
+        let s = src.as_slice();
+        let move_chunk = |start: usize, chunk: &mut [T]| -> u64 {
+            let mut off = 0u64;
+            if distributed {
+                dst_layout.for_each_owner_segment(start, chunk.len(), |seg0, seg_len, down| {
+                    let seg = &mut chunk[seg0 - start..seg0 - start + seg_len];
+                    for (k, o) in (seg0..).zip(seg) {
+                        let flat = src_of(k);
+                        off += (src_owner(flat) != down) as u64;
+                        *o = s[flat];
+                    }
+                });
+            } else {
+                for (k, o) in chunk.iter_mut().enumerate() {
+                    *o = s[src_of(start + k)];
+                }
+            }
+            off
+        };
+        let o = out.as_mut_slice();
+        ctx.busy(|| {
+            if o.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
+                o.par_chunks_mut(ROUTE_CHUNK)
+                    .enumerate()
+                    .map(|(c, chunk)| move_chunk(c * ROUTE_CHUNK, chunk))
+                    .reduce(|| 0u64, |a, b| a + b)
+            } else {
+                move_chunk(0, o)
+            }
+        })
+    };
+    ctx.record_comm(
+        pattern,
+        src.rank(),
+        out.rank(),
+        out.len() as u64,
+        offproc * T::DTYPE.size() as u64,
+    );
+    ctx.faults.inject_slice("gather", out.as_mut_slice());
+}
+
 fn gather_as<T: Elem>(
     ctx: &Ctx,
     src: &DistArray<T>,
@@ -218,93 +309,11 @@ fn gather_as<T: Elem>(
     pattern: CommPattern,
 ) -> DistArray<T> {
     assert_eq!(src.rank(), 1, "gather source must be 1-D (use gather_nd)");
-    let n = src.shape()[0] as i32;
     // Fully overwritten below, so a pooled scratch output is safe.
     let mut out = DistArray::<T>::scratch(ctx, idx.shape(), idx.layout().axes());
-    let src_layout = src.layout();
-    let dst_layout = out.layout().clone();
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    let sblock = src_layout.block(0);
-    // Validation, ownership accounting and data movement fused into one
-    // (parallel) pass: the destination owner is constant per block segment
-    // of the flat output range, the source owner is one divide.
-    let offproc = if ctx.spmd() && distributed {
-        // Validate + count on the host so the workers cannot panic, then
-        // pull every output element from its source owner.
-        let idx_s = idx.as_slice();
-        let off = ctx.busy(|| {
-            let mut off = 0u64;
-            dst_layout.for_each_owner_segment(0, idx_s.len(), |seg0, seg_len, down| {
-                for &i in &idx_s[seg0..seg0 + seg_len] {
-                    assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                    if (i as usize) / sblock != down {
-                        off += 1;
-                    }
-                }
-            });
-            off
-        });
-        ctx.busy(|| {
-            pull_exec(
-                ctx,
-                src_layout,
-                src.as_slice(),
-                &dst_layout,
-                out.as_mut_slice(),
-                &|flat| idx_s[flat] as usize,
-            );
-        });
-        off
-    } else {
-        ctx.busy(|| {
-            let s = src.as_slice();
-            let move_chunk = |start: usize, out_chunk: &mut [T], idx_chunk: &[i32]| -> u64 {
-                let mut off = 0u64;
-                if distributed {
-                    dst_layout.for_each_owner_segment(
-                        start,
-                        out_chunk.len(),
-                        |seg0, seg_len, down| {
-                            let base = seg0 - start;
-                            for k in base..base + seg_len {
-                                let i = idx_chunk[k];
-                                assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                                let su = i as usize;
-                                if su / sblock != down {
-                                    off += 1;
-                                }
-                                out_chunk[k] = s[su];
-                            }
-                        },
-                    );
-                } else {
-                    for (o, &i) in out_chunk.iter_mut().zip(idx_chunk) {
-                        assert!(i >= 0 && i < n, "gather index {i} out of bounds {n}");
-                        *o = s[i as usize];
-                    }
-                }
-                off
-            };
-            if out.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-                out.as_mut_slice()
-                    .par_chunks_mut(ROUTE_CHUNK)
-                    .zip(idx.as_slice().par_chunks(ROUTE_CHUNK))
-                    .enumerate()
-                    .map(|(c, (oc, ic))| move_chunk(c * ROUTE_CHUNK, oc, ic))
-                    .reduce(|| 0u64, |a, b| a + b)
-            } else {
-                move_chunk(0, out.as_mut_slice(), idx.as_slice())
-            }
-        })
-    };
-    ctx.record_comm(
-        pattern,
-        src.rank(),
-        idx.rank(),
-        idx.len() as u64,
-        offproc * T::DTYPE.size() as u64,
-    );
-    ctx.faults.inject_slice("gather", out.as_mut_slice());
+    let src_of = index_map(idx.as_slice(), src.shape()[0], "gather index");
+    let block = src.layout().block(0);
+    gather_into(ctx, pattern, src, &mut out, src_of, |flat| flat / block);
     out
 }
 
@@ -320,109 +329,108 @@ pub fn gather_nd<T: Elem>(
         src.rank(),
         "need one coordinate array per source axis"
     );
-    let out_shape = coords[0].shape().to_vec();
+    let out_shape = coords[0].shape();
     for c in coords {
         assert_eq!(
             c.shape(),
-            &out_shape[..],
+            out_shape,
             "coordinate arrays must agree in shape"
         );
     }
     // Fully overwritten below, so a pooled scratch output is safe.
-    let mut out = DistArray::<T>::scratch(ctx, &out_shape, coords[0].layout().axes());
-    let strides = src.layout().strides();
-    let src_shape = src.shape();
-    let coord_slices: Vec<&[i32]> = coords.iter().map(|c| c.as_slice()).collect();
-    let flat_of = |k: usize| -> usize {
-        let mut off = 0usize;
-        for (d, c) in coord_slices.iter().enumerate() {
-            let i = c[k];
-            assert!(
-                i >= 0 && (i as usize) < src_shape[d],
-                "gather_nd index {i} out of extent {}",
-                src_shape[d]
-            );
-            off += i as usize * strides[d];
+    let mut out = DistArray::<T>::scratch(ctx, out_shape, coords[0].layout().axes());
+    let src_of = coord_map(coords, src.layout(), "gather_nd index");
+    let src_owner = |flat| src.layout().owner_id_flat(flat);
+    gather_into(ctx, CommPattern::Gather, src, &mut out, src_of, src_owner);
+    out
+}
+
+/// The body of the scatter family: `apply(&mut dst[dst_of(k)], src[k])`
+/// for every source flat `k` in flat source order ([`route_exec`]),
+/// recorded as `pattern` with the elements whose destination owner
+/// differs from their source owner. `dst_owner(k)` validates the index
+/// of source flat `k` and returns the owner of its destination; `dst_of`
+/// runs only once every index has been validated.
+fn route<T: Elem>(
+    ctx: &Ctx,
+    pattern: CommPattern,
+    dst: &mut DistArray<T>,
+    src: &DistArray<T>,
+    dst_owner: impl Fn(usize) -> usize + Sync,
+    dst_of: impl Fn(usize) -> usize + Sync,
+    apply: impl Fn(&mut T, T) + Sync,
+) {
+    let (src_layout, dst_layout) = (src.layout(), dst.layout().clone());
+    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
+    // Parallel validate + ownership count: the source owner is constant
+    // per block segment, the destination owner is decoded per element.
+    // Validation runs for serial layouts too, where nothing is counted.
+    let count = |start: usize, len: usize| -> u64 {
+        let mut off = 0u64;
+        if distributed {
+            src_layout.for_each_owner_segment(start, len, |seg0, seg_len, sown| {
+                for k in seg0..seg0 + seg_len {
+                    off += (dst_owner(k) != sown) as u64;
+                }
+            });
+        } else {
+            for k in start..start + len {
+                dst_owner(k);
+            }
         }
         off
     };
-    let src_layout = src.layout();
-    let dst_layout = out.layout().clone();
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    // Fused validate + count + move, parallel over output chunks; the
-    // destination owner advances per block segment, the source owner is
-    // one flat decode per element (the index arrays are arbitrary).
-    let offproc = if ctx.spmd() && distributed {
-        // The host count pass also validates every coordinate, so the
-        // workers' `flat_of` calls cannot panic.
-        let off = ctx.busy(|| {
-            let mut off = 0u64;
-            dst_layout.for_each_owner_segment(0, out.len(), |seg0, seg_len, down| {
-                for k in seg0..seg0 + seg_len {
-                    if src_layout.owner_id_flat(flat_of(k)) != down {
-                        off += 1;
-                    }
-                }
-            });
-            off
-        });
-        ctx.busy(|| {
-            pull_exec(
-                ctx,
-                src_layout,
-                src.as_slice(),
-                &dst_layout,
-                out.as_mut_slice(),
-                &|k| flat_of(k),
-            );
-        });
-        off
-    } else {
-        ctx.busy(|| {
-            let s = src.as_slice();
-            let move_chunk = |start: usize, out_chunk: &mut [T]| -> u64 {
-                let mut off = 0u64;
-                if distributed {
-                    dst_layout.for_each_owner_segment(
-                        start,
-                        out_chunk.len(),
-                        |seg0, seg_len, down| {
-                            for k in seg0..seg0 + seg_len {
-                                let flat = flat_of(k);
-                                if src_layout.owner_id_flat(flat) != down {
-                                    off += 1;
-                                }
-                                out_chunk[k - start] = s[flat];
-                            }
-                        },
-                    );
-                } else {
-                    for (k, o) in out_chunk.iter_mut().enumerate() {
-                        *o = s[flat_of(start + k)];
-                    }
-                }
-                off
-            };
-            if out.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-                out.as_mut_slice()
-                    .par_chunks_mut(ROUTE_CHUNK)
-                    .enumerate()
-                    .map(|(c, oc)| move_chunk(c * ROUTE_CHUNK, oc))
-                    .reduce(|| 0u64, |a, b| a + b)
-            } else {
-                move_chunk(0, out.as_mut_slice())
-            }
-        })
-    };
+    let n = src.len();
+    let offproc = ctx.busy(|| {
+        if n >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
+            (0..n.div_ceil(ROUTE_CHUNK))
+                .into_par_iter()
+                .map(|c| count(c * ROUTE_CHUNK, ROUTE_CHUNK.min(n - c * ROUTE_CHUNK)))
+                .reduce(|| 0u64, |a, b| a + b)
+        } else {
+            count(0, n)
+        }
+    });
     ctx.record_comm(
-        CommPattern::Gather,
+        pattern,
         src.rank(),
-        out.rank(),
-        out.len() as u64,
+        dst.rank(),
+        n as u64,
         offproc * T::DTYPE.size() as u64,
     );
-    ctx.faults.inject_slice("gather", out.as_mut_slice());
-    out
+    let (s, d) = (src.as_slice(), dst.as_mut_slice());
+    ctx.busy(|| route_exec(ctx, src_layout, s, &dst_layout, d, dst_of, apply));
+}
+
+/// [`route`] through a flat index array into a 1-D destination: the owner
+/// is one divide per element, and the apply reads the indices without
+/// validating them again.
+fn route_1d<T: Elem>(
+    ctx: &Ctx,
+    pattern: CommPattern,
+    dst: &mut DistArray<T>,
+    idx: &DistArray<i32>,
+    src: &DistArray<T>,
+    label: &str,
+    apply: impl Fn(&mut T, T) + Sync,
+) {
+    assert_eq!(
+        idx.shape(),
+        src.shape(),
+        "index and source shapes must agree"
+    );
+    let (idx, block) = (idx.as_slice(), dst.layout().block(0));
+    let index = index_map(idx, dst.shape()[0], label);
+    let dst_owner = move |k| index(k) / block;
+    route(
+        ctx,
+        pattern,
+        dst,
+        src,
+        dst_owner,
+        |k| idx[k] as usize,
+        apply,
+    );
 }
 
 /// Plain scatter: `dst(idx[k]) = src[k]` with last-writer-wins collisions.
@@ -452,64 +460,10 @@ fn scatter_as<T: Elem>(
         1,
         "scatter destination must be 1-D (use scatter_nd_*)"
     );
-    assert_eq!(
-        idx.shape(),
-        src.shape(),
-        "index and source shapes must agree"
-    );
-    // Parallel validate + ownership count, then a serial apply: the apply
-    // must stay in flat source order to keep last-writer-wins collisions
-    // deterministic.
-    let offproc = ctx
-        .busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"));
-    ctx.record_comm(
-        pattern,
-        src.rank(),
-        dst.rank(),
-        src.len() as u64,
-        offproc * T::DTYPE.size() as u64,
-    );
-    if ctx.spmd() && (src.layout().is_distributed() || dst.layout().is_distributed()) {
-        let dst_layout = dst.layout().clone();
-        let idx_s = idx.as_slice();
-        ctx.busy(|| {
-            route_exec(
-                ctx,
-                src.layout(),
-                src.as_slice(),
-                &dst_layout,
-                dst.as_mut_slice(),
-                &|k| idx_s[k] as usize,
-                &|slot, v| *slot = v,
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let d = dst.as_mut_slice();
-            for (&i, &v) in idx.as_slice().iter().zip(src.as_slice()) {
-                d[i as usize] = v;
-            }
-        });
-    }
+    route_1d(ctx, pattern, dst, idx, src, "scatter index", |slot, v| {
+        *slot = v
+    });
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
-}
-
-/// The combining closure matching a [`Combine`] mode, shared by the SPMD
-/// scatter variants.
-fn combine_apply<T: Num + PartialOrd>(combine: Combine) -> &'static (dyn Fn(&mut T, T) + Sync) {
-    match combine {
-        Combine::Add => &|slot, v| *slot += v,
-        Combine::Max => &|slot, v| {
-            if v > *slot {
-                *slot = v;
-            }
-        },
-        Combine::Min => &|slot, v| {
-            if v < *slot {
-                *slot = v;
-            }
-        },
-    }
 }
 
 /// Combining scatter into a 1-D destination: `dst(idx[k]) ⊕= src[k]`.
@@ -525,57 +479,12 @@ pub fn scatter_combine<T: Num + PartialOrd>(
         1,
         "scatter destination must be 1-D (use scatter_nd_*)"
     );
-    assert_eq!(
-        idx.shape(),
-        src.shape(),
-        "index and source shapes must agree"
-    );
-    let offproc = ctx
-        .busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "scatter index"));
-    ctx.record_comm(
-        CommPattern::ScatterCombine,
-        src.rank(),
-        dst.rank(),
-        src.len() as u64,
-        offproc * T::DTYPE.size() as u64,
-    );
+    let pattern = CommPattern::ScatterCombine;
+    route_1d(ctx, pattern, dst, idx, src, "scatter index", |slot, v| {
+        combine.apply(slot, v)
+    });
     if combine == Combine::Add {
         ctx.add_flops(src.len() as u64 * T::DTYPE.add_flops());
-    }
-    if ctx.spmd() && (src.layout().is_distributed() || dst.layout().is_distributed()) {
-        let dst_layout = dst.layout().clone();
-        let idx_s = idx.as_slice();
-        ctx.busy(|| {
-            route_exec(
-                ctx,
-                src.layout(),
-                src.as_slice(),
-                &dst_layout,
-                dst.as_mut_slice(),
-                &|k| idx_s[k] as usize,
-                combine_apply::<T>(combine),
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let d = dst.as_mut_slice();
-            for (&i, &v) in idx.as_slice().iter().zip(src.as_slice()) {
-                let slot = &mut d[i as usize];
-                match combine {
-                    Combine::Add => *slot += v,
-                    Combine::Max => {
-                        if v > *slot {
-                            *slot = v;
-                        }
-                    }
-                    Combine::Min => {
-                        if v < *slot {
-                            *slot = v;
-                        }
-                    }
-                }
-            }
-        });
     }
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
 }
@@ -590,43 +499,16 @@ pub fn gather_combine<T: Num + PartialOrd>(
     src: &DistArray<T>,
 ) {
     assert_eq!(dst.rank(), 1, "gather_combine destination must be 1-D");
-    assert_eq!(
-        idx.shape(),
-        src.shape(),
-        "index and source shapes must agree"
-    );
-    let offproc =
-        ctx.busy(|| validate_count_to_1d(src.layout(), dst.layout(), idx.as_slice(), "index"));
-    ctx.record_comm(
+    route_1d(
+        ctx,
         CommPattern::GatherCombine,
-        src.rank(),
-        dst.rank(),
-        src.len() as u64,
-        offproc * T::DTYPE.size() as u64,
+        dst,
+        idx,
+        src,
+        "index",
+        |slot, v| Combine::Add.apply(slot, v),
     );
     ctx.add_flops(src.len() as u64 * T::DTYPE.add_flops());
-    if ctx.spmd() && (src.layout().is_distributed() || dst.layout().is_distributed()) {
-        let dst_layout = dst.layout().clone();
-        let idx_s = idx.as_slice();
-        ctx.busy(|| {
-            route_exec(
-                ctx,
-                src.layout(),
-                src.as_slice(),
-                &dst_layout,
-                dst.as_mut_slice(),
-                &|k| idx_s[k] as usize,
-                &|slot, v| *slot += v,
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let d = dst.as_mut_slice();
-            for (&i, &v) in idx.as_slice().iter().zip(src.as_slice()) {
-                d[i as usize] += v;
-            }
-        });
-    }
     ctx.faults.inject_slice("gather", dst.as_mut_slice());
 }
 
@@ -650,104 +532,20 @@ pub fn scatter_nd_combine<T: Num + PartialOrd>(
             "coordinate arrays must match source shape"
         );
     }
-    let strides = dst.layout().strides();
-    let shape = dst.shape().to_vec();
-    let coord_slices: Vec<&[i32]> = coords.iter().map(|c| c.as_slice()).collect();
-    let flat_of = |k: usize| -> usize {
-        let mut off = 0usize;
-        for (d, c) in coord_slices.iter().enumerate() {
-            let i = c[k];
-            assert!(
-                i >= 0 && (i as usize) < shape[d],
-                "scatter_nd index {i} out of extent {}",
-                shape[d]
-            );
-            off += i as usize * strides[d];
-        }
-        off
-    };
-    // Parallel validate + count (source owner constant per block segment,
-    // destination owner decoded per element), then a serial apply to keep
-    // collision order deterministic.
-    let src_layout = src.layout();
-    let dst_layout = dst.layout();
-    let distributed = src_layout.is_distributed() || dst_layout.is_distributed();
-    let offproc = ctx.busy(|| {
-        let count_chunk = |start: usize, len: usize| -> u64 {
-            let mut off = 0u64;
-            if distributed {
-                src_layout.for_each_owner_segment(start, len, |seg0, seg_len, sown| {
-                    for k in seg0..seg0 + seg_len {
-                        if dst_layout.owner_id_flat(flat_of(k)) != sown {
-                            off += 1;
-                        }
-                    }
-                });
-            } else {
-                for k in start..start + len {
-                    let _ = flat_of(k); // bounds validation always runs
-                }
-            }
-            off
-        };
-        let n = src.len();
-        if n >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-            let chunks = n.div_ceil(ROUTE_CHUNK);
-            (0..chunks)
-                .into_par_iter()
-                .map(|c| {
-                    let start = c * ROUTE_CHUNK;
-                    count_chunk(start, ROUTE_CHUNK.min(n - start))
-                })
-                .reduce(|| 0u64, |a, b| a + b)
-        } else {
-            count_chunk(0, n)
-        }
-    });
-    ctx.record_comm(
+    let dst_of = coord_map(coords, dst.layout(), "scatter_nd index");
+    let layout = dst.layout().clone();
+    let dst_owner = |k| layout.owner_id_flat(dst_of(k));
+    route(
+        ctx,
         CommPattern::ScatterCombine,
-        src.rank(),
-        dst.rank(),
-        src.len() as u64,
-        offproc * T::DTYPE.size() as u64,
+        dst,
+        src,
+        dst_owner,
+        &dst_of,
+        |slot, v| combine.apply(slot, v),
     );
     if combine == Combine::Add {
         ctx.add_flops(src.len() as u64 * T::DTYPE.add_flops());
-    }
-    if ctx.spmd() && distributed {
-        let dl = dst.layout().clone();
-        ctx.busy(|| {
-            route_exec(
-                ctx,
-                src_layout,
-                src.as_slice(),
-                &dl,
-                dst.as_mut_slice(),
-                &flat_of,
-                combine_apply::<T>(combine),
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            for k in 0..src.len() {
-                let off = flat_of(k);
-                let v = src.as_slice()[k];
-                let slot = &mut dst.as_mut_slice()[off];
-                match combine {
-                    Combine::Add => *slot += v,
-                    Combine::Max => {
-                        if v > *slot {
-                            *slot = v;
-                        }
-                    }
-                    Combine::Min => {
-                        if v < *slot {
-                            *slot = v;
-                        }
-                    }
-                }
-            }
-        });
     }
     ctx.faults.inject_slice("scatter", dst.as_mut_slice());
 }

@@ -14,10 +14,13 @@
 //! [`Backend::Spmd`](dpf_core::Backend) it runs as one worker thread per
 //! virtual processor exchanging block data over typed channels (see the
 //! `spmd` module), producing element-identical results while actually
-//! moving the modeled bytes. The sample sort keeps its host
-//! implementation under both backends: the paper treats it as a composite
-//! benchmark whose communication is recorded through the gather/scatter
-//! primitives it is built from.
+//! moving the modeled bytes. The reductions, scans, gathers and scatters
+//! state their element rule once: the SPMD fold, axis and route
+//! protocols also run that rule serially on the host, so the backend
+//! choice is made inside the protocol, not in each primitive. The sample
+//! sort keeps its host implementation under both backends: the paper
+//! treats it as a composite benchmark whose communication is recorded
+//! through the gather/scatter primitives it is built from.
 
 #![warn(missing_docs)]
 

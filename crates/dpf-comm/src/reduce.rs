@@ -10,17 +10,20 @@
 //! over `p` processors, `p − 1` partial values per lane cross processor
 //! boundaries.
 //!
-//! Under the SPMD backend the whole-array reductions run as one
-//! sequential fold on the owner of the first element ([`crate::spmd`]):
-//! every other owner ships it its elements' values in one frame, so
-//! element order — and floating-point rounding — is identical to the
-//! virtual backend's serial loops. The link meter counts the values
-//! shipped, one element size each, which is more than the modeled tree's
-//! `p − 1` partials; the §1.5 meters charge the modeled tree on both
-//! backends.
+//! Each reduction states its element rule once, as a fold over the flats
+//! ([`fold_exec`]) or along one axis ([`axis_exec`]), and the protocol
+//! runs it in one element order on both backends: on the host a serial
+//! left fold, under the SPMD backend a sequential fold on the owner of the
+//! first element, to which every other owner ships its elements' values in
+//! one frame. So floating-point rounding is the same on both backends.
+//! The link meter counts the values shipped, one element size each, which
+//! is more than the modeled tree's `p − 1` partials; the §1.5 meters
+//! charge the modeled tree on both backends. Only the dot product above
+//! the parallel threshold forks: on the host it sums fixed chunks on the
+//! rayon pool, and its SPMD fold replays that tree bit for bit.
 
 use crate::spmd::{axis_exec, fold_exec};
-use dpf_array::DistArray;
+use dpf_array::{DistArray, PAR_THRESHOLD};
 use dpf_core::{flops, CommPattern, Ctx, Elem, Num};
 use rayon::prelude::*;
 
@@ -38,32 +41,30 @@ fn record_reduce<T: Elem>(ctx: &Ctx, src_rank: usize, dst_rank: usize, len: u64,
     );
 }
 
-/// Total processors an array's grid actually uses.
-fn grid_procs<T: Elem>(a: &DistArray<T>) -> usize {
-    (0..a.rank())
-        .map(|d| a.layout().procs_on(d))
-        .product::<usize>()
-        .max(1)
+/// Record `a`'s whole-array reduction: the modeled tree moves one partial
+/// from every processor of the array's grid but one.
+fn record_whole<T: Elem>(ctx: &Ctx, a: &DistArray<T>) {
+    let grid_procs: usize = (0..a.rank()).map(|d| a.layout().procs_on(d)).product();
+    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs as u64 - 1);
+}
+
+/// Record `a`'s whole-array reduction and fold `step` over every
+/// element's `lift(flat, x)` in flat order ([`fold_exec`]).
+fn fold_all<T: Elem, U: Send + Clone, A: Send + Sync + Clone>(
+    ctx: &Ctx,
+    a: &DistArray<T>,
+    init: A,
+    lift: impl Fn(usize, T) -> U + Sync,
+    step: impl Fn(&mut A, usize, U) + Sync,
+) -> A {
+    record_whole(ctx, a);
+    ctx.busy(|| fold_exec(ctx, a.layout(), a.as_slice(), init, lift, step))
 }
 
 /// `SUM(a)` — full reduction to a scalar.
 pub fn sum_all<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> T {
     ctx.add_flops(flops::reduction(a.len() as u64) * T::DTYPE.add_flops());
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    let mut s = if ctx.spmd() && grid_procs(a) > 1 {
-        ctx.busy(|| {
-            fold_exec(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                T::zero(),
-                &|_flat, x| x,
-                &|acc: &mut T, _flat, x| *acc += x,
-            )
-        })
-    } else {
-        ctx.busy(|| serial_sum(a.as_slice()))
-    };
+    let mut s = fold_all(ctx, a, T::zero(), |_, x| x, |acc: &mut T, _, x| *acc += x);
     ctx.faults.inject_scalar("reduce", &mut s);
     s
 }
@@ -73,37 +74,21 @@ pub fn sum_all<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> T {
 pub fn sum_masked<T: Num>(ctx: &Ctx, a: &DistArray<T>, mask: &DistArray<bool>) -> T {
     assert_eq!(a.shape(), mask.shape(), "mask shape mismatch");
     ctx.add_flops(flops::reduction(a.len() as u64) * T::DTYPE.add_flops());
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    let mut s = if ctx.spmd() && grid_procs(a) > 1 {
-        // Mask flags are read by the element's owner (aligned with the
-        // data per the HPF assumption), which ships `None` for a
-        // masked-out element so the folder skips it as the serial loop does.
-        let m = mask.as_slice();
-        ctx.busy(|| {
-            fold_exec(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                T::zero(),
-                &|flat, x| m[flat].then_some(x),
-                &|acc: &mut T, _flat, x| {
-                    if let Some(x) = x {
-                        *acc += x;
-                    }
-                },
-            )
-        })
-    } else {
-        ctx.busy(|| {
-            let mut acc = T::zero();
-            for (&x, &m) in a.as_slice().iter().zip(mask.as_slice()) {
-                if m {
-                    acc += x;
-                }
+    // Mask flags are read by the element's owner (aligned with the data
+    // per the HPF assumption), which lifts a masked-out element to `None`
+    // so the fold skips it.
+    let m = mask.as_slice();
+    let mut s = fold_all(
+        ctx,
+        a,
+        T::zero(),
+        |flat, x| m[flat].then_some(x),
+        |acc: &mut T, _, x| {
+            if let Some(x) = x {
+                *acc += x;
             }
-            acc
-        })
-    };
+        },
+    );
     ctx.faults.inject_scalar("reduce", &mut s);
     s
 }
@@ -111,27 +96,7 @@ pub fn sum_masked<T: Num>(ctx: &Ctx, a: &DistArray<T>, mask: &DistArray<bool>) -
 /// `PRODUCT(a)`.
 pub fn product_all<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> T {
     ctx.add_flops(flops::reduction(a.len() as u64) * T::DTYPE.mul_flops());
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    if ctx.spmd() && grid_procs(a) > 1 {
-        ctx.busy(|| {
-            fold_exec(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                T::one(),
-                &|_flat, x| x,
-                &|acc: &mut T, _flat, x| *acc *= x,
-            )
-        })
-    } else {
-        ctx.busy(|| {
-            let mut acc = T::one();
-            for &x in a.as_slice() {
-                acc *= x;
-            }
-            acc
-        })
-    }
+    fold_all(ctx, a, T::one(), |_, x| x, |acc: &mut T, _, x| *acc *= x)
 }
 
 /// `SUM(a, dim=axis)` — reduction along one axis; the result drops that
@@ -160,163 +125,73 @@ pub fn sum_axis<T: Num>(ctx: &Ctx, a: &DistArray<T>, axis: usize) -> DistArray<T
         .map(|(_, &k)| k)
         .collect();
     let mut out = DistArray::<T>::zeros(ctx, &out_shape, &out_axes);
-    let outer: usize = a.shape()[..axis].iter().product();
-    let inner: usize = a.shape()[axis + 1..].iter().product();
-    if ctx.spmd() && a.layout().procs_on(axis) > 1 {
-        // Each lane's partial sum hops along the axis's block owners in
-        // coordinate order — the same element order as the serial loop —
-        // and the chain's last owner reports the lane total.
-        let src = a.as_slice();
-        let finals = ctx.busy(|| {
-            axis_exec::<T, T>(
-                ctx,
-                a.layout(),
-                axis,
-                None,
-                T::zero(),
-                T::DTYPE.size() as u64,
-                &|acc, flat, _emit| *acc += src[flat],
-            )
-        });
-        let dst = out.as_mut_slice();
-        for (reduced_flat, total) in finals {
-            dst[reduced_flat] = total;
-        }
-    } else {
-        ctx.busy(|| {
-            let src = a.as_slice();
-            let dst = out.as_mut_slice();
-            for o in 0..outer {
-                let src_base = o * n * inner;
-                let dst_base = o * inner;
-                for i in 0..n {
-                    let row = &src[src_base + i * inner..src_base + (i + 1) * inner];
-                    for (k, &v) in row.iter().enumerate() {
-                        dst[dst_base + k] += v;
-                    }
-                }
-            }
-        });
+    // Each lane's sum runs along the axis in index order; under SPMD its
+    // partial hops along the axis's block owners and the chain's last
+    // owner reports the lane total.
+    let src = a.as_slice();
+    let finals = ctx.busy(|| {
+        axis_exec(
+            ctx,
+            a.layout(),
+            axis,
+            None,
+            T::zero(),
+            |acc: &mut T, flat| {
+                *acc += src[flat];
+                *acc
+            },
+        )
+    });
+    let dst = out.as_mut_slice();
+    for (reduced_flat, total) in finals {
+        dst[reduced_flat] = total;
     }
     ctx.faults.inject_slice("reduce", out.as_mut_slice());
     out
+}
+
+/// The running best of a min/max fold: the first element, then every
+/// later one that `better` prefers to it.
+fn best_step<T: Copy>(
+    better: impl Fn(T, T) -> bool + Sync,
+) -> impl Fn(&mut Option<T>, usize, T) + Sync {
+    move |best, _, x| {
+        if best.is_none_or(|b| better(x, b)) {
+            *best = Some(x);
+        }
+    }
 }
 
 /// `MAXVAL(a)` for ordered reals/integers; returns the maximum. Moves the
 /// same partials as a sum reduction but charges no FLOPs (comparisons).
 pub fn max_all<T: Elem + PartialOrd>(ctx: &Ctx, a: &DistArray<T>) -> T {
     assert!(!a.is_empty() || a.len() == 1);
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    if ctx.spmd() && grid_procs(a) > 1 {
-        ctx.busy(|| {
-            fold_exec::<T, T, Option<T>>(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                None,
-                &|_flat, x| x,
-                &|best, _flat, x| match best {
-                    Some(b) => {
-                        if x > *b {
-                            *b = x;
-                        }
-                    }
-                    None => *best = Some(x),
-                },
-            )
-        })
-        .expect("max of empty array")
-    } else {
-        ctx.busy(|| {
-            let s = a.as_slice();
-            let mut best = s[0];
-            for &x in &s[1..] {
-                if x > best {
-                    best = x;
-                }
-            }
-            best
-        })
-    }
+    fold_all(ctx, a, None, |_, x| x, best_step(|x, b| x > b)).expect("max of empty array")
 }
 
 /// `MINVAL(a)`.
 pub fn min_all<T: Elem + PartialOrd>(ctx: &Ctx, a: &DistArray<T>) -> T {
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    if ctx.spmd() && grid_procs(a) > 1 {
-        ctx.busy(|| {
-            fold_exec::<T, T, Option<T>>(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                None,
-                &|_flat, x| x,
-                &|best, _flat, x| match best {
-                    Some(b) => {
-                        if x < *b {
-                            *b = x;
-                        }
-                    }
-                    None => *best = Some(x),
-                },
-            )
-        })
-        .expect("min of empty array")
-    } else {
-        ctx.busy(|| {
-            let s = a.as_slice();
-            let mut best = s[0];
-            for &x in &s[1..] {
-                if x < best {
-                    best = x;
-                }
-            }
-            best
-        })
-    }
+    fold_all(ctx, a, None, |_, x| x, best_step(|x, b| x < b)).expect("min of empty array")
 }
 
 /// `MAXLOC(|a|)` — flat index and value of the element of largest
 /// magnitude (the pivot search of `gauss-jordan` and `lu`).
 pub fn maxloc_abs<T: Num>(ctx: &Ctx, a: &DistArray<T>) -> (usize, T) {
-    record_reduce::<T>(ctx, a.rank(), 0, a.len() as u64, grid_procs(a) as u64 - 1);
-    if ctx.spmd() && grid_procs(a) > 1 {
-        // The strict `>` keeps the first of equal magnitudes, matching the
-        // serial scan.
-        let st = ctx.busy(|| {
-            fold_exec::<T, T, Option<(usize, T, f64)>>(
-                ctx,
-                a.layout(),
-                a.as_slice(),
-                None,
-                &|_flat, x| x,
-                &|st, flat, x| {
-                    let m = x.mag();
-                    match st {
-                        Some((_, _, bm)) if m > *bm => *st = Some((flat, x, m)),
-                        Some(_) => {}
-                        None => *st = Some((flat, x, m)),
-                    }
-                },
-            )
-        });
-        let (best, v, _) = st.expect("maxloc of empty array");
-        (best, v)
-    } else {
-        ctx.busy(|| {
-            let s = a.as_slice();
-            let mut best = 0usize;
-            let mut bm = s[0].mag();
-            for (i, &x) in s.iter().enumerate().skip(1) {
-                let m = x.mag();
-                if m > bm {
-                    bm = m;
-                    best = i;
-                }
+    // The strict `>` keeps the first of equal magnitudes.
+    let st = fold_all(
+        ctx,
+        a,
+        None,
+        |_, x| x,
+        |st: &mut Option<(usize, T, f64)>, flat, x| {
+            let m = x.mag();
+            if st.is_none_or(|(_, _, bm)| m > bm) {
+                *st = Some((flat, x, m));
             }
-            (best, s[best])
-        })
-    }
+        },
+    );
+    let (best, v, _) = st.expect("maxloc of empty array");
+    (best, v)
 }
 
 /// Dot product `SUM(a * b)`: charges the multiplies plus the `N − 1`
@@ -326,70 +201,48 @@ pub fn dot<T: Num>(ctx: &Ctx, a: &DistArray<T>, b: &DistArray<T>) -> T {
     assert_eq!(a.shape(), b.shape(), "dot shape mismatch");
     let n = a.len() as u64;
     ctx.add_flops(n * T::DTYPE.mul_flops() + flops::reduction(n) * T::DTYPE.add_flops());
-    record_reduce::<T>(ctx, a.rank(), 0, n, grid_procs(a) as u64 - 1);
-    let mut s = if ctx.spmd() && grid_procs(a) > 1 {
-        // Each product `a * b` is formed by the owner of its flat
-        // (aligned operands per the HPF assumption) and only the product
-        // is shipped. Above the parallel threshold the fold state keeps
-        // the per-4096-chunk partials so the final combination can
-        // reproduce the virtual backend's rayon reduce tree bit for bit.
-        let bs = b.as_slice();
-        let lift = |flat: usize, x: T| x * bs[flat];
-        if a.len() >= dpf_array::PAR_THRESHOLD {
-            ctx.busy(|| {
-                let (mut partials, tail) = fold_exec::<T, T, (Vec<T>, T)>(
-                    ctx,
-                    a.layout(),
-                    a.as_slice(),
-                    (Vec::new(), T::zero()),
-                    &lift,
-                    &|st, flat, y| {
-                        st.1 += y;
-                        if (flat + 1) % DOT_CHUNK == 0 {
-                            let full = std::mem::replace(&mut st.1, T::zero());
-                            st.0.push(full);
-                        }
-                    },
-                );
-                if !a.len().is_multiple_of(DOT_CHUNK) {
-                    partials.push(tail);
+    // Each product `a * b` is formed by the owner of its flat (aligned
+    // operands per the HPF assumption); under SPMD only the product is
+    // shipped.
+    let bs = b.as_slice();
+    let lift = |flat: usize, x: T| x * bs[flat];
+    let mut s = if a.len() < PAR_THRESHOLD {
+        fold_all(ctx, a, T::zero(), lift, |acc: &mut T, _, y| *acc += y)
+    } else if ctx.spmd() && a.layout().is_distributed() {
+        // The fold state keeps the per-chunk partials so the final
+        // combination reproduces the host's rayon reduce tree bit for bit.
+        let (mut partials, tail) = fold_all(
+            ctx,
+            a,
+            (Vec::new(), T::zero()),
+            lift,
+            |st: &mut (Vec<T>, T), flat, y| {
+                st.1 += y;
+                if (flat + 1) % DOT_CHUNK == 0 {
+                    let full = std::mem::replace(&mut st.1, T::zero());
+                    st.0.push(full);
                 }
-                rayon_piece_sum(partials)
-            })
-        } else {
-            ctx.busy(|| {
-                fold_exec(
-                    ctx,
-                    a.layout(),
-                    a.as_slice(),
-                    T::zero(),
-                    &lift,
-                    &|acc: &mut T, _flat, y| *acc += y,
-                )
-            })
+            },
+        );
+        if !a.len().is_multiple_of(DOT_CHUNK) {
+            partials.push(tail);
         }
+        ctx.busy(|| rayon_piece_sum(partials))
     } else {
+        record_whole(ctx, a);
         ctx.busy(|| {
-            if a.len() >= dpf_array::PAR_THRESHOLD {
-                a.as_slice()
-                    .par_chunks(DOT_CHUNK)
-                    .zip(b.as_slice().par_chunks(DOT_CHUNK))
-                    .map(|(xa, xb)| {
-                        let mut acc = T::zero();
-                        for (&x, &y) in xa.iter().zip(xb) {
-                            acc += x * y;
-                        }
-                        acc
-                    })
-                    // dpf-lint: allow(determinism-taint, reason = "blessed bit-replay pair: fixed DOT_CHUNK piece sums make this the reference tree that rayon_piece_sum replays bit-exactly on the SPMD fold")
-                    .reduce(T::zero, |p, q| p + q)
-            } else {
-                let mut acc = T::zero();
-                for (&x, &y) in a.as_slice().iter().zip(b.as_slice()) {
-                    acc += x * y;
-                }
-                acc
-            }
+            a.as_slice()
+                .par_chunks(DOT_CHUNK)
+                .zip(bs.par_chunks(DOT_CHUNK))
+                .map(|(xa, xb)| {
+                    let mut acc = T::zero();
+                    for (&x, &y) in xa.iter().zip(xb) {
+                        acc += x * y;
+                    }
+                    acc
+                })
+                // dpf-lint: allow(determinism-taint, reason = "blessed bit-replay pair: fixed DOT_CHUNK piece sums make this the reference tree that rayon_piece_sum replays bit-exactly on the SPMD fold")
+                .reduce(T::zero, |p, q| p + q)
         })
     };
     ctx.faults.inject_scalar("reduce", &mut s);
@@ -417,14 +270,6 @@ fn rayon_piece_sum<T: Num>(parts: Vec<T>) -> T {
     }
     sums.push(rest.iter().fold(T::zero(), |p, &q| p + q));
     sums.into_iter().fold(T::zero(), |p, q| p + q)
-}
-
-fn serial_sum<T: Num>(s: &[T]) -> T {
-    let mut acc = T::zero();
-    for &x in s {
-        acc += x;
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -6,18 +6,32 @@
 //! reductions, an add-scan over `N` elements charges `N − 1` FLOPs per
 //! lane; a copy-scan moves data without arithmetic.
 //!
-//! Under the SPMD backend the scans run as per-lane pipelines
-//! ([`crate::spmd`]): each axis block's owner folds its stretch of every
-//! lane and ships the lane accumulators to the next block's owner —
-//! exactly the `lanes × (p − 1)` partials the Scan pattern models — in
-//! the same element order as the serial loops, so results match bit for
-//! bit.
+//! Each scan states its element rule once, as one step along a lane
+//! ([`crate::spmd::axis_exec`]), and every lane visits its elements in
+//! index order on both backends, so results match bit for bit. On the
+//! host the steps run row by row with one accumulator per lane; under the
+//! SPMD backend the scans run as per-lane pipelines: each axis block's
+//! owner folds its stretch of every lane and ships the lane accumulators
+//! to the next block's owner — exactly the `lanes × (p − 1)` partials the
+//! Scan pattern models.
 
 use crate::spmd::axis_exec;
 use dpf_array::DistArray;
 use dpf_core::{flops, CommPattern, Ctx, Elem, Num};
 
-fn record_scan<T: Elem>(ctx: &Ctx, a: &DistArray<T>, axis: usize) {
+/// Record a scan of `a` along `axis`, charge `adds` FLOPs for each of its
+/// lanes' `N − 1` additions, and run `step` along every lane from `init`
+/// ([`axis_exec`]); the value `step` returns for an element is that
+/// element of the result.
+fn scan_with<T: Elem, A: Send + Sync + Clone>(
+    ctx: &Ctx,
+    a: &DistArray<T>,
+    axis: usize,
+    adds: u64,
+    init: A,
+    step: impl Fn(&mut A, usize) -> T + Sync,
+) -> DistArray<T> {
+    assert!(axis < a.rank());
     let lanes = a.layout().lanes(axis) as u64;
     let partials = lanes * (a.layout().procs_on(axis) as u64).saturating_sub(1);
     ctx.record_comm(
@@ -27,76 +41,44 @@ fn record_scan<T: Elem>(ctx: &Ctx, a: &DistArray<T>, axis: usize) {
         a.len() as u64,
         partials * T::DTYPE.size() as u64,
     );
+    ctx.add_flops(lanes * flops::reduction(a.shape()[axis] as u64) * adds);
+    let mut out = DistArray::<T>::zeros(ctx, a.shape(), a.layout().axes());
+    ctx.busy(|| axis_exec(ctx, a.layout(), axis, Some(out.as_mut_slice()), init, step));
+    out
 }
 
 /// Inclusive add-scan along `axis`.
 pub fn scan_add<T: Num>(ctx: &Ctx, a: &DistArray<T>, axis: usize) -> DistArray<T> {
-    scan_add_impl(ctx, a, axis, true)
+    let src = a.as_slice();
+    scan_with(
+        ctx,
+        a,
+        axis,
+        T::DTYPE.add_flops(),
+        T::zero(),
+        |acc, flat| {
+            *acc += src[flat];
+            *acc
+        },
+    )
 }
 
 /// Exclusive add-scan along `axis` (element `i` receives the sum of
 /// elements `0..i`; element 0 receives zero).
 pub fn scan_add_exclusive<T: Num>(ctx: &Ctx, a: &DistArray<T>, axis: usize) -> DistArray<T> {
-    scan_add_impl(ctx, a, axis, false)
-}
-
-fn scan_add_impl<T: Num>(
-    ctx: &Ctx,
-    a: &DistArray<T>,
-    axis: usize,
-    inclusive: bool,
-) -> DistArray<T> {
-    assert!(axis < a.rank());
-    record_scan(ctx, a, axis);
-    let n = a.shape()[axis];
-    let lanes = a.layout().lanes(axis) as u64;
-    ctx.add_flops(lanes * flops::reduction(n as u64) * T::DTYPE.add_flops());
-    let outer: usize = a.shape()[..axis].iter().product();
-    let inner: usize = a.shape()[axis + 1..].iter().product();
-    let mut out = DistArray::<T>::zeros(ctx, a.shape(), a.layout().axes());
-    if ctx.spmd() && a.layout().procs_on(axis) > 1 {
-        let src = a.as_slice();
-        ctx.busy(|| {
-            axis_exec::<T, T>(
-                ctx,
-                a.layout(),
-                axis,
-                Some(out.as_mut_slice()),
-                T::zero(),
-                T::DTYPE.size() as u64,
-                &|acc, flat, write| {
-                    if inclusive {
-                        *acc += src[flat];
-                        write(flat, *acc);
-                    } else {
-                        write(flat, *acc);
-                        *acc += src[flat];
-                    }
-                },
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let src = a.as_slice();
-            let dst = out.as_mut_slice();
-            for o in 0..outer {
-                for k in 0..inner {
-                    let mut acc = T::zero();
-                    for i in 0..n {
-                        let off = (o * n + i) * inner + k;
-                        if inclusive {
-                            acc += src[off];
-                            dst[off] = acc;
-                        } else {
-                            dst[off] = acc;
-                            acc += src[off];
-                        }
-                    }
-                }
-            }
-        });
-    }
-    out
+    let src = a.as_slice();
+    scan_with(
+        ctx,
+        a,
+        axis,
+        T::DTYPE.add_flops(),
+        T::zero(),
+        |acc, flat| {
+            let before = *acc;
+            *acc += src[flat];
+            before
+        },
+    )
 }
 
 /// Segmented inclusive add-scan along `axis`: the accumulator resets at
@@ -112,57 +94,23 @@ pub fn segmented_scan_add<T: Num>(
         segment_start.shape(),
         "segment flag shape mismatch"
     );
-    assert!(axis < a.rank());
-    record_scan(ctx, a, axis);
-    let n = a.shape()[axis];
-    let lanes = a.layout().lanes(axis) as u64;
-    ctx.add_flops(lanes * flops::reduction(n as u64) * T::DTYPE.add_flops());
-    let outer: usize = a.shape()[..axis].iter().product();
-    let inner: usize = a.shape()[axis + 1..].iter().product();
-    let mut out = DistArray::<T>::zeros(ctx, a.shape(), a.layout().axes());
-    if ctx.spmd() && a.layout().procs_on(axis) > 1 {
-        // Segment flags are read in place (aligned with the data); only
-        // the lane accumulators cross the pipeline.
-        let src = a.as_slice();
-        let seg = segment_start.as_slice();
-        ctx.busy(|| {
-            axis_exec::<T, T>(
-                ctx,
-                a.layout(),
-                axis,
-                Some(out.as_mut_slice()),
-                T::zero(),
-                T::DTYPE.size() as u64,
-                &|acc, flat, write| {
-                    if seg[flat] {
-                        *acc = T::zero();
-                    }
-                    *acc += src[flat];
-                    write(flat, *acc);
-                },
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let src = a.as_slice();
-            let seg = segment_start.as_slice();
-            let dst = out.as_mut_slice();
-            for o in 0..outer {
-                for k in 0..inner {
-                    let mut acc = T::zero();
-                    for i in 0..n {
-                        let off = (o * n + i) * inner + k;
-                        if seg[off] {
-                            acc = T::zero();
-                        }
-                        acc += src[off];
-                        dst[off] = acc;
-                    }
-                }
+    // Segment flags are read in place (aligned with the data); under SPMD
+    // only the lane accumulators cross the pipeline.
+    let (src, seg) = (a.as_slice(), segment_start.as_slice());
+    scan_with(
+        ctx,
+        a,
+        axis,
+        T::DTYPE.add_flops(),
+        T::zero(),
+        |acc, flat| {
+            if seg[flat] {
+                *acc = T::zero();
             }
-        });
-    }
-    out
+            *acc += src[flat];
+            *acc
+        },
+    )
 }
 
 /// Segmented copy-scan along `axis`: every element receives the value its
@@ -179,53 +127,17 @@ pub fn segmented_copy_scan<T: Elem>(
         segment_start.shape(),
         "segment flag shape mismatch"
     );
-    assert!(axis < a.rank());
-    record_scan(ctx, a, axis);
-    let n = a.shape()[axis];
-    let outer: usize = a.shape()[..axis].iter().product();
-    let inner: usize = a.shape()[axis + 1..].iter().product();
-    let mut out = DistArray::<T>::zeros(ctx, a.shape(), a.layout().axes());
-    if ctx.spmd() && a.layout().procs_on(axis) > 1 {
-        let src = a.as_slice();
-        let seg = segment_start.as_slice();
-        let stride = a.layout().strides()[axis];
-        ctx.busy(|| {
-            axis_exec::<T, T>(
-                ctx,
-                a.layout(),
-                axis,
-                Some(out.as_mut_slice()),
-                T::default(),
-                T::DTYPE.size() as u64,
-                &|cur, flat, write| {
-                    // Axis coordinate 0 starts a segment implicitly.
-                    if (flat / stride).is_multiple_of(n) || seg[flat] {
-                        *cur = src[flat];
-                    }
-                    write(flat, *cur);
-                },
-            );
-        });
-    } else {
-        ctx.busy(|| {
-            let src = a.as_slice();
-            let seg = segment_start.as_slice();
-            let dst = out.as_mut_slice();
-            for o in 0..outer {
-                for k in 0..inner {
-                    let mut current = T::default();
-                    for i in 0..n {
-                        let off = (o * n + i) * inner + k;
-                        if i == 0 || seg[off] {
-                            current = src[off];
-                        }
-                        dst[off] = current;
-                    }
-                }
-            }
-        });
-    }
-    out
+    let (src, seg) = (a.as_slice(), segment_start.as_slice());
+    // A lane's first element starts a segment implicitly: the lane state
+    // is still `None` there.
+    scan_with(ctx, a, axis, 0, None, |cur: &mut Option<T>, flat| {
+        let v = match *cur {
+            Some(c) if !seg[flat] => c,
+            _ => src[flat],
+        };
+        *cur = Some(v);
+        v
+    })
 }
 
 #[cfg(test)]

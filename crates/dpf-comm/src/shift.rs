@@ -12,17 +12,14 @@
 
 use crate::spmd::shift_exec;
 use dpf_array::expr::ShiftBoundary;
-use dpf_array::{DistArray, PAR_THRESHOLD};
+use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem};
 use rayon::prelude::*;
 
 /// Circular shift by `shift` along `axis`: `out[.., i, ..] = a[.., (i + shift) mod n, ..]`
 /// (CMF/HPF convention: positive shift moves data toward lower indices).
 pub fn cshift<T: Elem>(ctx: &Ctx, a: &DistArray<T>, axis: usize, shift: isize) -> DistArray<T> {
-    record_shift(ctx, a, axis, shift, CommPattern::Cshift);
-    let mut out = shifted(ctx, a, axis, shift, ShiftBoundary::Cyclic);
-    ctx.faults.inject_slice("cshift", out.as_mut_slice());
-    out
+    shifted(ctx, a, axis, shift, ShiftBoundary::Cyclic)
 }
 
 /// Like [`cshift`], but writing into an existing same-shaped array instead
@@ -34,9 +31,7 @@ pub fn cshift_into<T: Elem>(
     shift: isize,
     out: &mut DistArray<T>,
 ) {
-    record_shift(ctx, a, axis, shift, CommPattern::Cshift);
-    shifted_into(ctx, a, axis, shift, ShiftBoundary::Cyclic, out);
-    ctx.faults.inject_slice("cshift", out.as_mut_slice());
+    shift_eager(ctx, a, axis, shift, ShiftBoundary::Cyclic, out);
 }
 
 /// End-off shift: elements shifted off the end are discarded and `fill`
@@ -48,10 +43,7 @@ pub fn eoshift<T: Elem>(
     shift: isize,
     fill: T,
 ) -> DistArray<T> {
-    record_shift(ctx, a, axis, shift, CommPattern::Eoshift);
-    let mut out = shifted(ctx, a, axis, shift, ShiftBoundary::Fill(fill));
-    ctx.faults.inject_slice("eoshift", out.as_mut_slice());
-    out
+    shifted(ctx, a, axis, shift, ShiftBoundary::Fill(fill))
 }
 
 /// Like [`eoshift`], but writing into an existing same-shaped array
@@ -64,29 +56,52 @@ pub fn eoshift_into<T: Elem>(
     fill: T,
     out: &mut DistArray<T>,
 ) {
-    record_shift(ctx, a, axis, shift, CommPattern::Eoshift);
-    shifted_into(ctx, a, axis, shift, ShiftBoundary::Fill(fill), out);
-    ctx.faults.inject_slice("eoshift", out.as_mut_slice());
+    shift_eager(ctx, a, axis, shift, ShiftBoundary::Fill(fill), out);
 }
 
-/// Record the analytic Cshift/Eoshift event for a shift of `a` — shared
-/// with the fusing evaluator (`crate::fuse`), which must replay the exact
-/// eager record for each deferred shift node.
+/// The §1.5 pattern and the fault-injection site of a shift with
+/// `boundary`.
+pub(crate) fn shift_kind<T>(boundary: &ShiftBoundary<T>) -> (CommPattern, &'static str) {
+    match boundary {
+        ShiftBoundary::Cyclic => (CommPattern::Cshift, "cshift"),
+        ShiftBoundary::Fill(_) => (CommPattern::Eoshift, "eoshift"),
+    }
+}
+
+/// Record the analytic Cshift/Eoshift event for a shift of an array laid
+/// out as `layout` — shared with the fusing evaluator (`crate::fuse`),
+/// which must replay the exact eager record for each deferred shift node.
 pub(crate) fn record_shift<T: Elem>(
+    ctx: &Ctx,
+    layout: &Layout,
+    axis: usize,
+    shift: isize,
+    boundary: &ShiftBoundary<T>,
+) {
+    let offproc = layout.offproc_per_lane(axis, shift) * layout.lanes(axis);
+    ctx.record_comm(
+        shift_kind(boundary).0,
+        layout.rank(),
+        layout.rank(),
+        layout.len() as u64,
+        (offproc * T::DTYPE.size()) as u64,
+    );
+}
+
+/// One eager shift into `out`: its record, its data movement and its
+/// fault-injection site.
+fn shift_eager<T: Elem>(
     ctx: &Ctx,
     a: &DistArray<T>,
     axis: usize,
     shift: isize,
-    pattern: CommPattern,
+    boundary: ShiftBoundary<T>,
+    out: &mut DistArray<T>,
 ) {
-    let offproc = a.layout().offproc_per_lane(axis, shift) * a.layout().lanes(axis);
-    ctx.record_comm(
-        pattern,
-        a.rank(),
-        a.rank(),
-        a.len() as u64,
-        (offproc * T::DTYPE.size()) as u64,
-    );
+    record_shift(ctx, a.layout(), axis, shift, &boundary);
+    shifted_into(ctx, a, axis, shift, boundary, out);
+    ctx.faults
+        .inject_slice(shift_kind(&boundary).1, out.as_mut_slice());
 }
 
 fn shifted<T: Elem>(
@@ -99,7 +114,7 @@ fn shifted<T: Elem>(
     // Every output lane is fully overwritten below, so a pooled scratch
     // buffer (possibly holding stale data) is safe.
     let mut out = DistArray::<T>::scratch(ctx, a.shape(), a.layout().axes());
-    shifted_into(ctx, a, axis, shift, boundary, &mut out);
+    shift_eager(ctx, a, axis, shift, boundary, &mut out);
     out
 }
 

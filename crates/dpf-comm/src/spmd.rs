@@ -13,12 +13,20 @@
 //! [`Checkpoint`](dpf_core::Checkpoint), the snapshot trait the
 //! iterative kernels also roll back with, and [`Segs`] captures nothing.
 //!
-//! Five reusable protocols cover the primitives:
+//! Six reusable protocols cover the primitives. Three of them — route,
+//! fold and axis — also run their own serial form on the host when the
+//! backend is virtual or the layouts are not distributed, calling the
+//! same element closures in the protocol's serial order, so each
+//! primitive built on them states its element rule once and the protocol
+//! body is the reference its host form reproduces.
 //!
 //! * [`pull_exec`] — owner-computes-output: each worker maps its output
 //!   flats to source flats, requests the off-block ones from their owners
 //!   (`Req` round) and receives the values (`Vals` round). Used by
 //!   spread/broadcast, gather/get/gather_nd and transpose.
+//! * [`broadcast_scalar_exec`] — worker 0 sends one scalar to every
+//!   owner of an output block, which fills its blocks with it. Used by
+//!   `broadcast_scalar`.
 //! * [`shift_exec`] — a neighbour slab exchange for CSHIFT/EOSHIFT along
 //!   a distributed axis, and so for each shift of the stencil's CSHIFT
 //!   composition: each worker cuts its output range along the axis
@@ -29,17 +37,18 @@
 //! * [`route_exec`] — owner-computes-source: each worker routes
 //!   `(src_flat, dst_flat, value)` triples to the destination owners; the
 //!   receiver sorts by source flat before applying, which reproduces the
-//!   virtual backend's serial flat-source-order collision semantics
-//!   exactly. Used by the scatter/send/combine family.
+//!   serial form's flat-source-order collision semantics exactly. Used by
+//!   the scatter/send/combine family.
 //! * [`fold_exec`] — a sequential fold on one folder, the owner of the
 //!   first segment: every other owner ships it the values of its own
 //!   elements in one frame, and the folder runs the serial left fold over
 //!   the owner-segment table in flat order, making whole-array reductions
-//!   bit-identical to the virtual backend's. Used by the reductions and
-//!   the dot product.
+//!   bit-identical to the serial form's. Used by the reductions and the
+//!   dot product.
 //! * [`axis_exec`] — a per-lane pipeline along one axis: lane accumulators
-//!   are carried from each axis block to its successor. Used by the scans
-//!   and `sum_axis`.
+//!   are carried from each axis block to its successor, visiting each
+//!   lane's elements in index order as the serial form does. Used by the
+//!   scans and `sum_axis`.
 //!
 //! # Sparse exchange
 //!
@@ -206,10 +215,6 @@ fn split_mut<'a, T>(layout: &Layout, data: &'a mut [T], nprocs: usize) -> Vec<Se
     }
     out
 }
-
-/// One [`axis_exec`] step: advance the lane state `A` past the element at
-/// `flat`, optionally writing results through the `(flat, value)` sink.
-pub(crate) type AxisStep<'a, T, A> = &'a (dyn Fn(&mut A, usize, &mut dyn FnMut(usize, T)) + Sync);
 
 /// The sparse-exchange handshake of one collective (module docs): row `d`
 /// of the p × ⌈p/64⌉ table holds one bit per worker that sends to worker
@@ -637,14 +642,37 @@ pub(crate) fn broadcast_scalar_exec<T: Elem>(
     );
 }
 
-/// Owner-computes-source push: every worker walks its own source flats,
-/// routes `(src_flat, dst_flat, value)` triples to the destination owners
-/// (keeping those for its own block), and each receiver applies its
-/// incoming triples sorted by source flat — reproducing the virtual
-/// backend's serial flat-source-order collision semantics
-/// (last-writer-wins for plain scatter, left-to-right combining
-/// otherwise).
+/// Apply every source element to its destination, `apply(&mut
+/// dst[dst_of(k)], src[k])`, in flat source order: last-writer-wins for
+/// plain scatter, left-to-right combining otherwise. The serial form
+/// walks the source flats on the host. Under SPMD with a distributed
+/// layout this is an owner-computes-source push: every worker walks its
+/// own source flats, routes `(src_flat, dst_flat, value)` triples to the
+/// destination owners (keeping those for its own block), and each
+/// receiver applies its incoming triples sorted by source flat.
 pub(crate) fn route_exec<T: Elem>(
+    ctx: &Ctx,
+    src_layout: &Layout,
+    src_data: &[T],
+    dst_layout: &Layout,
+    dst_data: &mut [T],
+    dst_of: impl Fn(usize) -> usize + Sync,
+    apply: impl Fn(&mut T, T) + Sync,
+) {
+    if ctx.spmd() && (src_layout.is_distributed() || dst_layout.is_distributed()) {
+        return route_workers(
+            ctx, src_layout, src_data, dst_layout, dst_data, &dst_of, &apply,
+        );
+    }
+    for (k, &v) in src_data.iter().enumerate() {
+        apply(&mut dst_data[dst_of(k)], v);
+    }
+}
+
+/// The SPMD push of [`route_exec`]. It takes its closures as trait
+/// objects, so the worker protocol is built once per element type, not
+/// once per caller.
+fn route_workers<T: Elem>(
     ctx: &Ctx,
     src_layout: &Layout,
     src_data: &[T],
@@ -692,17 +720,37 @@ pub(crate) fn route_exec<T: Elem>(
     );
 }
 
-/// Sequential fold over the whole array in flat order, gathered to one
-/// folder, the owner of the first segment. Every other owner lifts its own
-/// elements through `lift(flat, x)` in flat order and sends the results to
-/// the folder in one frame, metered at the array's element size per value.
-/// The folder walks the owner-segment table in flat order, lifting its own
-/// elements in place and taking the other owners' values from per-owner
-/// cursors, and runs `step` on every element. Element order — and
-/// therefore floating-point rounding — is identical to the virtual
-/// backend's serial left fold; reads of aligned operands (`lift`) stay on
-/// the worker that owns the flat.
+/// Sequential left fold over the whole array in flat order: `step` runs
+/// on `lift(flat, x)` of every element. The serial form folds the flats
+/// on the host. Under SPMD with a distributed layout the fold is gathered
+/// to one folder, the owner of the first segment. Every other owner lifts
+/// its own elements in flat order and sends the results to the folder in
+/// one frame, metered at the array's element size per value. The folder
+/// walks the owner-segment table in flat order, lifting its own elements
+/// in place and taking the other owners' values from per-owner cursors,
+/// and runs `step` on every element. Element order — and therefore
+/// floating-point rounding — is identical to the serial form's; reads of
+/// aligned operands (`lift`) stay on the worker that owns the flat.
 pub(crate) fn fold_exec<T: Elem, U: Send + Clone, A: Send + Sync + Clone>(
+    ctx: &Ctx,
+    layout: &Layout,
+    data: &[T],
+    init: A,
+    lift: impl Fn(usize, T) -> U + Sync,
+    step: impl Fn(&mut A, usize, U) + Sync,
+) -> A {
+    if ctx.spmd() && layout.is_distributed() {
+        return fold_workers(ctx, layout, data, init, &lift, &step);
+    }
+    data.iter().enumerate().fold(init, |mut acc, (flat, &x)| {
+        step(&mut acc, flat, lift(flat, x));
+        acc
+    })
+}
+
+/// The SPMD fold of [`fold_exec`], on trait objects like
+/// [`route_workers`].
+fn fold_workers<T: Elem, U: Send + Clone, A: Send + Sync + Clone>(
     ctx: &Ctx,
     layout: &Layout,
     data: &[T],
@@ -762,24 +810,69 @@ pub(crate) fn fold_exec<T: Elem, U: Send + Clone, A: Send + Sync + Clone>(
         .expect("the folder returns the fold")
 }
 
-/// Per-lane pipeline along `axis`: each worker processes its block of
-/// every lane, carrying one accumulator per lane from the predecessor
-/// block (same grid coordinates, axis coordinate − 1) to the successor.
-/// Within a lane, elements are visited in ascending index order, so
-/// scan/reduction rounding matches the virtual backend's serial loops.
+/// Per-lane scan along `axis`: `step(state, flat)` advances a lane's
+/// state past the element at `flat` and returns that element's value of
+/// the optional same-layout output. Each lane starts from `init` and
+/// visits its elements in ascending index order. Returns every lane's
+/// final `(reduced_flat, state)` — the lane's flat offset in the shape
+/// with `axis` removed — for axis reductions.
 ///
-/// `step(state, flat, write)` handles one element; `write(flat, v)` stores
-/// into the worker's own block of the optional same-layout output.
-/// Returns the chain-end `(reduced_flat, state)` pairs — the lane's flat
-/// offset in the shape with `axis` removed — for axis reductions.
+/// The serial form walks the rows on the host with one state per lane.
+/// Under SPMD with a distributed axis this is a pipeline: each worker
+/// processes its block of every lane, carrying one state per lane from
+/// the predecessor block (same grid coordinates, axis coordinate − 1) to
+/// the successor, metered at the element size per lane.
 pub(crate) fn axis_exec<T: Elem, A: Send + Sync + Clone>(
+    ctx: &Ctx,
+    layout: &Layout,
+    axis: usize,
+    mut out_data: Option<&mut [T]>,
+    init: A,
+    step: impl Fn(&mut A, usize) -> T + Sync,
+) -> Vec<(usize, A)> {
+    if ctx.spmd() && layout.procs_on(axis) > 1 {
+        return axis_workers(ctx, layout, axis, out_data, init, &step);
+    }
+    let shape = layout.shape();
+    let (n, inner) = (shape[axis], shape[axis + 1..].iter().product::<usize>());
+    let mut states = vec![init; layout.lanes(axis)];
+    let mut write = |flat: usize, v: T| {
+        if let Some(out) = out_data.as_deref_mut() {
+            out[flat] = v;
+        }
+    };
+    let mut flat = 0;
+    for block in states.chunks_mut(inner.max(1)) {
+        if let [state] = block {
+            // One lane per row: its state stays in a local, off the
+            // memory round trip a row of lanes needs.
+            let mut s = state.clone();
+            for f in flat..flat + n {
+                write(f, step(&mut s, f));
+            }
+            *state = s;
+            flat += n;
+            continue;
+        }
+        for _ in 0..n {
+            for state in block.iter_mut() {
+                write(flat, step(state, flat));
+                flat += 1;
+            }
+        }
+    }
+    states.into_iter().enumerate().collect()
+}
+
+/// The SPMD pipeline of [`axis_exec`], on trait objects like
+/// [`route_workers`].
+fn axis_workers<T: Elem, A: Send + Sync + Clone>(
     ctx: &Ctx,
     layout: &Layout,
     axis: usize,
     out_data: Option<&mut [T]>,
     init: A,
-    lane_hop_bytes: u64,
-    step: AxisStep<'_, T, A>,
+    step: &(dyn Fn(&mut A, usize) -> T + Sync),
 ) -> Vec<(usize, A)> {
     let p = ctx.nprocs();
     let rank = layout.rank();
@@ -790,6 +883,7 @@ pub(crate) fn axis_exec<T: Elem, A: Send + Sync + Clone>(
         Some(d) => split_mut(layout, d, p).into_iter().map(Some).collect(),
         None => (0..p).map(|_| None).collect(),
     };
+    let esize = T::DTYPE.size() as u64;
     let init = &init;
     let strides = &strides;
     let results = dpf_core::run_workers(
@@ -827,14 +921,11 @@ pub(crate) fn axis_exec<T: Elem, A: Send + Sync + Clone>(
                     }
                 }
                 let mut state = carries[lane].clone();
-                {
-                    let mut write = |flat: usize, v: T| {
-                        if let Some(o) = out.as_mut() {
-                            o.set(flat, v);
-                        }
-                    };
-                    for i in lo[axis]..hi[axis] {
-                        step(&mut state, base + i * strides[axis], &mut write);
+                for i in lo[axis]..hi[axis] {
+                    let flat = base + i * strides[axis];
+                    let v = step(&mut state, flat);
+                    if let Some(o) = out.as_mut() {
+                        o.set(flat, v);
                     }
                 }
                 if succ.is_some() {
@@ -848,7 +939,7 @@ pub(crate) fn axis_exec<T: Elem, A: Send + Sync + Clone>(
                 loop {
                     if d == 0 {
                         if let Some(sq) = succ {
-                            router.send(sq, lanes_local as u64 * lane_hop_bytes, onward);
+                            router.send(sq, lanes_local as u64 * esize, onward);
                         }
                         return finals;
                     }

@@ -8,7 +8,7 @@
 //! tests below, `nprocs = 64` (far more virtual processors than physical
 //! cores, so workers genuinely interleave).
 
-use dpf::array::{DistArray, PAR, PAR_THRESHOLD, SER};
+use dpf::array::{AxisKind, DistArray, PAR, PAR_THRESHOLD, SER};
 use dpf::comm::{
     broadcast, broadcast_scalar, cshift, dot, eoshift, gather, gather_combine, gather_nd, get,
     max_all, maxloc_abs, min_all, product_all, scan_add, scan_add_exclusive, scatter,
@@ -110,6 +110,49 @@ fn reduction_shapes(n: usize, r: usize, c: usize, z: usize) -> [Vec<usize>; 6] {
         vec![2, 3],
         vec![5, 9, 5],
     ]
+}
+
+/// A value seed for a multi-index: its digits in base 13.
+fn flat13(i: &[usize]) -> usize {
+    i.iter().fold(0, |acc, &x| acc * 13 + x)
+}
+
+/// An `f64` array's elements as bit patterns, for bit-for-bit comparison.
+fn bits(a: &DistArray<f64>) -> Vec<u64> {
+    a.to_vec().iter().map(|x| x.to_bits()).collect()
+}
+
+/// Every scatter-family variant from a source and index of `shape` and
+/// `axes` into 1-D destinations of extent `n`, compared across backends.
+/// The indices collide on purpose: both backends must agree on
+/// last-writer-wins order and on combine accumulation order.
+fn scatter_family_case(p: usize, n: usize, shape: &[usize], axes: &[AxisKind]) {
+    let m: usize = shape.iter().product();
+    check(p, |ctx| {
+        let src = DistArray::<f64>::from_vec(ctx, shape, axes, (0..m).map(f).collect());
+        let flats = (0..m).map(|k| ((k * 3 + 1) % n) as i32).collect();
+        let idx = DistArray::<i32>::from_vec(ctx, shape, axes, flats);
+        let mut plain = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
+        scatter(ctx, &mut plain, &idx, &src);
+        let mut sent = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
+        send(ctx, &mut sent, &idx, &src);
+        let mut added = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
+        scatter_combine(ctx, &mut added, &idx, &src, Combine::Add);
+        let mut maxed = DistArray::<f64>::full(ctx, &[n], &[PAR], f64::MIN);
+        scatter_combine(ctx, &mut maxed, &idx, &src, Combine::Max);
+        let mut minned = DistArray::<f64>::full(ctx, &[n], &[PAR], f64::MAX);
+        scatter_combine(ctx, &mut minned, &idx, &src, Combine::Min);
+        let mut deposited = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
+        gather_combine(ctx, &mut deposited, &idx, &src);
+        (
+            plain.to_vec(),
+            sent.to_vec(),
+            added.to_vec(),
+            maxed.to_vec(),
+            minned.to_vec(),
+            deposited.to_vec(),
+        )
+    });
 }
 
 /// An all-`PAR` array of `shape` holding `g(flat)`.
@@ -244,37 +287,65 @@ proptest! {
     }
 
     #[test]
-    fn sum_axis_and_scans_match(r in 1usize..12, c in 1usize..12, axis in 0usize..2, p in 1usize..9) {
-        check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[r, c], &[PAR, PAR], |i| f(i[0] * 13 + i[1]));
-            (
-                sum_axis(ctx, &a, axis).to_vec(),
-                scan_add(ctx, &a, axis).to_vec(),
-                scan_add_exclusive(ctx, &a, axis).to_vec(),
-            )
-        });
+    fn sum_axis_and_scans_match(
+        r in 1usize..12,
+        c in 1usize..12,
+        axis in 0usize..2,
+        dims in prop::collection::vec(1usize..7, 3..4),
+        p in 1usize..9,
+    ) {
+        // A 2-D all-parallel array along one axis, then rank 3 along every
+        // axis on a serial-middle, a serial-leading and an all-parallel
+        // layout. Results are compared bit for bit.
+        let mut cases = vec![(vec![r, c], vec![PAR, PAR], axis)];
+        for axes in [[PAR, SER, PAR], [SER, PAR, PAR], [PAR, PAR, PAR]] {
+            cases.extend((0..3).map(|d| (dims.clone(), axes.to_vec(), d)));
+        }
+        for (shape, axes, axis) in cases {
+            check(p, |ctx| {
+                let a = DistArray::<f64>::from_fn(ctx, &shape, &axes, |i| f(flat13(i)));
+                (
+                    bits(&sum_axis(ctx, &a, axis)),
+                    bits(&scan_add(ctx, &a, axis)),
+                    bits(&scan_add_exclusive(ctx, &a, axis)),
+                )
+            });
+        }
     }
 
     #[test]
-    fn segmented_scans_match(n in 1usize..60, p in 1usize..9) {
-        check(p, |ctx| {
-            let a = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
-            let seg = DistArray::<bool>::from_fn(ctx, &[n], &[PAR], |i| i[0] % 5 == 0);
-            (
-                segmented_scan_add(ctx, &a, &seg, 0).to_vec(),
-                segmented_copy_scan(ctx, &a, &seg, 0).to_vec(),
-            )
-        });
+    fn segmented_scans_match(n in 1usize..60, r in 1usize..10, c in 1usize..10, p in 1usize..9) {
+        // A 1-D array, and a 2-D one along axis 1, where every row is a
+        // lane. Results are compared bit for bit.
+        for (shape, axis) in [(vec![n], 0), (vec![r, c], 1)] {
+            check(p, |ctx| {
+                let axes = vec![PAR; shape.len()];
+                let a = DistArray::<f64>::from_fn(ctx, &shape, &axes, |i| f(flat13(i)));
+                let seg = DistArray::<bool>::from_fn(ctx, &shape, &axes, |i| flat13(i).is_multiple_of(5));
+                (
+                    bits(&segmented_scan_add(ctx, &a, &seg, axis)),
+                    bits(&segmented_copy_scan(ctx, &a, &seg, axis)),
+                )
+            });
+        }
     }
 
     #[test]
-    fn gather_family_matches(n in 1usize..60, p in 1usize..9) {
+    fn gather_family_matches(n in 1usize..60, r in 1usize..10, c in 1usize..10, p in 1usize..9) {
         check(p, |ctx| {
             let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
             let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| ((i[0] * 7 + 3) % n) as i32);
+            // A 2-D index: the output takes its shape, so the count walks
+            // a 2-D array's owner segments.
+            let idx2 = DistArray::<i32>::from_fn(ctx, &[r, c], &[PAR, PAR], |i| {
+                ((i[0] * 7 + i[1] * 3 + 1) % n) as i32
+            });
+            let g2 = gather(ctx, &src, &idx2);
             (
                 gather(ctx, &src, &idx).to_vec(),
                 get(ctx, &src, &idx).to_vec(),
+                (g2.shape().to_vec(), g2.to_vec()),
+                get(ctx, &src, &idx2).to_vec(),
             )
         });
     }
@@ -291,33 +362,12 @@ proptest! {
     }
 
     #[test]
-    fn scatter_family_matches(n in 1usize..60, p in 1usize..9) {
-        check(p, |ctx| {
-            let src = DistArray::<f64>::from_fn(ctx, &[n], &[PAR], |i| f(i[0]));
-            // Deliberately colliding indices: both backends must agree on
-            // last-writer-wins order and on combine accumulation order.
-            let idx = DistArray::<i32>::from_fn(ctx, &[n], &[PAR], |i| ((i[0] * 3 + 1) % n) as i32);
-            let mut plain = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
-            scatter(ctx, &mut plain, &idx, &src);
-            let mut sent = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
-            send(ctx, &mut sent, &idx, &src);
-            let mut added = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
-            scatter_combine(ctx, &mut added, &idx, &src, Combine::Add);
-            let mut maxed = DistArray::<f64>::full(ctx, &[n], &[PAR], f64::MIN);
-            scatter_combine(ctx, &mut maxed, &idx, &src, Combine::Max);
-            let mut minned = DistArray::<f64>::full(ctx, &[n], &[PAR], f64::MAX);
-            scatter_combine(ctx, &mut minned, &idx, &src, Combine::Min);
-            let mut deposited = DistArray::<f64>::zeros(ctx, &[n], &[PAR]);
-            gather_combine(ctx, &mut deposited, &idx, &src);
-            (
-                plain.to_vec(),
-                sent.to_vec(),
-                added.to_vec(),
-                maxed.to_vec(),
-                minned.to_vec(),
-                deposited.to_vec(),
-            )
-        });
+    fn scatter_family_matches(n in 1usize..60, r in 1usize..10, c in 1usize..10, p in 1usize..9) {
+        // A 1-D source and index, and a 2-D [PAR, SER] one, whose count
+        // walks a 2-D array's owner segments, both into a 1-D destination.
+        for (shape, axes) in [(vec![n], vec![PAR]), (vec![r, c], vec![PAR, SER])] {
+            scatter_family_case(p, n, &shape, &axes);
+        }
     }
 
     #[test]
