@@ -3,12 +3,13 @@
 //! The eager API materializes one full distributed array per operator.
 //! This module walks an expression graph once per owned block instead:
 //! elementwise chains collapse into a single loop with zero intermediate
-//! arrays (per-chunk scratch comes from the `Ctx` buffer pool), and
-//! shift+compute stencils evaluate interior cells by reading the source
-//! at an offset — only genuinely off-processor halo cells take the
-//! exchange path (on the SPMD backend a distributed-axis shift runs the
-//! same neighbour slab exchange the eager `cshift` uses, so channel
-//! traffic is identical).
+//! arrays (per-chunk scratch comes from the `Ctx` buffer pool), and a
+//! shift node reads its source on the fly: each chunk copies the
+//! contiguous pieces of the shift's read plan (`shift::ShiftRead`, built
+//! once per node), the plan the eager host shift copies through, so the
+//! shift rule has one statement. On the SPMD backend a distributed-axis
+//! shift runs the same neighbour slab exchange the eager `cshift` uses,
+//! so channel traffic is identical.
 //!
 //! Metric transparency is the contract: evaluation replays exactly the
 //! FLOP charges and logical communication records the equivalent eager
@@ -18,11 +19,10 @@
 //! fused-vs-eager proptest suite (`tests/fused_equiv.rs`) holds results
 //! and recorded metrics bit-identical on both backends.
 
-use crate::shift;
+use crate::shift::{self, for_each_span, ShiftRead};
 use dpf_array::expr::{BinaryFn, Expr, ShiftBoundary, UnaryFn};
-use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
+use dpf_array::{DistArray, Layout};
 use dpf_core::{Ctx, Elem};
-use rayon::prelude::*;
 
 /// Elements evaluated per inner step: small enough that the working set
 /// of a deep chain stays cache-resident, large enough to amortize the
@@ -186,8 +186,8 @@ impl<T> Store<'_, T> {
 }
 
 /// A runtime evaluation plan: the `Expr` graph with leaves resolved to
-/// slices, shifts resolved to strided offset reads (or pre-exchanged
-/// halo buffers on SPMD), and broadcasts resolved to stride tricks.
+/// slices, shifts resolved to read plans (or pre-exchanged blocks on
+/// SPMD), and broadcasts resolved to stride tricks.
 enum Plan<'a, T: Elem> {
     Data(Store<'a, T>),
     Const(T),
@@ -200,15 +200,11 @@ enum Plan<'a, T: Elem> {
         lhs: Box<Plan<'a, T>>,
         rhs: Box<Plan<'a, T>>,
     },
-    /// Shift-on-read: output flat index `base+k` reads the source at an
-    /// axis offset, with interior cells a pure strided load.
+    /// Shift-on-read: each chunk copies the contiguous pieces of the
+    /// shift's read plan from the source, or takes the fill.
     Shifted {
         src: Store<'a, T>,
-        stride: usize,
-        n: usize,
-        amount: isize,
-        fill: Option<T>,
-        total: usize,
+        read: ShiftRead<T>,
     },
     /// Broadcast-on-read along an inserted axis.
     Bcast {
@@ -261,14 +257,7 @@ fn lower<'a, T: Elem>(ctx: &Ctx, e: &Expr<'a, T>, shape: &[usize], lay: &Layout)
             };
             Plan::Shifted {
                 src,
-                stride: shape[*axis + 1..].iter().product(),
-                n: shape[*axis],
-                amount: *amount,
-                fill: match boundary {
-                    ShiftBoundary::Cyclic => None,
-                    ShiftBoundary::Fill(v) => Some(*v),
-                },
-                total: shape.iter().product(),
+                read: ShiftRead::new(shape, [(*axis, *amount)], *boundary),
             }
         }
         Expr::Bcast {
@@ -382,17 +371,7 @@ fn put_bufs<T: Elem>(ctx: &Ctx, bufs: Vec<Vec<T>>) {
 /// threshold (and only when rayon actually has more than one worker) the
 /// output splits into contiguous spans, one scratch arena each.
 fn run_plan<T: Elem>(ctx: &Ctx, plan: &Plan<'_, T>, dst: &mut [T]) {
-    let len = dst.len();
-    ctx.busy(|| {
-        if len >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-            let span = len.div_ceil(rayon::current_num_threads()).max(CHUNK);
-            dst.par_chunks_mut(span)
-                .enumerate()
-                .for_each(|(r, d)| run_span(ctx, plan, r * span, d));
-        } else {
-            run_span(ctx, plan, 0, dst);
-        }
-    });
+    ctx.busy(|| for_each_span(dst, CHUNK, |start, d| run_span(ctx, plan, start, d)));
 }
 
 /// Evaluate one contiguous output span chunk-by-chunk with a private
@@ -468,23 +447,7 @@ fn eval_chunk<T: Elem>(
                 scratch[depth] = buf;
             }
         },
-        Plan::Shifted {
-            src,
-            stride,
-            n,
-            amount,
-            fill,
-            total,
-        } => fill_shifted(
-            src.as_slice(),
-            base,
-            out,
-            *stride,
-            *n,
-            *amount,
-            *fill,
-            *total,
-        ),
+        Plan::Shifted { src, read } => read.copy(src.as_slice(), base, out),
         Plan::Bcast { src, n, stride } => {
             let s = src.as_slice();
             let period = n * stride;
@@ -493,70 +456,6 @@ fn eval_chunk<T: Elem>(
                 *o = s[(f0 / period) * stride + f0 % stride];
             }
         }
-    }
-}
-
-/// Shift-on-read into one output chunk. Interior cells are pure strided
-/// loads; only cells whose source index leaves the axis take the wrap or
-/// fill branch — and a whole-array rank-1 shift reduces to two
-/// contiguous copies.
-#[allow(clippy::too_many_arguments)]
-fn fill_shifted<T: Elem>(
-    src: &[T],
-    base: usize,
-    out: &mut [T],
-    stride: usize,
-    n: usize,
-    amount: isize,
-    fill: Option<T>,
-    total: usize,
-) {
-    let len = out.len();
-    if len == 0 {
-        return;
-    }
-    if stride == 1 && n == total {
-        // Rank-1 over the whole axis: the chunk is a window of a single
-        // lane, so the shift is (at most) two contiguous copies.
-        match fill {
-            None => {
-                let s = amount.rem_euclid(n as isize) as usize;
-                let start = (base + s) % n;
-                let first = (n - start).min(len);
-                out[..first].copy_from_slice(&src[start..start + first]);
-                out[first..].copy_from_slice(&src[..len - first]);
-            }
-            Some(fv) => {
-                // Source index j = base + k + amount must lie in [0, n).
-                let lo = (-amount - base as isize).clamp(0, len as isize) as usize;
-                let hi = (n as isize - amount - base as isize).clamp(0, len as isize) as usize;
-                let hi = hi.max(lo);
-                out[..lo].fill(fv);
-                if lo < hi {
-                    let s0 = (base as isize + lo as isize + amount) as usize;
-                    out[lo..hi].copy_from_slice(&src[s0..s0 + (hi - lo)]);
-                }
-                out[hi..].fill(fv);
-            }
-        }
-        return;
-    }
-    let period = stride * n;
-    for (k, o) in out.iter_mut().enumerate() {
-        let f = base + k;
-        let lane = (f / period) * period + f % stride;
-        let c = (f / stride) % n;
-        let j = c as isize + amount;
-        *o = match fill {
-            None => src[lane + (j.rem_euclid(n as isize) as usize) * stride],
-            Some(fv) => {
-                if j < 0 || j >= n as isize {
-                    fv
-                } else {
-                    src[lane + (j as usize) * stride]
-                }
-            }
-        };
     }
 }
 

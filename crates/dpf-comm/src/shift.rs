@@ -5,16 +5,27 @@
 //! a local memory move and records no communication. Off-processor volume
 //! is computed from the block map via
 //! [`Layout::offproc_per_lane`](dpf_array::Layout::offproc_per_lane).
+//!
+//! The CMF/HPF rule `out(i) = a(i + shift)`, cyclic or end-off with a
+//! fill, is stated once, in [`axis_runs`]: it cuts a range of output
+//! positions along the axis into runs, each reading consecutive source
+//! positions of one block or taking the fill. Every shift reads through
+//! it. On the host a [`ShiftRead`] plan views the output as slabs of the
+//! innermost shifted axis and cuts each slab into that axis's runs, so
+//! the eager shifts, the fused shift nodes (`crate::fuse`) and the host
+//! stencil (`crate::stencil`) copy or accumulate whole contiguous pieces.
 //! Under the SPMD backend a shift along a distributed axis is a
-//! neighbour slab exchange ([`shift_exec`]): each worker sends the owners
-//! on its axis line the slabs of its block they read, one frame per run,
-//! and copies the rest of its output within its own block.
+//! neighbour slab exchange ([`shift_exec`]): each worker cuts its block's
+//! output range with the same function, sends the owners on its axis
+//! line the slabs of its block they read, one frame per run, and copies
+//! the rest of its output within its own block.
 
 use crate::spmd::shift_exec;
 use dpf_array::expr::ShiftBoundary;
 use dpf_array::{DistArray, Layout, PAR_THRESHOLD};
 use dpf_core::{CommPattern, Ctx, Elem};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Circular shift by `shift` along `axis`: `out[.., i, ..] = a[.., (i + shift) mod n, ..]`
 /// (CMF/HPF convention: positive shift moves data toward lower indices).
@@ -136,56 +147,195 @@ pub(crate) fn shifted_into<T: Elem>(
     );
     assert_eq!(a.shape(), out.shape(), "shift output shape mismatch");
     if ctx.spmd() && a.layout().procs_on(axis) > 1 && a.layout() == out.layout() {
-        let fill = match boundary {
-            ShiftBoundary::Cyclic => None,
-            ShiftBoundary::Fill(v) => Some(v),
-        };
         let (src, dst) = (a.as_slice(), out.as_mut_slice());
-        ctx.busy(|| shift_exec(ctx, a.layout(), src, dst, axis, shift, fill));
+        ctx.busy(|| shift_exec(ctx, a.layout(), src, dst, axis, shift, fill_of(boundary)));
         return;
     }
-    let shape = a.shape();
-    let n = shape[axis];
-    let inner: usize = shape[axis + 1..].iter().product();
-    ctx.busy(|| {
-        let src = a.as_slice();
-        let dst = out.as_mut_slice();
-        // View the array as [outer, n, inner]; a shift along `axis` copies
-        // whole inner-contiguous lanes. Each output lane `(o, i)` is an
-        // independent copy, so lanes parallelize directly.
-        let copy_lane = |row: usize, d: &mut [T]| {
-            let o = row / n;
-            let i = row % n;
-            let base = o * n * inner;
-            let j = i as isize + shift;
-            match boundary {
-                ShiftBoundary::Cyclic => {
-                    let j = j.rem_euclid(n as isize) as usize;
-                    d.copy_from_slice(&src[base + j * inner..base + (j + 1) * inner]);
-                }
-                ShiftBoundary::Fill(fill) => {
-                    if j < 0 || j >= n as isize {
-                        d.fill(fill);
-                    } else {
-                        let j = j as usize;
-                        d.copy_from_slice(&src[base + j * inner..base + (j + 1) * inner]);
-                    }
+    let read = ShiftRead::new(a.shape(), [(axis, shift)], boundary);
+    let src = a.as_slice();
+    ctx.busy(|| for_each_span(out.as_mut_slice(), 1, |start, d| read.copy(src, start, d)));
+}
+
+/// Run `f(start, span)` over contiguous spans of `dst` that start at flat
+/// `start`: one span per rayon thread, each at least `min_span` long,
+/// when `dst` reaches [`PAR_THRESHOLD`] and there is more than one thread
+/// (on a single-core host the dispatch costs more than it saves), else
+/// one span over all of `dst`.
+pub(crate) fn for_each_span<T: Send>(
+    dst: &mut [T],
+    min_span: usize,
+    f: impl Fn(usize, &mut [T]) + Sync,
+) {
+    let threads = rayon::current_num_threads();
+    if dst.len() >= PAR_THRESHOLD && threads > 1 {
+        let span = dst.len().div_ceil(threads).max(min_span);
+        dst.par_chunks_mut(span)
+            .enumerate()
+            .for_each(|(i, d)| f(i * span, d));
+    } else {
+        f(0, dst);
+    }
+}
+
+/// The end-off fill of `boundary`; `None` for a circular shift.
+pub(crate) fn fill_of<T>(boundary: ShiftBoundary<T>) -> Option<T> {
+    match boundary {
+        ShiftBoundary::Cyclic => None,
+        ShiftBoundary::Fill(v) => Some(v),
+    }
+}
+
+/// One run of an output range along a shift axis: `len` positions from
+/// `out`, read from consecutive source positions from `src`, or the
+/// end-off fill where `src` is `None`.
+pub(crate) struct Run {
+    pub(crate) out: usize,
+    pub(crate) len: usize,
+    pub(crate) src: Option<usize>,
+}
+
+/// The shift rule: cut the output range `[lo, hi)` of a shift by `shift`
+/// along an axis of extent `n` and block `b` into [`Run`]s, each reading
+/// one source block or the fill (`cyclic` wraps, otherwise positions
+/// past either end read the fill). A range one block long at most has at
+/// most three runs, and no source block feeds two of them: re-entering a
+/// block would take a range of at least `n - b + 2` positions, more than
+/// `b` for every block map over two or more processors. With `b = n` the
+/// whole axis is at most two runs.
+pub(crate) fn axis_runs(
+    lo: usize,
+    hi: usize,
+    n: usize,
+    b: usize,
+    shift: isize,
+    cyclic: bool,
+) -> impl Iterator<Item = Run> {
+    let mut i = lo;
+    std::iter::from_fn(move || {
+        if i >= hi {
+            return None;
+        }
+        let j = i as isize + shift;
+        let j = if cyclic { j.rem_euclid(n as isize) } else { j };
+        let (len, src) = if j < 0 {
+            ((hi - i).min(j.unsigned_abs()), None)
+        } else if j as usize >= n {
+            (hi - i, None)
+        } else {
+            let j = j as usize;
+            let block_end = ((j / b + 1) * b).min(n);
+            ((hi - i).min(block_end - j), Some(j))
+        };
+        let run = Run { out: i, len, src };
+        i += len;
+        Some(run)
+    })
+}
+
+/// How a shift, or a chain of shifts along distinct axes (a stencil
+/// point), reads its source on the host. The output is a sequence of
+/// slabs: the innermost shifted axis and every axis below it. Each slab
+/// reads the source slab its shifts along outer axes pick, through a
+/// one-position run of [`axis_runs`] per axis, or takes the fill where
+/// one of them leaves the array; within a slab, the innermost axis's
+/// runs, built once here, are contiguous source ranges or the fill.
+pub(crate) struct ShiftRead<T> {
+    /// Flats per slab.
+    slab: usize,
+    /// The innermost shifted axis's runs, in flats within a slab.
+    runs: Vec<Run>,
+    /// `(slabs per position, extent, shift)` of each shifted outer axis.
+    outer: Vec<(usize, usize, isize)>,
+    /// The end-off fill; `None` for a circular shift.
+    fill: Option<T>,
+}
+
+impl<T: Copy> ShiftRead<T> {
+    /// The read plan of a shift by `shifts`' `(axis, shift)` pairs, in
+    /// ascending axis order, of an array of `shape`. Zero shifts are
+    /// dropped; with none left the plan is one copy of the whole array.
+    pub(crate) fn new(
+        shape: &[usize],
+        shifts: impl IntoIterator<Item = (usize, isize)>,
+        boundary: ShiftBoundary<T>,
+    ) -> Self {
+        let fill = fill_of(boundary);
+        let mut shifted: Vec<(usize, isize)> = shifts.into_iter().filter(|s| s.1 != 0).collect();
+        let (axis, shift) = shifted.pop().unwrap_or((0, 0));
+        let (n, inner) = (shape[axis], shape[axis + 1..].iter().product::<usize>());
+        let scale = |r: Run| Run {
+            out: r.out * inner,
+            len: r.len * inner,
+            src: r.src.map(|j| j * inner),
+        };
+        ShiftRead {
+            slab: n * inner,
+            runs: axis_runs(0, n, n, n, shift, fill.is_none())
+                .map(scale)
+                .collect(),
+            outer: shifted
+                .into_iter()
+                .map(|(d, s)| (shape[d + 1..axis].iter().product(), shape[d], s))
+                .collect(),
+            fill,
+        }
+    }
+
+    /// The source slab output slab `s` reads, or `None` where a shift
+    /// along an outer axis reads the fill.
+    fn source_slab(&self, s: usize) -> Option<usize> {
+        let mut src = s;
+        for &(per, n, shift) in &self.outer {
+            let i = s / per % n;
+            let j = axis_runs(i, i + 1, n, n, shift, self.fill.is_none())
+                .next()?
+                .src?;
+            src = src - i * per + j * per;
+        }
+        Some(src)
+    }
+
+    /// Visit the output flats `[start, start + len)` in order as
+    /// contiguous pieces `piece(range, src)`, `range` relative to
+    /// `start`: a piece copies the source flats from `src` on, or takes
+    /// the fill where `src` is `None`.
+    pub(crate) fn pieces(
+        &self,
+        start: usize,
+        len: usize,
+        mut piece: impl FnMut(Range<usize>, Option<usize>),
+    ) {
+        let end = start + len;
+        let mut at = start;
+        while at < end {
+            let s = at / self.slab;
+            let base = s * self.slab;
+            let stop = (base + self.slab).min(end);
+            let Some(from) = self.source_slab(s) else {
+                piece(at - start..stop - start, None);
+                at = stop;
+                continue;
+            };
+            for run in &self.runs {
+                let lo = (base + run.out).max(at);
+                let hi = (base + run.out + run.len).min(stop);
+                if lo < hi {
+                    let src = run.src.map(|j| from * self.slab + j + lo - base - run.out);
+                    piece(lo - start..hi - start, src);
                 }
             }
-        };
-        // Splitting lanes across rayon only pays when there is more than
-        // one worker thread; on a single-core host the parallel dispatch
-        // overhead made cshift@65K ~0.74x of the seed loop (BENCH_1).
-        if dst.len() >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-            dst.par_chunks_mut(inner.max(1))
-                .enumerate()
-                .for_each(|(row, d)| copy_lane(row, d));
-        } else {
-            dst.chunks_mut(inner.max(1))
-                .enumerate()
-                .for_each(|(row, d)| copy_lane(row, d));
+            at = stop;
         }
-    });
+    }
+
+    /// Write the output flats `[start, start + dst.len())` of the shift
+    /// of `src` into `dst`.
+    pub(crate) fn copy(&self, src: &[T], start: usize, dst: &mut [T]) {
+        self.pieces(start, dst.len(), |r, from| match from {
+            Some(s) => dst[r.clone()].copy_from_slice(&src[s..s + r.len()]),
+            None => dst[r].fill(self.fill.expect("only an end-off shift has fill pieces")),
+        });
+    }
 }
 
 #[cfg(test)]

@@ -31,9 +31,11 @@
 //!   a distributed axis, and so for each shift of the stencil's CSHIFT
 //!   composition: each worker cuts its output range along the axis
 //!   into at most three runs, each reading one source block or the fill,
-//!   sends the other owners on its axis line the rows of its block their
-//!   runs read, copies its own runs and unpacks the frames it receives.
-//!   Rows are addressed by index; nothing is looked up per element.
+//!   with [`axis_runs`], the statement of the shift rule the host shifts
+//!   read through too; it sends the other owners on its axis line the
+//!   rows of its block their runs read, copies its own runs and unpacks
+//!   the frames it receives. Rows are addressed by index; nothing is
+//!   looked up per element.
 //! * [`route_exec`] — owner-computes-source: each worker routes
 //!   `(src_flat, dst_flat, value)` triples to the destination owners; the
 //!   receiver sorts by source flat before applying, which reproduces the
@@ -106,6 +108,7 @@
 // stays allocation-free inside the worker closures.
 // dpf-lint: allow-file(hot-path-alloc, reason = "per-collective O(p) view setup and owned message payloads are the SPMD protocol, not per-element hot-path traffic")
 
+use crate::shift::axis_runs;
 use dpf_array::Layout;
 use dpf_core::{Checkpoint, Ctx, Elem, Router};
 use std::ops::Range;
@@ -392,51 +395,6 @@ fn line_stride(layout: &Layout, axis: usize) -> usize {
     (axis + 1..layout.rank())
         .map(|d| layout.procs_on(d))
         .product()
-}
-
-/// One run of a worker's output range along a shift axis: `len` axis
-/// positions from `out`, read from one source block at axis positions
-/// from `src`, or the end-off fill where `src` is `None`.
-struct Run {
-    out: usize,
-    len: usize,
-    src: Option<usize>,
-}
-
-/// Cut the output range `[lo, hi)` of a shift by `shift` along an axis of
-/// extent `n` and block `b` into [`Run`]s. The range is one block long at
-/// most, so there are at most three runs, and no source block feeds two
-/// of them: re-entering a block would take a range of at least
-/// `n - b + 2` positions, more than `b` for every block map over two or
-/// more processors.
-fn axis_runs(
-    lo: usize,
-    hi: usize,
-    n: usize,
-    b: usize,
-    shift: isize,
-    cyclic: bool,
-) -> impl Iterator<Item = Run> {
-    let mut i = lo;
-    std::iter::from_fn(move || {
-        if i >= hi {
-            return None;
-        }
-        let j = i as isize + shift;
-        let j = if cyclic { j.rem_euclid(n as isize) } else { j };
-        let (len, src) = if j < 0 {
-            ((hi - i).min(j.unsigned_abs()), None)
-        } else if j as usize >= n {
-            (hi - i, None)
-        } else {
-            let j = j as usize;
-            let block_end = ((j / b + 1) * b).min(n);
-            ((hi - i).min(block_end - j), Some(j))
-        };
-        let run = Run { out: i, len, src };
-        i += len;
-        Some(run)
-    })
 }
 
 /// The row geometry of a shift along `axis` between boxes that share

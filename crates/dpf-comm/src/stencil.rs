@@ -9,19 +9,23 @@
 //! halo exchange — for each stencil point with a non-zero axis offset, the
 //! block-boundary elements of that axis cross processors once.
 //!
-//! Under the SPMD backend the driver runs that CSHIFT composition. Each
-//! point reads the source shifted by one unrecorded shift per non-zero
-//! offset component, chained for a multi-axis point: a neighbour slab
-//! exchange along a distributed axis, a local lane copy along a serial
-//! one. The weighted source is then added into the output in the host
-//! loop's per-point accumulation order, so results match bit for bit
-//! while only the block-boundary slabs cross the channels.
+//! Both backends run that CSHIFT composition: the output starts at zero
+//! and each point in order adds its weight times the source shifted by
+//! its offset. On the host a point is one read plan
+//! (`shift::ShiftRead`), the plan the eager shifts copy through, covering
+//! a diagonal point's chain of shifts too; the output is accumulated one
+//! cache-sized window at a time, so no shifted array is materialized.
+//! Under the SPMD backend on a distributed layout each point reads the
+//! source shifted by one unrecorded shift per non-zero offset component,
+//! chained for a multi-axis point: a neighbour slab exchange along a
+//! distributed axis, a local copy along a serial one. Every element sums
+//! the same products in the same order either way, so results match bit
+//! for bit while only the block-boundary slabs cross the channels.
 
-use crate::shift::shifted_into;
+use crate::shift::{fill_of, for_each_span, shifted_into, ShiftRead};
 use dpf_array::expr::ShiftBoundary;
-use dpf_array::{DistArray, MAX_RANK, PAR_THRESHOLD};
+use dpf_array::DistArray;
 use dpf_core::{CommPattern, Ctx, Elem, Num};
-use rayon::prelude::*;
 
 /// Boundary handling for a stencil application: `Cyclic` wraps every
 /// axis (CSHIFT); `Fill(v)` reads `v` wherever a point leaves the array
@@ -77,10 +81,6 @@ pub fn stencil_into<T: Num>(
     out: &mut DistArray<T>,
 ) {
     assert!(!points.is_empty(), "stencil needs at least one point");
-    assert!(
-        a.rank() <= MAX_RANK,
-        "stencil driver supports rank <= {MAX_RANK}"
-    );
     assert_eq!(a.shape(), out.shape(), "stencil output shape mismatch");
     for p in points {
         assert_eq!(p.offset.len(), a.rank(), "stencil offset rank mismatch");
@@ -91,138 +91,67 @@ pub fn stencil_into<T: Num>(
     );
     record_stencil(ctx, a, points.iter().map(|p| p.offset.as_slice()));
 
-    let shape = a.shape();
-    let rank = shape.len();
-    let strides = a.layout().strides();
-    let apply = |flat: usize, slot: &mut T| {
-        // Decode the multi-index once per element.
-        let mut idx = [0usize; MAX_RANK];
-        let mut rem = flat;
-        for d in (0..rank).rev() {
-            idx[d] = rem % shape[d];
-            rem /= shape[d];
-        }
-        let mut acc = T::zero();
-        'points: for p in points {
-            let mut off = 0usize;
-            for d in 0..rank {
-                let j = idx[d] as isize + p.offset[d];
-                let j = if j < 0 || j >= shape[d] as isize {
-                    match boundary {
-                        StencilBoundary::Cyclic => j.rem_euclid(shape[d] as isize) as usize,
-                        StencilBoundary::Fill(fill) => {
-                            acc += p.weight * fill;
-                            continue 'points;
-                        }
-                    }
-                } else {
-                    j as usize
-                };
-                off += j * strides[d];
-            }
-            acc += p.weight * a.as_slice()[off];
-        }
-        *slot = acc;
-    };
     if ctx.spmd() && a.layout().is_distributed() && out.layout() == a.layout() {
         compose_shifts(ctx, a, points, boundary, out);
     } else {
-        // Interior/boundary split: a cell all of whose stencil reads stay
-        // in range needs no index decode, no wrap test and no boundary
-        // branch — just `Σ w_k · src[flat + flat_off_k]`. Only the cells
-        // within the offset extent of an edge (the halo-depth shell) take
-        // the general `apply` path. The per-point accumulation order is
-        // identical, so results are bit-for-bit the same.
-        let mut lo = [0usize; MAX_RANK];
-        let mut hi = [0usize; MAX_RANK];
-        for d in 0..rank {
-            let neg = points
-                .iter()
-                .map(|p| (-p.offset[d]).max(0) as usize)
-                .max()
-                .unwrap_or(0);
-            let pos = points
-                .iter()
-                .map(|p| p.offset[d].max(0) as usize)
-                .max()
-                .unwrap_or(0);
-            lo[d] = neg.min(shape[d]);
-            hi[d] = shape[d].saturating_sub(pos).max(lo[d]);
-        }
-        let flat_offs: Vec<isize> = points
-            .iter()
-            .map(|p| {
-                p.offset
-                    .iter()
-                    .zip(strides.iter())
-                    .map(|(&o, &s)| o * s as isize)
-                    .sum()
-            })
-            // dpf-lint: allow(hot-path-alloc, reason = "O(points) flat-offset table built once per stencil call, not per element")
-            .collect();
-        let inner_n = shape[rank - 1];
-        let src = a.as_slice();
-        // Evaluate the flat range [start, start + dst.len()): row by row,
-        // boundary cells via `apply`, interior cells via the offset table.
-        let process_range = |start: usize, dst: &mut [T]| {
-            let end = start + dst.len();
-            let mut flat = start;
-            while flat < end {
-                let row_start = flat - (flat % inner_n);
-                let row_end = (row_start + inner_n).min(end);
-                let mut idx = [0usize; MAX_RANK];
-                let mut rem = row_start / inner_n;
-                for d in (0..rank - 1).rev() {
-                    idx[d] = rem % shape[d];
-                    rem /= shape[d];
-                }
-                let outer_interior = (0..rank - 1).all(|d| idx[d] >= lo[d] && idx[d] < hi[d]);
-                if outer_interior {
-                    let int_lo = (row_start + lo[rank - 1]).clamp(flat, row_end);
-                    let int_hi = (row_start + hi[rank - 1]).clamp(int_lo, row_end);
-                    for f in flat..int_lo {
-                        apply(f, &mut dst[f - start]);
-                    }
-                    for f in int_lo..int_hi {
-                        let mut acc = T::zero();
-                        for (pt, &o) in points.iter().zip(&flat_offs) {
-                            acc += pt.weight * src[(f as isize + o) as usize];
-                        }
-                        dst[f - start] = acc;
-                    }
-                    for f in int_hi..row_end {
-                        apply(f, &mut dst[f - start]);
-                    }
-                } else {
-                    for f in flat..row_end {
-                        apply(f, &mut dst[f - start]);
-                    }
-                }
-                flat = row_end;
-            }
-        };
-        ctx.busy(|| {
-            let len = out.len();
-            let dst = out.as_mut_slice();
-            if len >= PAR_THRESHOLD && rayon::current_num_threads() > 1 {
-                let span = len.div_ceil(rayon::current_num_threads()).max(1);
-                dst.par_chunks_mut(span)
-                    .enumerate()
-                    .for_each(|(i, c)| process_range(i * span, c));
-            } else {
-                process_range(0, dst);
-            }
-        });
+        read_points(ctx, a, points, boundary, out);
     }
     ctx.faults.inject_slice("stencil", out.as_mut_slice());
+}
+
+/// Output elements per window of the host stencil: small enough that a
+/// window stays in the L1 cache while every point adds into it.
+const WINDOW: usize = 4096;
+
+/// The host stencil: per cache-sized window of `out`, zero it, then for
+/// each point in order add `w ×` the pieces of the point's read plan —
+/// `a` shifted by the point's offset, a chain of shifts for a diagonal
+/// point — or `w × fill` for a fill piece. That is `compose_shifts`'s
+/// per-element accumulation order, without the intermediate arrays.
+fn read_points<T: Num>(
+    ctx: &Ctx,
+    a: &DistArray<T>,
+    points: &[StencilPoint<T>],
+    boundary: StencilBoundary<T>,
+    out: &mut DistArray<T>,
+) {
+    let reads: Vec<ShiftRead<T>> = points
+        .iter()
+        .map(|p| ShiftRead::new(a.shape(), p.offset.iter().copied().enumerate(), boundary))
+        .collect();
+    // A circular shift has no fill pieces.
+    let fill = fill_of(boundary).unwrap_or(T::zero());
+    let src = a.as_slice();
+    ctx.busy(|| {
+        for_each_span(out.as_mut_slice(), 1, |start, span| {
+            for (w, win) in span.chunks_mut(WINDOW).enumerate() {
+                win.fill(T::zero());
+                for (pt, read) in points.iter().zip(&reads) {
+                    read.pieces(start + w * WINDOW, win.len(), |r, from| match from {
+                        Some(s) => {
+                            for (o, &x) in win[r.clone()].iter_mut().zip(&src[s..s + r.len()]) {
+                                *o += pt.weight * x;
+                            }
+                        }
+                        None => {
+                            let wf = pt.weight * fill;
+                            for o in &mut win[r] {
+                                *o += wf;
+                            }
+                        }
+                    });
+                }
+            }
+        })
+    });
 }
 
 /// The SPMD stencil: zero `out`, then for each point in order add
 /// `w · src[i]` into it, where `src` is `a` itself for an all-zero offset
 /// or `a` shifted by one [`shifted_into`] per non-zero offset component,
-/// chained through two pooled scratch arrays. That is the host loop's
+/// chained through two pooled scratch arrays. That is `read_points`'s
 /// per-element accumulation order, and a chain of per-axis shifts reads
-/// what the host loop's per-axis wrap or fill reads.
+/// what the point's read plan reads.
 fn compose_shifts<T: Num>(
     ctx: &Ctx,
     a: &DistArray<T>,

@@ -3,9 +3,10 @@
 //!
 //! * collective-parity — inside `run_workers` worker closures and the
 //!   `*_exec` protocol layer, a collective operation (barrier, the
-//!   `*_exec` protocols, the sparse-exchange handshake) reached under a
-//!   rank-dependent branch with no matching call on the sibling branch
-//!   is a *static* deadlock: every worker must arrive or none may. The
+//!   `*_exec` protocols and the `*_workers` bodies they run, the
+//!   sparse-exchange handshake) reached under a rank-dependent branch
+//!   with no matching call on the sibling branch is a *static*
+//!   deadlock: every worker must arrive or none may. The
 //!   runtime heartbeat detector only sees this class as a 2-second
 //!   stall with a wait-for-graph dump; here it is a compile gate.
 //!   Point-to-point `send`/`recv_from` are deliberately out of scope —
@@ -27,18 +28,15 @@ use std::collections::BTreeMap;
 
 // ---------------------------------------------------- collective parity
 
-/// Operations where every worker of the gang must participate.
-const COLLECTIVES: &[&str] = &[
-    "barrier",
-    "fold_exec",
-    "pull_exec",
-    "shift_exec",
-    "route_exec",
-    "axis_exec",
-    "broadcast_scalar_exec",
-    "sparse_send",
-    "run_workers",
-];
+/// Operations where every worker of the gang must participate: the
+/// protocol layer by its naming convention — the `*_exec` drivers and the
+/// `*_workers` bodies they run, `run_workers` among them — plus the
+/// barrier and the sparse-exchange handshake.
+fn is_collective(name: &str) -> bool {
+    name.ends_with("_exec")
+        || name.ends_with("_workers")
+        || matches!(name, "barrier" | "sparse_send")
+}
 
 fn is_call(f: &SourceFile, i: usize) -> bool {
     matches!(f.tokens.get(i + 1).map(|t| &t.tok), Some(Tok::Punct('(')))
@@ -49,7 +47,7 @@ fn collective_calls(f: &SourceFile, span: Span) -> Vec<(String, u32)> {
     let mut out = Vec::new();
     for i in span.start..span.end.min(f.tokens.len()) {
         if let Tok::Ident(name) = &f.tokens[i].tok {
-            if COLLECTIVES.contains(&name.as_str()) && is_call(f, i) {
+            if is_collective(name) && is_call(f, i) {
                 out.push((name.clone(), f.tokens[i].line));
             }
         }
@@ -774,6 +772,19 @@ mod tests {
             1
         );
         assert!(d[0].message.contains("sparse_send"));
+    }
+
+    #[test]
+    fn rank_guarded_workers_protocol_is_flagged() {
+        // Found by its `_workers` suffix: no list of protocol names.
+        let d = lint(
+            "fn fold_exec(ctx: &Ctx, rank: usize) { if rank == 0 { fold_workers(ctx, a, b); } }",
+        );
+        assert_eq!(
+            d.iter().filter(|d| d.rule == "collective-parity").count(),
+            1
+        );
+        assert!(d[0].message.contains("fold_workers"));
     }
 
     #[test]

@@ -13,7 +13,7 @@
 //! | `metered-send`     | error   | raw channel sends in `spmd.rs` only inside the LinkMeter/envelope path (`Router::send` → `transmit`/`send_ctl`) |
 //! | `unsafe-forbid`    | error   | the repo is `unsafe`-free; any new `unsafe` needs a `// SAFETY:` comment *and* an allow pragma |
 //! | `atomic-artifact`  | warning | no direct `fs::write`/`File::create` outside the atomic artifact writer (torn files break `--resume` and `dpf tables --campaign`) |
-//! | `collective-parity`| error   | a collective (barrier, `*_exec`, sparse-exchange handshake) under a rank-dependent branch needs a matching call on every sibling path (static SPMD deadlock) |
+//! | `collective-parity`| error   | a collective (barrier, `*_exec`, `*_workers`, sparse-exchange handshake) under a rank-dependent branch needs a matching call on every sibling path (static SPMD deadlock) |
 //! | `lock-order`       | error   | every lock pair is acquired in one consistent order across a file's functions (guard lifetimes per edition 2021) |
 //! | `determinism-taint`| error   | hash iteration / wall clock / thread id / unordered FP reduce must not flow into Verify, instrumentation or serialized artifacts |
 

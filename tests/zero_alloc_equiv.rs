@@ -5,12 +5,14 @@
 //! in all four observable dimensions: result data, result layout,
 //! instrumented FLOP count, and recorded communication events. The
 //! chunked `permute` fast path is checked against a naive per-element
-//! reference for random shapes and axis orders up to rank 4.
+//! reference for random shapes and axis orders up to rank 4, and so are
+//! the host shifts — eager, fused and the stencil's — against a
+//! per-element transcription of the CMF shift rule.
 
-use dpf_array::{DistArray, IndexIter, PAR, SER};
+use dpf_array::{DistArray, Expr, IndexIter, PAR, SER};
 use dpf_comm::{
-    cshift, cshift_into, eoshift, eoshift_into, star_stencil, stencil, stencil_into,
-    StencilBoundary,
+    cshift, cshift_into, eoshift, eoshift_into, fuse, star_stencil, stencil, stencil_into,
+    StencilBoundary, StencilPoint,
 };
 use dpf_core::{Ctx, Machine};
 use proptest::prelude::*;
@@ -29,6 +31,64 @@ fn assert_instr_identical(a: &Ctx, b: &Ctx) -> Result<(), String> {
     prop_assert_eq!(a.instr.flops(), b.instr.flops());
     prop_assert_eq!(a.instr.comm_snapshot(), b.instr.comm_snapshot());
     Ok(())
+}
+
+/// The CMF/HPF shift rule, transcribed per element: `out(i)` reads
+/// `a(i + offset)`, each index wrapped modulo its extent when `fill` is
+/// `None`, and `fill` wherever an index leaves the array otherwise.
+fn shifted_ref(a: &DistArray<f64>, offset: &[isize], fill: Option<f64>) -> Vec<f64> {
+    IndexIter::new(a.shape())
+        .map(|mut idx| {
+            for (d, i) in idx.iter_mut().enumerate() {
+                let (j, n) = (*i as isize + offset[d], a.shape()[d] as isize);
+                match fill {
+                    _ if (0..n).contains(&j) => *i = j as usize,
+                    None => *i = j.rem_euclid(n) as usize,
+                    Some(v) => return v,
+                }
+            }
+            a.get(&idx)
+        })
+        .collect()
+}
+
+/// A rank-`rank` shape from raw draws, capped so that the length reaches
+/// past `PAR_THRESHOLD` (16 384) at every rank and straddles the fused
+/// evaluator's chunk (1 024) and the stencil window (4 096).
+fn shape_of(rank: usize, raw: &[usize]) -> Vec<usize> {
+    let cap = [20_000, 150, 30, 13][rank - 1];
+    raw[..rank].iter().map(|&r| 1 + r % cap).collect()
+}
+
+/// A shift in `[-(n + 2), n + 2]` drawn from `seed` and `salt`: past the
+/// extent `n` either way.
+fn shift_for(seed: u64, salt: usize, n: usize) -> isize {
+    let mixed = (seed ^ salt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 16;
+    (mixed % (2 * n as u64 + 5)) as isize - (n as isize + 2)
+}
+
+/// Distinct, non-dyadic values, so a misread element or a reordered sum
+/// shows in the bits.
+fn values(ctx: &Ctx, shape: &[usize]) -> DistArray<f64> {
+    DistArray::<f64>::from_fn(ctx, shape, &vec![PAR; shape.len()], |i| {
+        let flat = i.iter().zip(shape).fold(0, |f, (&x, &n)| f * n + x);
+        flat as f64 * 0.37 - 5.0
+    })
+}
+
+/// The first flat index where `got` and `want` differ in their bits.
+fn same_bits(what: &str, got: &[f64], want: &[f64]) -> Result<(), String> {
+    if got.len() != want.len() {
+        return Err(format!(
+            "{what}: {} elements, want {}",
+            got.len(),
+            want.len()
+        ));
+    }
+    match (0..got.len()).find(|&k| got[k].to_bits() != want[k].to_bits()) {
+        Some(k) => Err(format!("{what}: flat {k} is {}, want {}", got[k], want[k])),
+        None => Ok(()),
+    }
 }
 
 proptest! {
@@ -163,5 +223,87 @@ proptest! {
             }
             prop_assert_eq!(out.get(&jdx), a.get(&idx));
         }
+    }
+
+    #[test]
+    fn host_shifts_equal_the_cmf_rule(
+        rank in 1usize..5,
+        raw in prop::collection::vec(0usize..1_000_000, 4..5),
+        seed in 0u64..u64::MAX,
+        p in 1usize..9,
+    ) {
+        let shape = shape_of(rank, &raw);
+        let ctx = ctx(p);
+        let a = values(&ctx, &shape);
+        for axis in 0..rank {
+            let s = shift_for(seed, axis, shape[axis]);
+            let mut offset = vec![0; rank];
+            offset[axis] = s;
+            let what = format!("shape {shape:?} axis {axis} shift {s}");
+            same_bits(
+                &format!("cshift, {what}"),
+                &cshift(&ctx, &a, axis, s).to_vec(),
+                &shifted_ref(&a, &offset, None),
+            )?;
+            same_bits(
+                &format!("eoshift, {what}"),
+                &eoshift(&ctx, &a, axis, s, 0.75).to_vec(),
+                &shifted_ref(&a, &offset, Some(0.75)),
+            )?;
+            let fused = fuse::eval(&ctx, &Expr::leaf(&a).eoshift(axis, s, -2.5));
+            same_bits(
+                &format!("fused eoshift, {what}"),
+                &fused.to_vec(),
+                &shifted_ref(&a, &offset, Some(-2.5)),
+            )?;
+            // A shift of a compound expression: the fused evaluator
+            // materializes the child, then shifts it.
+            let e = Expr::leaf(&a).map(1, |x| x * 0.5 + 1.0).shift(axis, s);
+            let child = a.map(&ctx, 1, |x| x * 0.5 + 1.0);
+            same_bits(
+                &format!("fused cshift of a compound, {what}"),
+                &fuse::eval(&ctx, &e).to_vec(),
+                &shifted_ref(&child, &offset, None),
+            )?;
+        }
+    }
+
+    #[test]
+    fn host_stencils_equal_the_cmf_rule(
+        rank in 1usize..5,
+        raw in prop::collection::vec(0usize..1_000_000, 4..5),
+        seed in 0u64..u64::MAX,
+        npts in 1usize..7,
+        cyclic in 0usize..2,
+        p in 1usize..9,
+    ) {
+        let shape = shape_of(rank, &raw);
+        let ctx = ctx(p);
+        let a = values(&ctx, &shape);
+        // Single-axis points, then diagonal ones, each offset within
+        // three of the centre, so past the extent of a short axis.
+        let points: Vec<StencilPoint<f64>> = (0..npts)
+            .map(|k| {
+                let along = |d: usize| k >= rank || d == k;
+                let offset: Vec<isize> = (0..rank)
+                    .map(|d| if along(d) { shift_for(seed, k * 8 + d, 1) } else { 0 })
+                    .collect();
+                StencilPoint::new(&offset, 1.0 / (k + 3) as f64 - 0.2)
+            })
+            .collect();
+        let fill = (cyclic == 0).then_some(1.25);
+        let boundary = fill.map_or(StencilBoundary::Cyclic, StencilBoundary::Fill);
+        // out(i) = Σ_k w_k · shifted_k(i), summed from zero in point order.
+        let mut want = vec![0.0; a.len()];
+        for pt in &points {
+            for (o, x) in want.iter_mut().zip(shifted_ref(&a, &pt.offset, fill)) {
+                *o += pt.weight * x;
+            }
+        }
+        same_bits(
+            &format!("stencil, shape {shape:?} points {points:?} boundary {boundary:?}"),
+            &stencil(&ctx, &a, &points, boundary).to_vec(),
+            &want,
+        )?;
     }
 }
