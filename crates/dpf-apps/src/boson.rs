@@ -122,7 +122,8 @@ pub fn sweep(ctx: &Ctx, p: &Params, lat: &mut Lattice, sweep_idx: usize) {
             let nb_up = cshift(ctx, &t_up, axis, dir);
             let nb_dn = cshift(ctx, &t_dn, axis, dir);
             // Decide moves on source sites of this colour.
-            let mut delta = vec![0i32; vol];
+            let mut delta = ctx.pool.take::<i32>(vol);
+            delta.fill(0);
             let (mut acc, mut prop) = (0u64, 0u64);
             {
                 let occ = lat.occ.as_slice();
@@ -177,8 +178,14 @@ pub fn sweep(ctx: &Ctx, p: &Params, lat: &mut Lattice, sweep_idx: usize) {
             let gain = cshift(ctx, &delta_arr, axis, -dir);
             lat.occ.zip_inplace(ctx, 1, &delta_arr, |n, d| *n -= d);
             lat.occ.zip_inplace(ctx, 1, &gain, |n, d| *n += d);
+            // The next direction's shifts and move field reuse these.
+            for field in [nb, nb_up, nb_dn, delta_arr, gain] {
+                field.recycle(ctx);
+            }
         }
     }
+    t_up.recycle(ctx);
+    t_dn.recycle(ctx);
 }
 
 /// Run the benchmark; verification: per-slice particle number is exactly

@@ -171,6 +171,9 @@ pub fn forces(ctx: &Ctx, p: &Params, st: &State) -> [DistArray<f64>; 3] {
         DistArray::from_vec(ctx, &[n], &[PAR], acc)
     });
     fmat.recycle(ctx);
+    for s in spreads {
+        s.recycle(ctx);
+    }
     out
 }
 

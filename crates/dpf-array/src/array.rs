@@ -19,6 +19,10 @@ use rayon::prelude::*;
 use crate::layout::{AxisKind, IndexIter, Layout};
 
 /// Element count above which element-wise loops run under rayon.
+///
+/// It also picks the summation tree of `dpf_comm::dot`: below it the dot
+/// folds serially, above it rayon sums fixed chunks piece by piece, so
+/// moving the threshold changes result bits for the lengths in between.
 pub const PAR_THRESHOLD: usize = 16_384;
 
 /// Maximum rank supported by the stack-allocated index decoder used in

@@ -688,6 +688,21 @@ mod tests {
         let _ = gather(&ctx, &src, &idx);
     }
 
+    // Above PAR_THRESHOLD the bounds check runs in rayon pieces; the bad
+    // index sits in the first piece, which runs on a parked thread when
+    // there is more than one: its own message must reach the caller.
+    #[test]
+    #[should_panic(expected = "gather index -1 out of bounds 40000")]
+    fn gather_bounds_checked_in_a_parallel_piece() {
+        let ctx = ctx(2);
+        let n = 40_000;
+        let src = DistArray::<f64>::zeros(&ctx, &[n], &[PAR]);
+        let mut flat: Vec<i32> = (0..n as i32).collect();
+        flat[0] = -1;
+        let idx = DistArray::<i32>::from_vec(&ctx, &[n], &[PAR], flat);
+        let _ = gather(&ctx, &src, &idx);
+    }
+
     #[test]
     #[should_panic(expected = "scatter index 9 out of bounds 4")]
     fn scatter_bounds_checked_with_serial_layouts() {

@@ -84,7 +84,9 @@ fn replicate<T: Elem>(
     shape.insert(axis, ncopies);
     let mut axes = a.layout().axes().to_vec();
     axes.insert(axis, kind);
-    let mut out = DistArray::<T>::zeros(ctx, &shape, &axes);
+    // Both paths below write every element, so a pooled scratch buffer
+    // (possibly holding stale data) is safe.
+    let mut out = DistArray::<T>::scratch(ctx, &shape, &axes);
     let q = out.layout().procs_on(axis);
     ctx.record_comm(
         pattern,

@@ -15,6 +15,7 @@
 //! elapsed times, busy and elapsed FLOP rates, FLOP count, memory usage,
 //! communication patterns and counts, and local-memory-access class.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod checkpoint;
@@ -23,7 +24,6 @@ pub mod complex;
 pub mod cost;
 pub mod ctx;
 pub mod dtype;
-mod executor;
 pub mod fault;
 pub mod flops;
 pub mod instr;

@@ -8,8 +8,9 @@
 //! distributed array (per the [`Layout`] block extents) and moves data
 //! between blocks over typed `mpsc` channels — so the bytes a run reports
 //! are bytes that actually crossed a channel. The worker threads are
-//! parked between collectives in a process-wide cache (the `executor`
-//! module): a collective checks out p − 1 of them, spawning only a
+//! parked between collectives in the process-wide cache of the vendored
+//! rayon's engine ([`rayon::run_concurrent`]), which the host's parallel
+//! loops share: a collective checks out p − 1 of them, spawning only a
 //! shortfall, and runs its last worker on the calling thread.
 //!
 //! This module is the machinery shared by every SPMD collective:
@@ -28,7 +29,7 @@
 //! * [`Router`] — a worker's mailbox: senders to every peer plus a
 //!   receiver with per-sender pending queues, so per-pair FIFO order
 //!   holds even when rounds interleave on the shared channel.
-//! * [`run_workers`] — runs the worker set on parked executor threads
+//! * [`run_workers`] — runs the worker set on parked threads
 //!   and the calling thread, each worker building its own [`Router`] over
 //!   one shared sender table and borrowing its own work item; supervises
 //!   them (a panicked worker is recorded and the peers that need it are
@@ -149,7 +150,6 @@ use std::time::{Duration, Instant};
 use parking_lot::Mutex as PlMutex;
 
 use crate::checkpoint::Checkpoint;
-use crate::executor;
 use crate::fault::{splitmix64, DpfError, FaultPlan, LinkFaultKind, RecoverMode};
 
 /// Backstop timeout for a single blocking receive or barrier wait; stall
@@ -1484,9 +1484,27 @@ fn due_kills(plan: &FaultPlan, collective: u64, fired: &mut [bool]) -> Vec<usize
     doomed
 }
 
+/// Marks the current thread's panics quiet until dropped, then restores
+/// the thread's own setting: a worker runs on a parked thread that later
+/// runs host loops, or on the caller.
+struct QuietPanics(bool);
+
+impl QuietPanics {
+    fn enter() -> QuietPanics {
+        QuietPanics(QUIET_PANICS.with(|q| q.replace(true)))
+    }
+}
+
+impl Drop for QuietPanics {
+    fn drop(&mut self) {
+        set_quiet_panics(self.0);
+    }
+}
+
 /// One worker's share of an attempt: die at once if `killed`, else run
 /// the body, retire and linger. A failure is recorded as this worker's
-/// death, and its payload is the worker's result.
+/// death, and its payload is the worker's result. The worker's panics
+/// are quiet; its thread's own setting is restored on return.
 fn drive<M, W, R, F>(
     w: &mut W,
     mut router: Router<'_, M>,
@@ -1497,7 +1515,7 @@ where
     M: Send + Clone,
     F: Fn(usize, &mut W, &mut Router<'_, M>) -> R,
 {
-    set_quiet_panics(true);
+    let _quiet = QuietPanics::enter();
     let rank = router.rank;
     if killed {
         let msg = format!(
@@ -1531,8 +1549,8 @@ type Results<R> = Vec<Option<Result<R, Box<dyn Any + Send>>>>;
 
 /// One attempt at collective `collective`: fresh channels, barrier and
 /// supervision, and one worker per work item — the last on the calling
-/// thread, the others on parked executor threads. The ranks in `doomed`
-/// die before running the body.
+/// thread, the others on parked threads. The ranks in `doomed` die
+/// before running the body.
 fn attempt<M, W, R, F>(
     transport: Transport<'_>,
     collective: u64,
@@ -1553,7 +1571,7 @@ where
     let (txs, rxs): (Vec<_>, Vec<_>) = (0..nprocs).map(|_| channel()).unzip();
     let mut results: Results<R> = (0..nprocs).map(|_| None).collect();
     let (txs, cfg, barrier, sup) = (&txs[..], &cfg, &barrier, &sup);
-    let jobs: Vec<executor::Job<'_>> = rxs
+    let jobs: Vec<Box<dyn FnOnce() + Send + '_>> = rxs
         .into_iter()
         .zip(work.iter_mut().zip(results.iter_mut()))
         .enumerate()
@@ -1577,19 +1595,15 @@ where
                     sup,
                 };
                 *slot = Some(drive(w, router, f, doomed.contains(&rank)));
-            }) as executor::Job<'_>
+            }) as Box<_>
         })
         .collect();
-    // The calling thread runs the last worker itself, and `drive` marks
-    // its thread's panics quiet: restore the caller's own setting.
-    let quiet = QUIET_PANICS.with(Cell::get);
-    executor::run(jobs);
-    set_quiet_panics(quiet);
+    rayon::run_concurrent(jobs);
     results
 }
 
 /// Run `nprocs` workers, one per virtual processor: the last on the
-/// calling thread, the others on parked executor threads. Each worker
+/// calling thread, the others on parked threads. Each worker
 /// receives its rank, a borrow of its element of `work` (the worker's own
 /// array blocks and outputs) and a [`Router`] wired to every peer, which
 /// it builds, drives and drops on its own thread. Returns the workers'
@@ -1726,6 +1740,33 @@ mod tests {
     #[test]
     fn crc32_matches_the_standard_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn workers_restore_their_threads_quiet_panic_flag() {
+        let meter = LinkMeter::new();
+        let quiet = || QUIET_PANICS.with(Cell::get);
+        // The last rank runs on this thread, so its flag is a worker's
+        // thread's flag after the worker ran.
+        for was in [true, false] {
+            set_quiet_panics(was);
+            let inside = run_workers::<u64, (), bool, _>(
+                2,
+                Transport::clean(&meter),
+                vec![(); 2],
+                |_, _, _| QUIET_PANICS.with(Cell::get),
+            );
+            assert_eq!(inside, [true, true], "workers' panics are quiet");
+            assert_eq!(quiet(), was, "the caller's flag was not restored");
+        }
+        // Parked threads, the one that just ran rank 0 among them, go
+        // back to the cache with their flag as they were spawned: off.
+        let flags = Mutex::new(Vec::new());
+        let read: Vec<Box<dyn FnOnce() + Send + '_>> = (0..4)
+            .map(|_| Box::new(|| flags.lock().unwrap().push(quiet())) as Box<_>)
+            .collect();
+        rayon::run_concurrent(read);
+        assert_eq!(*flags.lock().unwrap(), [false; 4]);
     }
 
     #[test]

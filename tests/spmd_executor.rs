@@ -1,11 +1,13 @@
-//! The SPMD executor parks its worker threads between collectives: back
-//! to back collectives reuse the same p OS threads (the caller and p − 1
-//! parked threads), and a worker panic
-//! reaches the caller only after every other worker has finished with
-//! the work items it borrowed, leaving the threads fit for the next
-//! collective.
+//! SPMD collectives and the vendored rayon's dispatches share one cache
+//! of parked threads: back to back collectives, with rayon dispatches
+//! between them, reuse the same p OS threads (the caller and p − 1
+//! parked threads). A worker panic reaches the caller only after every
+//! other worker has finished with the work items it borrowed, and a
+//! rayon piece's panic reaches it with the piece's own payload; either
+//! leaves the threads fit for the next collective. A dispatch nested in
+//! a piece, and dispatches issued from every worker at once, finish.
 //!
-//! The thread cache is process-wide, so both cases run in sequence inside
+//! The thread cache is process-wide, so the cases run in sequence inside
 //! one `#[test]`: no other test in this binary shares the cache.
 
 use std::collections::HashSet;
@@ -15,6 +17,7 @@ use std::sync::Mutex;
 use std::thread::ThreadId;
 
 use dpf::core::{run_workers, Checkpoint, LinkMeter, Router, Transport};
+use rayon::prelude::*;
 
 const P: usize = 8;
 
@@ -52,6 +55,25 @@ fn threads(seen: &Mutex<HashSet<ThreadId>>) -> HashSet<ThreadId> {
     seen.lock().expect("collective finished").clone()
 }
 
+/// Record the calling OS thread in `seen`.
+fn note(seen: &Mutex<HashSet<ThreadId>>) {
+    seen.lock()
+        .expect("no piece panics while holding the thread set")
+        .insert(std::thread::current().id());
+}
+
+/// One rayon dispatch over `P` elements (so at most `P` pieces),
+/// recording which OS threads ran its pieces.
+fn dispatch(seen: &Mutex<HashSet<ThreadId>>) -> usize {
+    (0..P)
+        .into_par_iter()
+        .map(|i| {
+            note(seen);
+            i
+        })
+        .sum()
+}
+
 #[test]
 fn collectives_reuse_parked_threads() {
     let meter = LinkMeter::new();
@@ -59,16 +81,18 @@ fn collectives_reuse_parked_threads() {
         .map(|r| (r + P as u64 - 1) % P as u64)
         .collect();
 
-    // (a) 100 back-to-back collectives run on exactly P OS threads.
+    // (a) 100 back-to-back collectives, each followed by a rayon
+    // dispatch, run on exactly P OS threads.
     let seen = Mutex::new(HashSet::new());
     for _ in 0..100 {
         assert_eq!(ring(&meter, &seen), expect);
+        assert_eq!(dispatch(&seen), P * (P - 1) / 2);
     }
     let pool = threads(&seen);
     assert_eq!(
         pool.len(),
         P,
-        "100 collectives at p = {P} used {} threads",
+        "100 collectives and dispatches at p = {P} used {} threads",
         pool.len()
     );
 
@@ -122,4 +146,54 @@ fn collectives_reuse_parked_threads() {
         pool,
         "the threads did not survive the panic"
     );
+
+    // (c) A rayon piece panics: the caller sees the first failing
+    // piece's own payload, and the next collective runs on the same
+    // threads.
+    let seen = Mutex::new(HashSet::new());
+    let res = catch_unwind(AssertUnwindSafe(|| {
+        (0..P).into_par_iter().for_each(|i| {
+            note(&seen);
+            if i == 0 || i == P - 1 {
+                panic!("element {i} fails on purpose");
+            }
+        })
+    }));
+    let payload = res.expect_err("the piece's panic must reach the caller");
+    assert_eq!(
+        payload.downcast_ref::<String>().map(String::as_str),
+        Some("element 0 fails on purpose"),
+        "the first piece's payload wins propagation"
+    );
+    assert_eq!(ring(&meter, &seen), expect);
+    assert_eq!(
+        threads(&seen),
+        pool,
+        "the threads did not survive the piece's panic"
+    );
+
+    // (d) A dispatch nested inside a piece finishes, and so do
+    // dispatches issued from all P workers at once; the cache grows to
+    // serve them.
+    let nested: usize = (0..P)
+        .into_par_iter()
+        .map(|i| (0..P).into_par_iter().map(|j| i * P + j).sum::<usize>())
+        .sum();
+    assert_eq!(nested, (0..P * P).sum::<usize>());
+    let sums = run_workers(
+        P,
+        Transport::clean(&meter),
+        vec![(); P],
+        |rank, _, router: &mut Router<'_, u64>| {
+            let own: usize = (0..1000).into_par_iter().map(|k| k * rank).sum();
+            let own = own as u64;
+            router.send((rank + 1) % P, 8, own);
+            router.recv_from((rank + P - 1) % P)
+        },
+    );
+    let want: Vec<u64> = (0..P as u64)
+        .map(|r| (r + P as u64 - 1) % P as u64 * 499_500)
+        .collect();
+    assert_eq!(sums, want);
+    assert_eq!(ring(&meter, &Mutex::new(HashSet::new())), expect);
 }

@@ -7,14 +7,16 @@
 //! chunked `permute` fast path is checked against a naive per-element
 //! reference for random shapes and axis orders up to rank 4, and so are
 //! the host shifts — eager, fused and the stencil's — against a
-//! per-element transcription of the CMF shift rule.
+//! per-element transcription of the CMF shift rule. A primitive that
+//! takes its output from the pool must overwrite whatever a retired
+//! buffer held.
 
-use dpf_array::{DistArray, Expr, IndexIter, PAR, SER};
+use dpf_array::{AxisKind, DistArray, Expr, IndexIter, PAR, SER};
 use dpf_comm::{
-    cshift, cshift_into, eoshift, eoshift_into, fuse, star_stencil, stencil, stencil_into,
-    StencilBoundary, StencilPoint,
+    broadcast, cshift, cshift_into, eoshift, eoshift_into, fuse, spread, star_stencil, stencil,
+    stencil_into, StencilBoundary, StencilPoint,
 };
-use dpf_core::{Ctx, Machine};
+use dpf_core::{Backend, Ctx, Machine};
 use proptest::prelude::*;
 
 fn ctx(p: usize) -> Ctx {
@@ -88,6 +90,41 @@ fn same_bits(what: &str, got: &[f64], want: &[f64]) -> Result<(), String> {
     match (0..got.len()).find(|&k| got[k].to_bits() != want[k].to_bits()) {
         Some(k) => Err(format!("{what}: flat {k} is {}, want {}", got[k], want[k])),
         None => Ok(()),
+    }
+}
+
+/// SPREAD and broadcast take their output from the pool: with a
+/// NaN-filled buffer of the output's exact length on the shelf, the
+/// result must still match a fresh context's bit for bit, on the host
+/// path and on the SPMD pull.
+#[test]
+fn pooled_spread_never_leaks_stale_data() {
+    type Replicate = fn(&Ctx, &DistArray<f64>, usize, usize, AxisKind) -> DistArray<f64>;
+    let ops: [(&str, Replicate); 2] = [("spread", spread), ("broadcast", broadcast)];
+    let backends = [
+        (Backend::Virtual, 5),
+        (Backend::Spmd, 2),
+        (Backend::Spmd, 5),
+    ];
+    let sources: [&[usize]; 2] = [&[13], &[6, 9]];
+    for (backend, p) in backends {
+        let make = || Ctx::with_backend(Machine::cm5(p), backend);
+        for shape in sources {
+            for axis in 0..=shape.len() {
+                for kind in [PAR, SER] {
+                    for (name, op) in ops {
+                        let run = |ctx: &Ctx| op(ctx, &values(ctx, shape), axis, 4, kind);
+                        let want = run(&make());
+                        let ctx = make();
+                        ctx.pool.put(vec![f64::NAN; want.len()]);
+                        let got = run(&ctx);
+                        let what = format!("{name} {shape:?} axis {axis} {kind:?} {backend} p {p}");
+                        assert_eq!(ctx.pool.hits(), 1, "{what}: the stale buffer was not taken");
+                        same_bits(&what, &got.to_vec(), &want.to_vec()).unwrap();
+                    }
+                }
+            }
+        }
     }
 }
 
