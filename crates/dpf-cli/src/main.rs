@@ -704,6 +704,10 @@ fn dispatch(args: &[String], out: &mut String) -> ExitCode {
     };
     match cmd.as_str() {
         "list" => {
+            if let Some(extra) = args.get(1) {
+                eprintln!("unknown option {extra}");
+                return usage();
+            }
             let _ = writeln!(out, "{:<20} {:<15} paper versions", "name", "group");
             for e in registry() {
                 let versions: Vec<&str> = e.paper_versions.iter().map(|v| v.name()).collect();

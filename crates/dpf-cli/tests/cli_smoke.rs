@@ -90,6 +90,25 @@ fn zero_procs_is_a_usage_error_for_every_subcommand() {
 }
 
 #[test]
+fn unknown_option_is_a_usage_error_for_every_subcommand() {
+    for args in [
+        &["list", "--bogus"][..],
+        &["run", "fft", "--bogus"],
+        &["all", "--bogus"],
+        &["soak", "--bogus"],
+        &["table", "3", "--bogus"],
+        &["tables", "--bogus"],
+        &["lint", "--bogus"],
+        &["campaign", "spec.toml", "--bogus"],
+    ] {
+        let out = dpf().args(args).output().unwrap();
+        let err = stderr_of(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains("--bogus"), "{args:?}: {err}");
+    }
+}
+
+#[test]
 fn kill_worker_that_cannot_fire_is_a_usage_error() {
     for (args, names) in [
         (

@@ -69,10 +69,11 @@
 //! the handshake, then serves the requests its row names, then receives
 //! its replies. This cannot deadlock. Sends never block (the channels are
 //! unbounded), so every worker reaches the barrier, and
-//! [`Router::barrier`] keeps servicing the transport while it waits, so a
-//! frame the reliable transport must repair is repaired there too. A
-//! request named in a worker's row was sent before its sender reached
-//! the barrier, so the serve loop waits only on frames already sent.
+//! [`Router::barrier`] first puts every frame its worker owes on the
+//! wire, so a frame the reliable transport must repair is repaired
+//! before anyone waits on it. A request named in a worker's row was sent
+//! before its sender reached the barrier, so the serve loop waits only
+//! on frames already sent.
 //! Serving needs nothing back from the requesters, so every worker
 //! finishes its serve loop and sends every reply a receive loop waits
 //! for. The route protocol is the pull without the reply round.
@@ -93,9 +94,9 @@
 //! guarantees makes deadlock impossible by construction — and the
 //! router's timeouts turn any future protocol bug into a diagnosed panic
 //! rather than a hang. Every protocol also receives every message it
-//! sends: on the reliable transport a worker whose part is done leaves
-//! as soon as its own frames are acked, so a message nobody receives
-//! could still owe a repair to a worker that has left.
+//! sends: a worker whose part is done leaves at once and closes its
+//! mailbox, so a message nobody receives could be sent to a worker that
+//! has left.
 //!
 //! The value traffic is metered; index/request traffic is sent with zero
 //! payload size, since the analytic `Instr` model the tables are built
@@ -281,8 +282,9 @@ impl Handshake {
 }
 
 /// Message type of [`pull_exec`]: a request for source flats, then the
-/// values in request order. `Clone` lets the resilient transport keep a
-/// retransmission copy of in-flight frames under link-fault injection.
+/// values in request order. `Clone` lets the resilient transport send a
+/// simulated duplicate or corrupted copy of a frame under link-fault
+/// injection and still hold the frame for its repair.
 #[derive(Clone)]
 enum PullMsg<T> {
     /// Source flat offsets the sender needs from the receiver's blocks.

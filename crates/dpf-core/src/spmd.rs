@@ -19,8 +19,9 @@
 //!   the `dpf --backend` CLI flag.
 //! * [`LinkMeter`] — counts messages and payload bytes that crossed a
 //!   channel between two *distinct* workers (self-sends are local), plus
-//!   the transport-layer traffic (retransmissions, acks, injected link
-//!   faults) that the paper's communication model does **not** count.
+//!   the transport-layer traffic (retransmissions, injected link faults,
+//!   the acks a real lossy wire would carry) that the paper's
+//!   communication model does **not** count.
 //! * [`TransportCfg`] / [`Transport`] — the transport's own limits
 //!   (timeouts, buffer caps, respawn budget) and the meter + fault plan +
 //!   limits every collective passes to [`run_workers`]. The link model
@@ -45,36 +46,42 @@
 //! duplicated, reordered, or corrupted *on the simulated wire*. The
 //! transport then guarantees exactly-once, per-link FIFO delivery on top
 //! of the lossy link: frames carry sequence numbers and a CRC32 header
-//! checksum, and receivers dedup/reassemble and send cumulative acks.
+//! checksum, and receivers dedup and reassemble them.
 //!
-//! The sender decides every loss itself, so it knows which frames it owes
-//! a repair (its *victims*) without waiting to be told. Simulated time is
-//! logical: a victim is repaired at the sender's next service point — on
-//! entry to [`Router::recv_from`] and [`Router::barrier`], every
-//! `SEND_SERVICE_EVERY` sends, and when the collective body returns —
-//! by retransmitting it until a transmission gets through or its retry
-//! budget is spent. No wall-clock timer drives a repair, and no worker
-//! blocks while it still owes a peer a frame. A frame is never repaired
-//! inside the `send` that lost it, so receivers still see drop gaps and
-//! reassemble across them. A budget spent on a body's last frames fails
-//! that body like any other, before the worker lingers.
+//! The sender decides every loss itself, so it owns every repair and
+//! needs no word back from the receiver: a frame joins its link's list
+//! of lost frames only when its transmission is dropped or corrupted.
+//! Simulated time is logical: a lost frame is repaired at the sender's
+//! next service point — on entry to [`Router::recv_from`] and
+//! [`Router::barrier`], every `SEND_SERVICE_EVERY` sends, and when the
+//! collective body returns — by retransmitting it until a transmission
+//! gets through or its retry budget is spent. No wall-clock timer drives
+//! a repair, and no worker blocks while it still owes a peer a frame. A
+//! frame is never repaired inside the `send` that lost it, so receivers
+//! still see drop gaps and reassemble across them. A budget spent on a
+//! body's last frames fails that body like any other.
 //!
 //! Because the decision function is pure, the entire retransmission
-//! history — and therefore every data-plane meter (messages, bytes,
-//! retransmissions, fault tallies, dedup and CRC-reject counts) — is
-//! byte-reproducible from the fault seed, independent of thread timing;
-//! only the ack count varies with scheduling, since one cumulative ack
-//! covers however many frames arrived before it flushed.
+//! history — and therefore every transport meter (messages, bytes,
+//! retransmissions, fault tallies, dedup and CRC-reject counts, and the
+//! in-order acceptances [`LinkMeter::acks`] counts) — is
+//! byte-reproducible from the fault seed, independent of thread timing.
 //! A frame whose budget is exhausted raises a typed
 //! [`DpfError::LinkFailure`] that the suite harness turns into a
 //! retry/quarantine decision rather than a hung run.
 //!
-//! A worker whose body has returned *lingers* only until none of its own
-//! frames is unacked or held, then leaves. Nothing else can need it: acks
-//! are lossless, and a peer's frame that still owes a repair was never
-//! delivered, so its receiver cannot have finished its body. Only when a
-//! death is recorded does a finished worker wait for the whole set to
-//! retire.
+//! A worker leaves as soon as its body has returned and it has put every
+//! held and lost frame on the wire; its mailbox closes with it. Nothing
+//! can still need it, after a death too:
+//!
+//! * every frame it sent is on its receiver's channel, so it owes no
+//!   repair;
+//! * on each FIFO link a rejected or duplicate copy travels no later
+//!   than the good copy, so a receiver has tallied every transport
+//!   counter for a message by the time it takes that message;
+//! * every `dpf-comm` protocol receives every message it sends, so a
+//!   worker whose body returned has taken in every frame meant for it,
+//!   and no peer sends it another.
 //!
 //! # Worker deaths
 //!
@@ -160,11 +167,9 @@ const DEFAULT_HARD_TIMEOUT: Duration = Duration::from_secs(60);
 const DEFAULT_STALL_TIMEOUT: Duration = Duration::from_secs(10);
 /// How long a blocked receiver sleeps on its channel per service slice.
 const SERVICE_SLICE: Duration = Duration::from_millis(25);
-/// On the reliable path, a sender services its link every this-many
-/// sends: it drains its channel (acks, peer frames) and repairs the
-/// frames it has lost since, so a tight send loop neither starves the
-/// protocol nor overflows receiver-side reassembly windows with frames
-/// queued behind an unrepaired gap.
+/// On the reliable path, a sender repairs the frames it has lost every
+/// this-many sends, so a tight send loop does not overflow receiver-side
+/// reassembly windows with frames queued behind an unrepaired gap.
 const SEND_SERVICE_EVERY: u32 = 64;
 /// XOR mask applied to a checksum to simulate corruption: a frame's on
 /// the simulated wire, or every replica's under `replica_corrupt`.
@@ -226,11 +231,11 @@ impl std::str::FromStr for Backend {
 /// workers. The *logical* counters (`messages`, `payload_bytes`) count each
 /// application-level message exactly once — this is the quantity compared
 /// against the paper's communication model and it is unchanged by link
-/// faults. The *transport* counters (retransmissions, acks, injected
-/// faults, discarded duplicates, checksum rejects) account for the extra
-/// wire traffic the reliability protocol generates; all but the ack count
-/// are deterministic for a given fault seed, and all are excluded from the
-/// paper-model comparison.
+/// faults. The *transport* counters (retransmissions, injected faults,
+/// discarded duplicates, checksum rejects, and the acks a real lossy wire
+/// would carry) account for the extra wire traffic a reliability protocol
+/// generates; all are deterministic for a given fault seed, and all are
+/// excluded from the paper-model comparison.
 /// Self-sends are delivered through the same channels for uniform worker
 /// code but are not communication, so they are not counted anywhere.
 #[derive(Debug, Default)]
@@ -321,7 +326,10 @@ impl LinkMeter {
         self.retransmitted_bytes.load(Ordering::Relaxed)
     }
 
-    /// Cumulative acknowledgements sent by receivers (reliable mode only).
+    /// The cumulative acks a real lossy wire would carry: receivers count
+    /// one per frame accepted in order (reliable mode only). No ack frame
+    /// is sent, since every sender decides its own losses and repairs
+    /// them unasked.
     pub fn acks(&self) -> u64 {
         self.acks.load(Ordering::Relaxed)
     }
@@ -542,10 +550,19 @@ struct Envelope<M> {
     msg: M,
 }
 
-/// What travels on a channel: data frames plus the control plane (acks
-/// and wakes). Control frames ride the same (lossless) channel but are
-/// never metered as logical messages and are never themselves subjected
-/// to link faults.
+impl<M: Clone> Envelope<M> {
+    /// A copy whose checksum the simulated wire has mangled.
+    fn corrupted(&self) -> Self {
+        Envelope {
+            crc: self.crc ^ CRC_MANGLE,
+            ..self.clone()
+        }
+    }
+}
+
+/// What travels on a channel: data frames plus one control frame, a
+/// dying worker's wake. The wake rides the same (lossless) channel but
+/// is never metered as a logical message and never meets a link fault.
 enum Frame<M> {
     Data(Envelope<M>),
     /// A data frame the simulated wire duplicated: the receiver accepts
@@ -553,32 +570,19 @@ enum Frame<M> {
     /// cannot arrive after a receiver that took the first one has left,
     /// and every injected duplicate is discarded exactly once.
     Twice(Envelope<M>),
-    Ack {
-        upto: u64,
-    },
     /// Sent by a dying worker to every peer, so a receiver asleep on its
     /// channel rechecks deaths at once. Carries nothing and changes no
     /// state.
     Wake,
 }
 
-/// Sender-side retransmission state for one in-flight frame.
-struct TxEntry<M> {
-    seq: u64,
-    payload_bytes: u64,
-    msg: M,
-    /// Transmissions performed so far (the initial send counts as one).
-    attempts: u32,
-    /// True when the latest transmission was lost (dropped/corrupted) and
-    /// a repair is owed at the sender's next service point.
-    victim: bool,
-}
-
 /// Sender-side state for one outgoing link.
 struct TxLink<M> {
     next_seq: u64,
-    /// In-flight frames in sequence order, trimmed by cumulative acks.
-    unacked: VecDeque<TxEntry<M>>,
+    /// Frames whose first transmission the simulated wire dropped or
+    /// corrupted, in sequence order: the repairs this sender owes the
+    /// link's receiver. [`Router::repair`] drains it.
+    lost: VecDeque<Envelope<M>>,
     /// A frame held back by a Reorder fault; released after the next send
     /// on this link (so it arrives swapped) or at any blocking operation.
     held: Option<Envelope<M>>,
@@ -588,7 +592,7 @@ impl<M> TxLink<M> {
     fn new() -> Self {
         TxLink {
             next_seq: 0,
-            unacked: VecDeque::new(),
+            lost: VecDeque::new(),
             held: None,
         }
     }
@@ -626,12 +630,11 @@ enum WaitState {
 }
 
 /// Shared supervision state for one worker set: a global progress counter
-/// (the stall detector's signal), retirement/death accounting, per-worker
+/// (the stall detector's signal), finish/death accounting, per-worker
 /// heartbeats and published wait states.
 struct Supervision {
     start: Instant,
     progress: AtomicU64,
-    retired: AtomicUsize,
     dead: AtomicUsize,
     deaths: PlMutex<Vec<(usize, String)>>,
     done: Vec<AtomicBool>,
@@ -645,7 +648,6 @@ impl Supervision {
         Supervision {
             start: Instant::now(),
             progress: AtomicU64::new(0),
-            retired: AtomicUsize::new(0),
             dead: AtomicUsize::new(0),
             deaths: PlMutex::new(Vec::new()),
             done: (0..n).map(|_| AtomicBool::new(false)).collect(),
@@ -670,19 +672,13 @@ impl Supervision {
 
     fn retire(&self, rank: usize) {
         self.done[rank].store(true, Ordering::Release);
-        self.retired.fetch_add(1, Ordering::AcqRel);
         self.bump();
     }
 
-    /// Record a worker death. `count_retirement` is false when the worker
-    /// already retired (it died during teardown linger) so the retirement
-    /// counter is not double-bumped.
-    fn record_death(&self, rank: usize, msg: String, count_retirement: bool) {
+    /// Record a worker death.
+    fn record_death(&self, rank: usize, msg: String) {
         self.deaths.lock().push((rank, msg));
         self.done[rank].store(true, Ordering::Release);
-        if count_retirement {
-            self.retired.fetch_add(1, Ordering::AcqRel);
-        }
         self.dead.fetch_add(1, Ordering::AcqRel);
         self.bump();
     }
@@ -720,8 +716,7 @@ impl StallWatch {
 
 /// A reusable barrier for `n` workers: generation-counted, so the same
 /// object serves every round of a collective. Its waiters poll it in
-/// slices ([`Router::barrier`]) so they can keep servicing the transport
-/// and watching for stalls and deaths.
+/// slices ([`Router::barrier`]) so they can watch for stalls and deaths.
 struct SpmdBarrier {
     state: Mutex<(usize, u64)>,
     cv: Condvar,
@@ -826,10 +821,10 @@ impl<M: Send + Clone> Router<'_, M> {
         if !local {
             self.meter.record(payload_bytes);
         }
+        let seq = self.tx_links[to].next_seq;
+        self.tx_links[to].next_seq += 1;
         if local || !self.plan.link_active() {
-            // Lossless fast path: no checksum, no retransmission state.
-            let seq = self.tx_links[to].next_seq;
-            self.tx_links[to].next_seq += 1;
+            // Lossless fast path: no checksum, no repair state.
             self.transmit(
                 to,
                 Frame::Data(Envelope {
@@ -841,31 +836,19 @@ impl<M: Send + Clone> Router<'_, M> {
             );
             return;
         }
-        // Service the link periodically so a tight send loop can't starve
-        // acks and overflow peer reassembly windows behind a lost frame.
+        // Repair periodically so a tight send loop can't overflow peer
+        // reassembly windows behind a lost frame.
         self.ops_since_service += 1;
         if self.ops_since_service >= SEND_SERVICE_EVERY {
             self.ops_since_service = 0;
-            self.service(None);
             for peer in 0..self.txs.len() {
                 self.repair(peer);
             }
         }
-        let seq = self.tx_links[to].next_seq;
-        self.tx_links[to].next_seq += 1;
-        let crc = header_crc(self.rank, to, seq, payload_bytes);
-        self.tx_links[to].unacked.push_back(TxEntry {
-            seq,
-            payload_bytes,
-            msg: msg.clone(),
-            attempts: 1,
-            victim: false,
-        });
-        let idx = self.tx_links[to].unacked.len() - 1;
         let env = Envelope {
             seq,
             payload_bytes,
-            crc,
+            crc: header_crc(self.rank, to, seq, payload_bytes),
             msg,
         };
         match link_decide(self.plan, self.collective, self.rank, to, seq, 0) {
@@ -873,22 +856,14 @@ impl<M: Send + Clone> Router<'_, M> {
                 self.transmit(to, Frame::Data(env));
                 self.flush_held(to);
             }
-            Some(LinkFaultKind::Drop) => {
-                self.meter.note_fault(LinkFaultKind::Drop);
+            Some(kind @ (LinkFaultKind::Drop | LinkFaultKind::Corrupt)) => {
+                self.meter.note_fault(kind);
+                if kind == LinkFaultKind::Corrupt {
+                    self.transmit(to, Frame::Data(env.corrupted()));
+                }
                 self.flush_held(to);
-                self.owe_repair(to, idx, 0);
-            }
-            Some(LinkFaultKind::Corrupt) => {
-                self.meter.note_fault(LinkFaultKind::Corrupt);
-                self.transmit(
-                    to,
-                    Frame::Data(Envelope {
-                        crc: env.crc ^ CRC_MANGLE,
-                        ..env
-                    }),
-                );
-                self.flush_held(to);
-                self.owe_repair(to, idx, 0);
+                self.fail_if_spent(to, seq, 0);
+                self.tx_links[to].lost.push_back(env);
             }
             Some(LinkFaultKind::Duplicate) => {
                 self.meter.note_fault(LinkFaultKind::Duplicate);
@@ -907,11 +882,11 @@ impl<M: Send + Clone> Router<'_, M> {
 
     /// Receive the next message from worker `from`, buffering messages
     /// from other senders. Before it blocks the worker puts everything it
-    /// owes its peers on the wire; while blocked it keeps servicing the
-    /// transport (acks, peer frames), publishes its wait state for the
-    /// stall detector, and aborts with a diagnosis instead of hanging. It
-    /// gives up on `from` only once `from` is recorded dead and a last
-    /// drain has not brought the message.
+    /// owes its peers on the wire; while blocked it takes in peer frames,
+    /// publishes its wait state for the stall detector, and aborts with a
+    /// diagnosis instead of hanging. It gives up on `from` only once
+    /// `from` is recorded dead and a last drain has not brought the
+    /// message.
     pub fn recv_from(&mut self, from: usize) -> M {
         if let Some(m) = self.pending[from].pop_front() {
             self.sup.bump();
@@ -964,9 +939,10 @@ impl<M: Send + Clone> Router<'_, M> {
     }
 
     /// Wait on the collective's reusable barrier, first putting everything
-    /// this worker owes its peers on the wire, then servicing the
-    /// transport and watching for stalls while blocked. Any death aborts
-    /// the wait unless the barrier has already released.
+    /// this worker owes its peers on the wire, then watching for stalls
+    /// while blocked. Any death aborts the wait unless the barrier has
+    /// already released. Peer frames stay on the channel until the next
+    /// receive.
     pub fn barrier(&mut self) {
         self.heartbeat();
         self.flush_owed();
@@ -994,7 +970,6 @@ impl<M: Send + Clone> Router<'_, M> {
             if let Some(worker) = died {
                 self.abort_on(worker);
             }
-            self.service(None);
             self.publish_wait(WaitState::Barrier { generation: gen });
             self.stall_check(&mut watch);
             if Instant::now() >= deadline {
@@ -1042,10 +1017,10 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    /// Send a control frame (an ack, a wake). It rides the lossless
-    /// channel, is never metered as a logical message and never meets a
-    /// link fault. Losing one to a peer that has left is harmless, so
-    /// errors are ignored.
+    /// Send a control frame (a wake). It rides the lossless channel, is
+    /// never metered as a logical message and never meets a link fault.
+    /// Losing one to a peer that has left is harmless, so errors are
+    /// ignored.
     fn send_ctl(&self, to: usize, frame: Frame<M>) {
         let _ = self.txs[to].send((self.rank, frame));
     }
@@ -1067,23 +1042,33 @@ impl<M: Send + Clone> Router<'_, M> {
         }
     }
 
-    /// Retransmit each lost frame on link `to` until a transmission gets
-    /// through; `owe_repair` fails the link once a frame's budget is
-    /// spent.
+    /// Retransmit each lost frame on link `to`, in sequence order, until
+    /// a transmission gets through, re-rolling the fault decision for
+    /// every attempt; a frame whose retry budget is spent fails the link.
     fn repair(&mut self, to: usize) {
-        for idx in 0..self.tx_links[to].unacked.len() {
-            while self.tx_links[to].unacked[idx].victim {
-                self.retransmit(to, idx);
+        while let Some(env) = self.tx_links[to].lost.pop_front() {
+            for attempt in 1.. {
+                self.meter.note_retransmit(env.payload_bytes);
+                match link_decide(self.plan, self.collective, self.rank, to, env.seq, attempt) {
+                    Some(LinkFaultKind::Drop) => self.meter.note_fault(LinkFaultKind::Drop),
+                    Some(LinkFaultKind::Corrupt) => {
+                        self.meter.note_fault(LinkFaultKind::Corrupt);
+                        self.transmit(to, Frame::Data(env.corrupted()));
+                    }
+                    _ => {
+                        self.transmit(to, Frame::Data(env));
+                        break;
+                    }
+                }
+                self.fail_if_spent(to, env.seq, attempt);
             }
         }
     }
 
-    /// Mark in-flight entry `idx` on link `to` as owing a repair after its
-    /// transmission attempt `attempt` was lost, failing the link with a
-    /// typed error once the retry budget is exhausted.
-    fn owe_repair(&mut self, to: usize, idx: usize, attempt: u32) {
+    /// Fail link `to` with a typed error when transmission `attempt` of
+    /// frame `seq` was lost and the retry budget allows no further one.
+    fn fail_if_spent(&self, to: usize, seq: u64, attempt: u32) {
         if attempt >= self.plan.max_retransmits {
-            let seq = self.tx_links[to].unacked[idx].seq;
             self.clear_wait();
             std::panic::panic_any(DpfError::LinkFailure {
                 src: self.rank,
@@ -1091,50 +1076,6 @@ impl<M: Send + Clone> Router<'_, M> {
                 seq,
                 attempts: attempt + 1,
             });
-        }
-        self.tx_links[to].unacked[idx].victim = true;
-    }
-
-    /// Retransmit in-flight entry `idx` on link `to`, consuming one
-    /// transmission attempt and re-rolling the fault decision.
-    fn retransmit(&mut self, to: usize, idx: usize) {
-        let (seq, payload_bytes, attempt, msg) = {
-            let e = &mut self.tx_links[to].unacked[idx];
-            let attempt = e.attempts;
-            e.attempts += 1;
-            (e.seq, e.payload_bytes, attempt, e.msg.clone())
-        };
-        self.meter.note_retransmit(payload_bytes);
-        match link_decide(self.plan, self.collective, self.rank, to, seq, attempt) {
-            Some(LinkFaultKind::Drop) => {
-                self.meter.note_fault(LinkFaultKind::Drop);
-                self.owe_repair(to, idx, attempt);
-            }
-            Some(LinkFaultKind::Corrupt) => {
-                self.meter.note_fault(LinkFaultKind::Corrupt);
-                self.transmit(
-                    to,
-                    Frame::Data(Envelope {
-                        seq,
-                        payload_bytes,
-                        crc: header_crc(self.rank, to, seq, payload_bytes) ^ CRC_MANGLE,
-                        msg,
-                    }),
-                );
-                self.owe_repair(to, idx, attempt);
-            }
-            _ => {
-                self.tx_links[to].unacked[idx].victim = false;
-                self.transmit(
-                    to,
-                    Frame::Data(Envelope {
-                        seq,
-                        payload_bytes,
-                        crc: header_crc(self.rank, to, seq, payload_bytes),
-                        msg,
-                    }),
-                );
-            }
         }
     }
 
@@ -1161,12 +1102,6 @@ impl<M: Send + Clone> Router<'_, M> {
             Frame::Twice(env) => {
                 self.accept(sender, env.clone());
                 self.accept(sender, env);
-            }
-            Frame::Ack { upto } => {
-                let link = &mut self.tx_links[sender];
-                while link.unacked.front().is_some_and(|e| e.seq <= upto) {
-                    link.unacked.pop_front();
-                }
             }
             Frame::Wake => {}
         }
@@ -1214,9 +1149,9 @@ impl<M: Send + Clone> Router<'_, M> {
             self.deliver(src, e.msg);
         }
         if reliable {
+            // The cumulative ack a real lossy wire would carry here. None
+            // is sent: the sender decided every loss and repairs it unasked.
             self.meter.note_ack();
-            let upto = self.rx_links[src].expected - 1;
-            self.send_ctl(src, Frame::Ack { upto });
         }
     }
 
@@ -1341,42 +1276,13 @@ impl<M: Send + Clone> Router<'_, M> {
         out
     }
 
-    /// Teardown drain: after a worker's collective body returns (and
-    /// [`drive`] has put its held and lost final frames on the wire) it
-    /// services acks until none of its own frames is unacked (see the
-    /// module docs for why nothing else needs it). Once a death is
-    /// recorded it instead stays until every worker has retired. Clean
-    /// transports without deaths return at once.
-    fn linger(&mut self) {
-        self.clear_wait();
-        let mut deadline = None;
-        loop {
-            let settled = if self.sup.dead.load(Ordering::Acquire) > 0 {
-                self.sup.retired.load(Ordering::Acquire) >= self.txs.len()
-            } else {
-                self.tx_links.iter().all(|l| l.unacked.is_empty())
-            };
-            if settled {
-                return;
-            }
-            let deadline = *deadline.get_or_insert_with(|| Instant::now() + self.cfg.hard_timeout);
-            if Instant::now() >= deadline {
-                // Teardown must never hang the suite; the stuck worker's
-                // own wait diagnostics are the authoritative failure.
-                return;
-            }
-            self.service(Some(Duration::from_millis(5)));
-        }
-    }
-
     /// Record this worker's death, caused by `payload`, and wake every
-    /// peer so one asleep on its channel notices at once. `retire` is
-    /// false when the worker already retired (it died lingering), so the
-    /// retirement count is not bumped twice. Returns the payload.
-    fn die(&self, payload: Box<dyn Any + Send>, retire: bool) -> Box<dyn Any + Send> {
+    /// peer so one asleep on its channel notices at once. Returns the
+    /// payload.
+    fn die(&self, payload: Box<dyn Any + Send>) -> Box<dyn Any + Send> {
         self.clear_wait();
         self.sup
-            .record_death(self.rank, payload_str(payload.as_ref()), retire);
+            .record_death(self.rank, payload_str(payload.as_ref()));
         for to in (0..self.nprocs()).filter(|&to| to != self.rank) {
             self.send_ctl(to, Frame::Wake);
         }
@@ -1502,9 +1408,11 @@ impl Drop for QuietPanics {
 }
 
 /// One worker's share of an attempt: die at once if `killed`, else run
-/// the body, retire and linger. A failure is recorded as this worker's
-/// death, and its payload is the worker's result. The worker's panics
-/// are quiet; its thread's own setting is restored on return.
+/// the body, put what it still owes on the wire and retire. A failure is
+/// recorded as this worker's death, and its payload is the worker's
+/// result. The worker leaves on return, dropping its Router and so
+/// closing its mailbox. The worker's panics are quiet; its thread's own
+/// setting is restored on return.
 fn drive<M, W, R, F>(
     w: &mut W,
     mut router: Router<'_, M>,
@@ -1522,7 +1430,7 @@ where
             "injected fault: spmd worker {rank} killed at collective {}",
             router.collective
         );
-        return Err(router.die(Box::new(msg), true));
+        return Err(router.die(Box::new(msg)));
     }
     // The body's own frames are flushed inside the guard, so a frame
     // whose budget runs out on the way fails the body like any other
@@ -1535,12 +1443,9 @@ where
     match body {
         Ok(out) => {
             router.sup.retire(rank);
-            match catch_unwind(AssertUnwindSafe(|| router.linger())) {
-                Ok(()) => Ok(out),
-                Err(payload) => Err(router.die(payload, false)),
-            }
+            Ok(out)
         }
-        Err(payload) => Err(router.die(payload, true)),
+        Err(payload) => Err(router.die(payload)),
     }
 }
 
@@ -1613,9 +1518,10 @@ where
 /// recorded so the peers that need it abort with a typed
 /// [`DpfError::WorkerDied`], and after every worker has finished the most
 /// informative failure — the root cause, preferring any non-`WorkerDied`
-/// payload — is re-raised on the caller. Finished workers linger until
-/// their own frames are acked, so faults on final frames are still
-/// repaired.
+/// payload — is re-raised on the caller. A worker leaves as soon as its
+/// body has returned and its held and lost frames are on the wire, so
+/// faults on final frames are repaired before it goes; the module docs
+/// say why no peer can need it after that.
 ///
 /// Under `--recover in-run` (with more than one worker) a death whose
 /// root causes are all untyped — scheduled kills and body panics — within
@@ -1937,7 +1843,7 @@ mod tests {
         );
         assert!(meter.link_faults() > 0, "injector never fired");
         assert!(meter.retransmits() > 0, "no repairs performed");
-        assert!(meter.acks() > 0, "no acks flowed");
+        assert!(meter.acks() > 0, "no in-order acceptance counted");
     }
 
     /// Retransmission accounting is a pure function of the fault seed:
@@ -1963,10 +1869,7 @@ mod tests {
                     }
                 },
             );
-            // The ack count depends on scheduling — a cumulative ack
-            // covers however many frames arrived before it flushed — so
-            // only the data-plane accounting is compared.
-            assert!(meter.acks() > 0, "no acks flowed");
+            assert!(meter.acks() > 0, "no in-order acceptance counted");
             (
                 meter.messages(),
                 meter.payload_bytes(),
@@ -1975,6 +1878,7 @@ mod tests {
                 meter.link_faults(),
                 meter.duplicates_discarded(),
                 meter.crc_rejects(),
+                meter.acks(),
             )
         };
         assert_eq!(run(), run());
@@ -2045,11 +1949,25 @@ mod tests {
         );
     }
 
-    /// On the reliable transport a worker whose body has returned leaves
-    /// as soon as its own frames are acked: it does not wait for a peer
-    /// that is still in its body.
+    /// Probe `peer`'s mailbox with wakes, which change nothing on a live
+    /// peer, until a send fails because `peer` has left and dropped its
+    /// Router. False if it is still there after two seconds.
+    fn saw_leave(router: &Router<'_, u64>, peer: usize) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(2);
+        while Instant::now() < deadline {
+            // dpf-lint: allow(metered-send, reason = "test probe: a failed send is how a worker observes that its peer has left")
+            if router.txs[peer].send((router.rank, Frame::Wake)).is_err() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// On the reliable transport a worker leaves as soon as its body
+    /// returns: it does not wait for a peer that is still in its body.
     #[test]
-    fn finished_worker_leaves_once_its_frames_are_acked() {
+    fn finished_worker_leaves_when_its_body_returns() {
         // Arms the reliable transport; no fault fires at this rate.
         let plan = FaultPlan::default().with_link_faults(f64::MIN_POSITIVE);
         assert!(plan.link_active());
@@ -2063,25 +1981,49 @@ mod tests {
                     router.send(1, 8, 7);
                     return true;
                 }
-                // Accepting rank 0's only frame acks it.
                 assert_eq!(router.recv_from(0), 7);
-                // Rank 0's mailbox closes when it leaves and drops its
-                // Router. Probe it with a duplicate of the ack just sent,
-                // which changes nothing on rank 0; the deadline is only the
-                // failure backstop.
-                let deadline = Instant::now() + Duration::from_secs(10);
-                while Instant::now() < deadline {
-                    // dpf-lint: allow(metered-send, reason = "test probe: a failed send is how rank 1 observes that rank 0 has left")
-                    if router.txs[0].send((1, Frame::Ack { upto: 0 })).is_err() {
-                        return true;
-                    }
-                    std::thread::yield_now();
-                }
-                false
+                saw_leave(router, 0)
             },
         );
         assert_eq!(left, vec![true, true], "rank 0 waited for rank 1 to retire");
+        // The in-order acceptance of rank 0's only frame.
         assert_eq!(meter.acks(), 1);
+    }
+
+    /// A finished worker leaves even once a death is recorded: it does
+    /// not wait for the survivors still in their bodies to retire.
+    #[test]
+    fn finished_worker_leaves_while_a_death_is_recorded() {
+        let plan = FaultPlan::default().with_kill_worker(2, 0);
+        let meter = LinkMeter::new();
+        let left = AtomicBool::new(false);
+        let res = std::panic::catch_unwind(|| {
+            run_workers::<u64, (), (), _>(
+                3,
+                transport(&meter, &plan),
+                vec![(); 3],
+                |rank, _w, router| match rank {
+                    0 => {
+                        router.send(1, 8, 7);
+                        while router.sup.first_dead().is_none() {
+                            std::thread::yield_now();
+                        }
+                    }
+                    1 => {
+                        assert_eq!(router.recv_from(0), 7);
+                        left.store(saw_leave(router, 0), Ordering::Release);
+                    }
+                    _ => unreachable!("rank 2 is killed before its body runs"),
+                },
+            );
+        });
+        let payload = res.expect_err("the kill must fail the collective");
+        let msg = payload_str(payload.as_ref());
+        assert!(msg.contains("killed at collective 0"), "got: {msg}");
+        assert!(
+            left.load(Ordering::Acquire),
+            "rank 0 waited for the survivors to retire"
+        );
     }
 
     /// An exhausted retry budget surfaces as a typed LinkFailure carrying

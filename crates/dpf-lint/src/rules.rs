@@ -396,8 +396,8 @@ fn hot_path_clone(f: &SourceFile) -> Vec<Diagnostic> {
 
 /// Functions inside the transport that *are* the envelope path: the
 /// only places a raw channel `.send(` is legitimate. `send_ctl` carries
-/// the control plane — acks and a dying worker's wakes — which is never
-/// metered as §1.5 logical messages.
+/// the one control frame — a dying worker's wake — which is never
+/// metered as a §1.5 logical message.
 const ENVELOPE_PATH: &[&str] = &["transmit", "send_ctl"];
 
 fn metered_send(f: &SourceFile) -> Vec<Diagnostic> {

@@ -675,13 +675,14 @@ fn lossy_links_keep_logical_meters_invariant() {
     );
     assert!(lossy.link.link_faults() > 0, "no link faults fired");
     assert!(lossy.link.retransmits() > 0, "no retransmissions happened");
-    assert!(lossy.link.acks() > 0, "no acks flowed");
+    assert!(lossy.link.acks() > 0, "no in-order acceptance counted");
     assert_eq!(clean.link.retransmits(), 0);
     assert_eq!(clean.link.link_faults(), 0);
 }
 
 /// Every transport counter — including the retransmitted-byte and
-/// per-kind fault tallies — is byte-reproducible from the fault seed.
+/// per-kind fault tallies and the in-order acceptances counted as acks —
+/// is byte-reproducible from the fault seed.
 #[test]
 fn lossy_transport_accounting_is_reproducible() {
     let run = || {
@@ -693,11 +694,7 @@ fn lossy_transport_accounting_is_reproducible() {
             transpose(&s, &m).to_vec(),
             sum_all(&s, &a),
         );
-        // The ack count depends on thread scheduling (a cumulative ack
-        // covers however many frames arrived before it flushed), so only
-        // its presence is asserted. Every data-plane counter — including
-        // the retransmission tallies — is seed-reproducible.
-        assert!(s.link.acks() > 0, "no acks flowed");
+        assert!(s.link.acks() > 0, "no in-order acceptance counted");
         let meters = vec![
             s.link.messages(),
             s.link.payload_bytes(),
@@ -710,6 +707,7 @@ fn lossy_transport_accounting_is_reproducible() {
             s.link.faults_corrupted(),
             s.link.duplicates_discarded(),
             s.link.crc_rejects(),
+            s.link.acks(),
         ];
         (r, meters)
     };
